@@ -49,6 +49,8 @@ class AdaptiveHyperParams:
 ADADELTA_EPS = 1e-6
 DEFAULT_EPS = 1e-8
 
+SSA1_ADA_VARIANTS = ("as-written", "z-first")
+
 
 @dataclass
 class AdaptiveState:
@@ -191,7 +193,7 @@ def ssa1_ada_step(
     "z-first" computes z_next first and uses grad(z_next) everywhere
     (one evaluation).
     """
-    if variant not in ("as-written", "z-first"):
+    if variant not in SSA1_ADA_VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     h, gamma, eps, k = hp.h, hp.gamma, hp.eps, hp.k
     beta = momentum_coefficient(state.n, schedule)

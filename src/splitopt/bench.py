@@ -63,6 +63,17 @@ class ExperimentConfig:
             raise ValueError(f"batch size must be at least 1, got {self.batch_size}")
         if self.loss not in ("nll", "xent"):
             raise ValueError(f"unknown loss {self.loss!r}")
+        if self.nesterov_form not in opt.NESTEROV_FORMS:
+            raise ValueError(
+                f"unknown nesterov form {self.nesterov_form!r}; "
+                f"choose from {opt.NESTEROV_FORMS}"
+            )
+        if self.variant not in ad.SSA1_ADA_VARIANTS:
+            raise ValueError(
+                f"unknown variant {self.variant!r}; choose from {ad.SSA1_ADA_VARIANTS}"
+            )
+        if self.momentum is not None:
+            parse_momentum(self.momentum)
 
     @property
     def resolved_lr(self) -> float:
@@ -128,18 +139,24 @@ _DEFAULT_EPS = {
     "ssa1-ada": ad.ADADELTA_EPS,
 }
 
+# --momentum schedule kinds; any other text must be a float literal
+MOMENTUM_KINDS = (opt.RATIO_N_OVER_N3, opt.RATIO_NM1_OVER_N2)
+
 GradFn = Callable[[np.ndarray], np.ndarray]
 Stepper = Callable[[GradFn], np.ndarray]
 
 
 def parse_momentum(text: str) -> opt.MomentumSchedule:
-    """A float literal means a constant coefficient; otherwise a kind token."""
+    """A schedule kind token, or a float literal for a constant coefficient."""
+    if text in MOMENTUM_KINDS:
+        return opt.MomentumSchedule(text)
     try:
-        return opt.MomentumSchedule.constant(float(text))
-    except ValueError as exc:
-        if "could not convert" not in str(exc) and "beta" in str(exc):
-            raise
-    return opt.MomentumSchedule(text)
+        beta = float(text)
+    except ValueError:
+        raise ValueError(
+            f"momentum {text!r} is neither a float nor one of {MOMENTUM_KINDS}"
+        ) from None
+    return opt.MomentumSchedule.constant(beta)
 
 
 def make_stepper(config: ExperimentConfig, theta0: np.ndarray) -> Stepper:
@@ -166,10 +183,10 @@ def make_stepper(config: ExperimentConfig, theta0: np.ndarray) -> Stepper:
 
     if name == "polyak":
         state = opt.InertialState.at_rest(theta0)
-        alpha = schedule.beta  # constant extrapolation coefficient
 
         def step(grad_fn: GradFn) -> np.ndarray:
             nonlocal state
+            alpha = opt.momentum_coefficient(state.n, schedule)
             state = opt.polyak_step(state, grad_fn(state.u), alpha, h)
             return state.u
 

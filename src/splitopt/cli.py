@@ -18,6 +18,7 @@ import argparse
 import sys
 from typing import List, Optional
 
+from .adaptive import SSA1_ADA_VARIANTS
 from .bench import (
     ExperimentConfig,
     OPTIMIZER_DEFAULT_LR,
@@ -30,6 +31,7 @@ from .bench import (
     timing_stats,
 )
 from .datasets import IdxFormatError
+from .optimizers import NESTEROV_FORMS
 
 EXIT_DIVERGED = 3
 EXIT_IO = 4
@@ -84,8 +86,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument("--gamma", type=float, help="running-average decay rate")
     run.add_argument("--eps", type=float, help="division guard")
-    run.add_argument("--variant", choices=["as-written", "z-first"])
-    run.add_argument("--nesterov-form", choices=["velocity", "two-sequence"])
+    run.add_argument("--variant", choices=SSA1_ADA_VARIANTS)
+    run.add_argument("--nesterov-form", choices=NESTEROV_FORMS)
     run.add_argument("--epochs", type=int)
     run.add_argument("--batch-size", type=int)
     run.add_argument("--seed", type=int)

@@ -3,8 +3,9 @@
 Dense layers with rectifier activations and a log-softmax head, the
 negative-log-likelihood and cross-entropy losses, seeded epoch shuffling,
 and the pixel normalization used by the training pipeline.  Everything is
-plain float64 numpy; parameters flatten to a single vector so the model
-plugs directly into the optimizer step functions.
+plain float64 numpy.  The weights and biases are views of one flat
+parameter vector, and the gradient comes back in the same layout, so the
+model plugs directly into the optimizer step functions.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ def normalize(x: np.ndarray) -> np.ndarray:
 def log_softmax(x: np.ndarray) -> np.ndarray:
     """Log-probabilities along the last axis, stabilized by max subtraction."""
     x = np.asarray(x, dtype=float)
-    shifted = x - np.max(x, axis=-1, keepdims=True)
-    return shifted - np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
+    shifted = x - x.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
 def nll_loss(log_probs: np.ndarray, targets: np.ndarray) -> float:
@@ -71,12 +72,35 @@ class Batch:
         return self.inputs.shape[0]
 
 
+def _layer_views(
+    flat: np.ndarray, shapes: Sequence[Tuple[int, int]]
+) -> Tuple[List[np.ndarray], List[np.ndarray]]:
+    """Weight and bias views of a flat vector: layer by layer, each layer's
+    (fan_in, fan_out) weights row-major before its fan_out biases."""
+    weights, biases = [], []
+    offset = 0
+    for fan_in, fan_out in shapes:
+        end = offset + fan_in * fan_out
+        weights.append(flat[offset:end].reshape(fan_in, fan_out))
+        biases.append(flat[end : end + fan_out])
+        offset = end + fan_out
+    return weights, biases
+
+
 class MlpModel:
-    """Fully connected rectifier network ending in a log-softmax head."""
+    """Fully connected rectifier network ending in a log-softmax head.
+
+    The weight and bias arrays are views of one flat float64 buffer laid
+    out as param_vector returns it; the given arrays are copied in.
+    """
 
     def __init__(self, weights: List[np.ndarray], biases: List[np.ndarray]):
-        self.weights = weights
-        self.biases = biases
+        self._shapes = [np.shape(w) for w in weights]
+        n_params = sum(np.size(w) + np.size(b) for w, b in zip(weights, biases))
+        self._flat = np.empty(n_params)
+        self.weights, self.biases = _layer_views(self._flat, self._shapes)
+        for view, given in zip(self.weights + self.biases, [*weights, *biases]):
+            view[...] = given
 
     @classmethod
     def init(cls, sizes: Sequence[int], seed: int) -> "MlpModel":
@@ -100,30 +124,21 @@ class MlpModel:
 
     @property
     def n_params(self) -> int:
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
+        return self._flat.size
 
     def param_vector(self) -> np.ndarray:
-        """Flatten all weights and biases into one vector (layer order,
+        """Copy of all weights and biases as one vector (layer order,
         weights before biases)."""
-        parts = []
-        for w, b in zip(self.weights, self.biases):
-            parts.append(w.ravel())
-            parts.append(b.ravel())
-        return np.concatenate(parts)
+        return self._flat.copy()
 
     def set_param_vector(self, theta: np.ndarray) -> None:
         """Inverse of param_vector; copies values into the layer arrays."""
         theta = np.asarray(theta, dtype=float)
-        if theta.size != self.n_params:
+        if theta.size != self._flat.size:
             raise ValueError(
-                f"parameter vector has {theta.size} entries, expected {self.n_params}"
+                f"parameter vector has {theta.size} entries, expected {self._flat.size}"
             )
-        offset = 0
-        for w, b in zip(self.weights, self.biases):
-            w[...] = theta[offset : offset + w.size].reshape(w.shape)
-            offset += w.size
-            b[...] = theta[offset : offset + b.size]
-            offset += b.size
+        self._flat[...] = theta.ravel()
 
     def _forward_trace(self, X: np.ndarray):
         """Logits plus the per-layer activations and rectifier masks."""
@@ -158,39 +173,35 @@ def forward_backward(
 
     loss="nll" applies the negative log likelihood to the log-softmax
     output; loss="xent" applies the fused cross entropy to the raw logits.
-    Both reduce by the batch mean and share the same gradient.
+    On this head the two are the same number, computed once from one
+    log-softmax, and share the same gradient.  Batch has already checked
+    the row count and the nonnegative targets.
     """
     if loss not in ("nll", "xent"):
         raise ValueError(f"unknown loss {loss!r}")
-    if len(batch) == 0:
+    m = len(batch)
+    if m == 0:
         raise ValueError("batch must be nonempty")
     logits, activations, masks = model._forward_trace(batch.inputs)
-    if np.any(batch.targets >= logits.shape[1]):
+    targets = batch.targets
+    if targets.max() >= logits.shape[1]:
         raise ValueError("target out of range for the model's class count")
-    if loss == "nll":
-        value = nll_loss(log_softmax(logits), batch.targets)
-    else:
-        value = cross_entropy_loss(logits, batch.targets)
+    log_probs = log_softmax(logits)
+    rows = np.arange(m)
+    value = float(-log_probs[rows, targets].mean())
 
-    m = len(batch)
-    probs = np.exp(log_softmax(logits))
-    delta = probs
-    delta[np.arange(m), batch.targets] -= 1.0
+    delta = np.exp(log_probs)
+    delta[rows, targets] -= 1.0
     delta /= m
 
-    grads_w = [np.empty(0)] * len(model.weights)
-    grads_b = [np.empty(0)] * len(model.biases)
+    grad = np.empty(model.n_params)
+    grads_w, grads_b = _layer_views(grad, model._shapes)
     for layer in range(len(model.weights) - 1, -1, -1):
-        grads_w[layer] = activations[layer].T @ delta
-        grads_b[layer] = delta.sum(axis=0)
+        np.matmul(activations[layer].T, delta, out=grads_w[layer])
+        delta.sum(axis=0, out=grads_b[layer])
         if layer > 0:
             delta = (delta @ model.weights[layer].T) * masks[layer - 1]
-
-    parts = []
-    for gw, gb in zip(grads_w, grads_b):
-        parts.append(gw.ravel())
-        parts.append(gb.ravel())
-    return value, np.concatenate(parts)
+    return value, grad
 
 
 def epoch_batches(n_samples: int, batch_size: int, seed: int) -> List[np.ndarray]:

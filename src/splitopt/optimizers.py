@@ -26,6 +26,8 @@ CONSTANT = "constant"
 
 _SCHEDULE_KINDS = (RATIO_N_OVER_N3, RATIO_NM1_OVER_N2, CONSTANT)
 
+NESTEROV_FORMS = ("velocity", "two-sequence")
+
 
 @dataclass(frozen=True)
 class MomentumSchedule:

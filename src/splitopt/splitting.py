@@ -94,31 +94,9 @@ def matrix_exp(M: np.ndarray) -> np.ndarray:
     return E
 
 
-def spectral_norm(M: np.ndarray, tol: float = 1e-12, max_iter: int = 10_000) -> float:
-    """Operator 2-norm via power iteration on M^T M."""
-    M = np.asarray(M, dtype=float)
-    G = M.T @ M
-    d = G.shape[0]
-    # Frobenius bound: a zero-ish matrix short-circuits the iteration.
-    frob = float(np.sqrt(np.trace(G)))
-    if frob == 0.0:
-        return 0.0
-    rng = np.random.default_rng(0)
-    x = rng.standard_normal(d)
-    x /= np.linalg.norm(x)
-    lam = 0.0
-    for _ in range(max_iter):
-        y = G @ x
-        ny = np.linalg.norm(y)
-        if ny == 0.0:
-            return 0.0
-        x_new = y / ny
-        lam_new = float(x_new @ (G @ x_new))
-        if abs(lam_new - lam) <= tol * max(lam_new, 1e-300):
-            lam = lam_new
-            break
-        x, lam = x_new, lam_new
-    return float(np.sqrt(max(lam, 0.0)))
+def spectral_norm(M: np.ndarray) -> float:
+    """Operator 2-norm, the largest singular value (by SVD)."""
+    return float(np.linalg.norm(np.asarray(M, dtype=float), 2))
 
 
 def lie_split_step(

@@ -113,8 +113,9 @@ class TestRegistry:
     def test_parse_momentum(self):
         assert parse_momentum("0.5").beta == 0.5
         assert parse_momentum("ratio-n-over-n-plus-3").kind == "ratio-n-over-n-plus-3"
-        with pytest.raises(ValueError):
-            parse_momentum("sideways")
+        for bad in ("sideways", "constant", ""):
+            with pytest.raises(ValueError, match="neither a float"):
+                parse_momentum(bad)
         with pytest.raises(ValueError):
             parse_momentum("1.5")
 
@@ -148,6 +149,27 @@ class TestRegistry:
             stepper = make_stepper(config, theta0)
             theta = stepper(grad)
             assert np.all(np.isfinite(theta))
+
+
+class TestPolyakSchedule:
+    def test_ratio_momentum_matches_a_hand_rolled_heavy_ball(self):
+        h, grad = 0.01, lambda t: 2.0 * t
+        theta0 = np.array([1.0, -2.0, 0.5])
+        config = ExperimentConfig(optimizer="polyak", lr=h, momentum="ratio-n-over-n-plus-3")
+        stepper = make_stepper(config, theta0)
+        u, u_prev = theta0.copy(), theta0.copy()
+        for n in range(20):
+            y = u + n / (n + 3) * (u - u_prev)
+            u, u_prev = y - h * grad(u), u
+            assert stepper(grad).tobytes() == u.tobytes()
+
+    def test_ratio_momentum_is_not_sgd(self):
+        common = dict(lr=0.01, epochs=3, dataset=TINY)
+        polyak = run_experiment(
+            ExperimentConfig(optimizer="polyak", momentum="ratio-n-over-n-plus-3", **common)
+        )
+        sgd = run_experiment(ExperimentConfig(optimizer="sgd", **common))
+        assert [r.train_loss for r in polyak] != [r.train_loss for r in sgd]
 
 
 class TestConfig:
@@ -330,6 +352,26 @@ class TestCli:
         )
         assert code == 0
         assert out.exists()
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("nesterov_form = bogus", "unknown nesterov form"),
+            ("variant = bogus", "unknown variant"),
+            ("momentum = sideways", "neither a float"),
+            ("momentum = 1.5", "constant beta"),
+        ],
+    )
+    def test_bad_config_value_exits_2_before_data_loads(
+        self, tmp_path, capsys, line, message
+    ):
+        # the missing idx files would exit 4 if the dataset were touched
+        config = tmp_path / "run.conf"
+        config.write_text(
+            f"optimizer = nesterov\ndataset = idx:nope1,nope2,nope3,nope4\n{line}\n"
+        )
+        assert main(["run", "--config", str(config)]) == 2
+        assert message in capsys.readouterr().err
 
     def test_bad_config_line(self, tmp_path, capsys):
         config = tmp_path / "run.conf"

@@ -96,6 +96,20 @@ class TestMlpModel:
         model.set_param_vector(theta)
         np.testing.assert_array_equal(model.param_vector(), theta)
 
+    def test_set_then_read_back_without_aliasing(self):
+        model = MlpModel.init((4, 8, 3), seed=1)
+        theta = np.random.default_rng(2).standard_normal(model.n_params)
+        model.set_param_vector(theta)
+        out = model.param_vector()
+        assert out.tobytes() == theta.tobytes()
+        np.testing.assert_array_equal(model.weights[0], theta[:32].reshape(4, 8))
+        np.testing.assert_array_equal(model.biases[1], theta[-3:])
+        # neither the vector read out nor the one written in aliases the model
+        out[:] = 0.0
+        theta[:] = 0.0
+        assert np.all(model.param_vector() != 0.0)
+        assert np.all(model.weights[0] != 0.0)
+
     def test_init_is_deterministic(self):
         a = MlpModel.init((4, 8, 3), seed=1).param_vector()
         b = MlpModel.init((4, 8, 3), seed=1).param_vector()
@@ -120,7 +134,49 @@ class TestMlpModel:
             model.set_param_vector(np.zeros(3))
 
 
+def reference_forward_backward(model, batch, loss):
+    """The gradient as first composed: a separate loss pass, the exp of a
+    second log-softmax, and per-layer arrays concatenated at the end."""
+
+    def ref_log_softmax(x):
+        shifted = x - np.max(x, axis=-1, keepdims=True)
+        return shifted - np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
+
+    logits, activations, masks = model._forward_trace(batch.inputs)
+    if loss == "nll":
+        value = nll_loss(ref_log_softmax(logits), batch.targets)
+    else:
+        value = cross_entropy_loss(logits, batch.targets)
+    m = len(batch)
+    delta = np.exp(ref_log_softmax(logits))
+    delta[np.arange(m), batch.targets] -= 1.0
+    delta /= m
+    parts = []
+    for layer in range(len(model.weights) - 1, -1, -1):
+        parts = [(activations[layer].T @ delta).ravel(), delta.sum(axis=0)] + parts
+        if layer > 0:
+            delta = (delta @ model.weights[layer].T) * masks[layer - 1]
+    return value, np.concatenate(parts)
+
+
 class TestForwardBackward:
+    @pytest.mark.parametrize("loss", ["nll", "xent"])
+    @pytest.mark.parametrize("sizes", [(2, 32, 2), (784, 32, 10)])
+    def test_bit_identical_to_reference_composition(self, sizes, loss):
+        rng = np.random.default_rng(sum(sizes))
+        for seed in range(5):
+            model = MlpModel.init(sizes, seed=seed)
+            rows = int(rng.integers(1, 40))
+            batch = Batch(
+                rng.standard_normal((rows, sizes[0])) * rng.uniform(0.5, 4.0),
+                rng.integers(0, sizes[-1], size=rows),
+            )
+            value, grad = forward_backward(model, batch, loss=loss)
+            ref_value, ref_grad = reference_forward_backward(model, batch, loss)
+            assert np.float64(value).tobytes() == np.float64(ref_value).tobytes()
+            assert grad.dtype == ref_grad.dtype and grad.shape == ref_grad.shape
+            assert grad.tobytes() == ref_grad.tobytes()
+
     def test_zero_model_gives_uniform_predictions(self):
         model = MlpModel.init((3, 4, 5), seed=0)
         model.set_param_vector(np.zeros(model.n_params))

@@ -67,6 +67,16 @@ class TestSpectralNorm:
     def test_zero_matrix(self):
         assert spectral_norm(np.zeros((3, 3))) == 0.0
 
+    def test_near_degenerate_defect_matrix(self):
+        # the splitting study's defect at h = 0.0125: the top two singular
+        # values agree to about 3e-5, where power iteration stalls
+        h = 0.0125
+        D = matrix_exp((NILPOTENT_A + NILPOTENT_B) * h) - matrix_exp(
+            NILPOTENT_A * h
+        ) @ matrix_exp(NILPOTENT_B * h)
+        top = np.linalg.svd(D, compute_uv=False)[0]
+        assert spectral_norm(D) == pytest.approx(top, rel=1e-12)
+
 
 class TestLieSplit:
     def test_zero_step_is_identity(self):
