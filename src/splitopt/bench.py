@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -35,14 +36,18 @@ class TrainingDivergedError(RuntimeError):
 
 @dataclass
 class ExperimentConfig:
+    """One `bench run`.  The optimizer options (k .. nesterov_form) default to
+    None: the optimizer's OPTIMIZERS entry fills the ones its step rule
+    reads, and setting any other one is an error."""
+
     optimizer: str = "sgd"
     lr: Optional[float] = None          # None -> registry default
-    k: float = 2.0
+    k: Optional[float] = None
     momentum: Optional[str] = None      # float literal or schedule kind
-    gamma: float = 0.9
-    eps: Optional[float] = None         # None -> per-optimizer default
-    variant: str = "as-written"
-    nesterov_form: str = "velocity"
+    gamma: Optional[float] = None
+    eps: Optional[float] = None
+    variant: Optional[str] = None
+    nesterov_form: Optional[str] = None
     epochs: int = 10
     batch_size: int = 32
     seed: int = 1
@@ -52,10 +57,9 @@ class ExperimentConfig:
     normalize: bool = True
 
     def __post_init__(self):
-        if self.optimizer not in OPTIMIZER_DEFAULT_LR:
+        if self.optimizer not in OPTIMIZERS:
             raise ValueError(
-                f"unknown optimizer {self.optimizer!r}; "
-                f"choose from {sorted(OPTIMIZER_DEFAULT_LR)}"
+                f"unknown optimizer {self.optimizer!r}; choose from {sorted(OPTIMIZERS)}"
             )
         if self.epochs < 1:
             raise ValueError(f"epochs must be at least 1, got {self.epochs}")
@@ -63,21 +67,36 @@ class ExperimentConfig:
             raise ValueError(f"batch size must be at least 1, got {self.batch_size}")
         if self.loss not in ("nll", "xent"):
             raise ValueError(f"unknown loss {self.loss!r}")
-        if self.nesterov_form not in opt.NESTEROV_FORMS:
+        if self.nesterov_form not in (None,) + opt.NESTEROV_FORMS:
             raise ValueError(
                 f"unknown nesterov form {self.nesterov_form!r}; "
                 f"choose from {opt.NESTEROV_FORMS}"
             )
-        if self.variant not in ad.SSA1_ADA_VARIANTS:
+        if self.variant not in (None,) + ad.SSA1_ADA_VARIANTS:
             raise ValueError(
                 f"unknown variant {self.variant!r}; choose from {ad.SSA1_ADA_VARIANTS}"
             )
-        if self.momentum is not None:
-            parse_momentum(self.momentum)
+        defaults = OPTIMIZERS[self.optimizer][1]
+        for name in OPTION_FIELDS:
+            if name in defaults:
+                if getattr(self, name) is None:
+                    setattr(self, name, defaults[name])
+            elif getattr(self, name) is not None:
+                raise ValueError(
+                    f"{self.optimizer} takes no {name} option; "
+                    f"it takes {sorted(defaults) or 'none'}"
+                )
+        # One step from a one-element theta raises whatever the first step of
+        # the run would (momentum text, step size, decay rate, eps, k,
+        # polyak's alpha < 1), so a bad value exits before any data loads.
+        # Its arithmetic is discarded: an infinite lr times the zero
+        # gradient is left to the run's own divergence check.
+        with np.errstate(all="ignore"):
+            make_stepper(self, np.zeros(1))(np.zeros_like)
 
     @property
     def resolved_lr(self) -> float:
-        return OPTIMIZER_DEFAULT_LR[self.optimizer] if self.lr is None else self.lr
+        return OPTIMIZERS[self.optimizer][0] if self.lr is None else self.lr
 
 
 @dataclass
@@ -104,40 +123,25 @@ class TimingStats:
 
 # --- optimizer registry ------------------------------------------------------
 
-# Learning-rate defaults mirror the benchmark protocol: 1.0 for the
+# name -> (default lr, {option: default} for each run option its step rule
+# reads).  The learning rates mirror the benchmark protocol: 1.0 for the
 # Adadelta-style adaptive pair, 1e-3 elsewhere (1e-2 for heavy ball).
-OPTIMIZER_DEFAULT_LR = {
-    "sgd": 1e-3,
-    "polyak": 1e-2,
-    "nesterov": 1e-3,
-    "ssa1": 1e-3,
-    "ssa2": 1e-3,
-    "ssa1-const": 1e-3,
-    "ssa2-const": 1e-3,
-    "adagrad": 1e-3,
-    "adadelta": 1.0,
-    "rmsprop": 1e-3,
-    "adam": 1e-3,
-    "ssa1-ada": 1.0,
+OPTIMIZERS = {
+    "sgd": (1e-3, {}),
+    "polyak": (1e-2, {"momentum": "0.5"}),
+    "nesterov": (1e-3, {"momentum": "0.5", "nesterov_form": "velocity"}),
+    "ssa1": (1e-3, {"momentum": opt.RATIO_N_OVER_N3, "k": 2.0}),
+    "ssa2": (1e-3, {"momentum": opt.RATIO_N_OVER_N3, "k": 2.0}),
+    "ssa1-const": (1e-3, {"momentum": "0.5", "k": 2.0}),
+    "ssa2-const": (1e-3, {"momentum": "0.5", "k": 2.0}),
+    "adagrad": (1e-3, {"eps": ad.DEFAULT_EPS}),
+    "adadelta": (1.0, {"gamma": 0.9, "eps": ad.ADADELTA_EPS}),
+    "rmsprop": (1e-3, {"gamma": 0.9, "eps": ad.DEFAULT_EPS}),
+    "adam": (1e-3, {"eps": ad.DEFAULT_EPS}),
+    "ssa1-ada": (1.0, {"momentum": opt.RATIO_N_OVER_N3, "k": 2.0, "gamma": 0.9,
+                       "eps": ad.ADADELTA_EPS, "variant": "as-written"}),
 }
-
-_DEFAULT_MOMENTUM = {
-    "polyak": "0.5",
-    "nesterov": "0.5",
-    "ssa1": opt.RATIO_N_OVER_N3,
-    "ssa2": opt.RATIO_N_OVER_N3,
-    "ssa1-const": "0.5",
-    "ssa2-const": "0.5",
-    "ssa1-ada": opt.RATIO_N_OVER_N3,
-}
-
-_DEFAULT_EPS = {
-    "adagrad": ad.DEFAULT_EPS,
-    "rmsprop": ad.DEFAULT_EPS,
-    "adam": ad.DEFAULT_EPS,
-    "adadelta": ad.ADADELTA_EPS,
-    "ssa1-ada": ad.ADADELTA_EPS,
-}
+OPTION_FIELDS = ("k", "momentum", "gamma", "eps", "variant", "nesterov_form")
 
 # --momentum schedule kinds; any other text must be a float literal
 MOMENTUM_KINDS = (opt.RATIO_N_OVER_N3, opt.RATIO_NM1_OVER_N2)
@@ -164,87 +168,45 @@ def make_stepper(config: ExperimentConfig, theta0: np.ndarray) -> Stepper:
 
     The returned callable takes a gradient oracle for the current batch
     (evaluable at any point, as the inertial methods require) and returns
-    the updated parameter vector.
+    the updated parameter vector.  The step rule is looked up in its module
+    here, when the stepper is built.
     """
-    name = config.optimizer
-    h = config.resolved_lr
-    momentum = config.momentum or _DEFAULT_MOMENTUM.get(name)
-    schedule = parse_momentum(momentum) if momentum is not None else None
-
+    name, h = config.optimizer, config.resolved_lr
+    schedule = None if config.momentum is None else parse_momentum(config.momentum)
+    point = attrgetter("u")
     if name == "sgd":
-        theta = theta0.copy()
-
-        def step(grad_fn: GradFn) -> np.ndarray:
-            nonlocal theta
-            theta = opt.minibatch_sgd_step(theta, grad_fn(theta), h)
-            return theta
-
-        return step
-
-    if name == "polyak":
-        state = opt.InertialState.at_rest(theta0)
-
-        def step(grad_fn: GradFn) -> np.ndarray:
-            nonlocal state
-            alpha = opt.momentum_coefficient(state.n, schedule)
-            state = opt.polyak_step(state, grad_fn(state.u), alpha, h)
-            return state.u
-
-        return step
-
-    if name == "nesterov":
-        state = opt.InertialState.at_rest(theta0)
-        form = config.nesterov_form
-
-        def step(grad_fn: GradFn) -> np.ndarray:
-            nonlocal state
-            state = opt.nesterov_step(state, grad_fn, h, schedule, form=form)
-            return state.u
-
-        return step
-
-    if name in ("ssa1", "ssa1-const", "ssa2", "ssa2-const"):
-        state = opt.InertialState.at_rest(theta0)
-        hp = opt.SplitHyperParams(h=h, k=config.k)
-        step_fn = opt.ssa1_step if name.startswith("ssa1") else opt.ssa2_step
-
-        def step(grad_fn: GradFn) -> np.ndarray:
-            nonlocal state
-            state = step_fn(state, grad_fn, hp, schedule)
-            return state.u
-
-        return step
-
-    # adaptive family
-    hp = ad.AdaptiveHyperParams(
-        h=h,
-        gamma=config.gamma,
-        eps=config.eps if config.eps is not None else _DEFAULT_EPS[name],
-        k=config.k,
-    )
-    state = ad.AdaptiveState.fresh(theta0)
-
-    if name == "ssa1-ada":
-        variant = config.variant
-
-        def step(grad_fn: GradFn) -> np.ndarray:
-            nonlocal state
-            state = ad.ssa1_ada_step(state, grad_fn, hp, schedule, variant=variant)
-            return state.theta
-
-        return step
-
-    plain = {
-        "adagrad": ad.adagrad_step,
-        "adadelta": ad.adadelta_step,
-        "rmsprop": ad.rmsprop_step,
-        "adam": ad.adam_step,
-    }[name]
+        rule, point = opt.minibatch_sgd_step, lambda theta: theta
+        state, params = theta0.copy(), (h,)
+        advance = lambda theta, grad_fn, h: rule(theta, grad_fn(theta), h)
+    elif name == "polyak":
+        rule, coefficient = opt.polyak_step, opt.momentum_coefficient
+        state, params = opt.InertialState.at_rest(theta0), (h,)
+        advance = lambda s, grad_fn, h: rule(
+            s, grad_fn(s.u), coefficient(s.n, schedule), h
+        )
+    elif name == "nesterov":
+        state, advance = opt.InertialState.at_rest(theta0), opt.nesterov_step
+        params = (h, schedule, config.nesterov_form)
+    elif name in ("ssa1", "ssa2", "ssa1-const", "ssa2-const"):
+        state, advance = opt.InertialState.at_rest(theta0), getattr(opt, name[:4] + "_step")
+        params = (opt.SplitHyperParams(h=h, k=config.k), schedule)
+    else:
+        state, point = ad.AdaptiveState.fresh(theta0), attrgetter("theta")
+        hp = ad.AdaptiveHyperParams(
+            h=h,
+            **{key: getattr(config, key) for key in ("gamma", "eps", "k")
+               if getattr(config, key) is not None},
+        )
+        if name == "ssa1-ada":
+            advance, params = ad.ssa1_ada_step, (hp, schedule, config.variant)
+        else:
+            rule, params = getattr(ad, name + "_step"), (hp,)
+            advance = lambda s, grad_fn, hp: rule(s, grad_fn(s.theta), hp)
 
     def step(grad_fn: GradFn) -> np.ndarray:
         nonlocal state
-        state = plain(state, grad_fn(state.theta), hp)
-        return state.theta
+        state = advance(state, grad_fn, *params)
+        return point(state)
 
     return step
 
@@ -438,7 +400,7 @@ def splitting_study(
     rows: List[Tuple[float, float, Optional[float]]] = []
     for i, n_steps in enumerate(step_counts):
         h = 1.0 / n_steps
-        defect = splitting_defect(sys, h)
+        defect = splitting_defect(sys, h, step=stepper)
         if i + 1 < len(step_counts) and errors[i + 1] > 0:
             ratio = (1.0 / step_counts[i]) / (1.0 / step_counts[i + 1])
             order = float(np.log(errors[i] / errors[i + 1]) / np.log(ratio))

@@ -21,7 +21,7 @@ from typing import List, Optional
 from .adaptive import SSA1_ADA_VARIANTS
 from .bench import (
     ExperimentConfig,
-    OPTIMIZER_DEFAULT_LR,
+    OPTIMIZERS,
     TrainingDivergedError,
     emit_metrics,
     format_metrics,
@@ -76,7 +76,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="train one experiment and emit metrics")
     run.add_argument("--config", help="key=value file providing defaults")
-    run.add_argument("--optimizer", choices=sorted(OPTIMIZER_DEFAULT_LR))
+    run.add_argument("--optimizer", choices=sorted(OPTIMIZERS))
     run.add_argument("--lr", type=float, help="step size / learning rate h")
     run.add_argument("--k", type=float, help="velocity boost exponent")
     run.add_argument(

@@ -34,7 +34,7 @@ class MomentumSchedule:
     """Rule producing the inertial coefficient beta_n.
 
     Kinds: n/(n+3), (n-1)/(n+2) (clamped to 0 at n=0), or a constant
-    beta in [0, 1).  The ratio kinds increase monotonically toward 1.
+    beta in [0, 1].  The ratio kinds increase monotonically toward 1.
     """
 
     kind: str
@@ -58,9 +58,6 @@ class MomentumSchedule:
     @classmethod
     def constant(cls, beta: float) -> "MomentumSchedule":
         return cls(CONSTANT, beta)
-
-    def coefficient(self, n: int) -> float:
-        return momentum_coefficient(n, self)
 
 
 def momentum_coefficient(n: int, schedule: MomentumSchedule) -> float:
@@ -142,20 +139,17 @@ def _check_shape(u: np.ndarray, other: np.ndarray, what: str) -> None:
 
 
 def gd_step(u: np.ndarray, grad: np.ndarray, h: float) -> np.ndarray:
-    """One explicit-Euler gradient step u - h * grad."""
-    u = np.asarray(u, dtype=float)
-    grad = np.asarray(grad, dtype=float)
-    _check_shape(u, grad, "gradient")
+    """One explicit-Euler gradient step u - h * grad, for h > 0."""
     if h <= 0:
         raise ValueError(f"step size must be positive, got {h}")
-    return u - h * grad
+    return minibatch_sgd_step(u, grad, h)
 
 
 def minibatch_sgd_step(theta: np.ndarray, grad_batch: np.ndarray, h: float) -> np.ndarray:
     """SGD update with the gradient of the loss on the current mini-batch.
 
-    Same arithmetic as gd_step; the contract differs in that grad_batch is
-    a batch gradient rather than the full one, and h = 0 is permitted
+    gd_step runs this arithmetic; the contract differs in that grad_batch
+    is a batch gradient rather than the full one, and h = 0 is permitted
     (a frozen run is a valid experiment).
     """
     theta = np.asarray(theta, dtype=float)

@@ -129,12 +129,19 @@ def strang_split_step(sys: LinearSplitSystem, X: np.ndarray, h: float) -> np.nda
     return half @ (matrix_exp(sys.B * h) @ (half @ X))
 
 
-def splitting_defect(sys: LinearSplitSystem, h: float) -> float:
-    """Spectral norm of e^{(A+B)h} - e^{Ah} e^{Bh}."""
+def splitting_defect(
+    sys: LinearSplitSystem,
+    h: float,
+    step: Callable[[LinearSplitSystem, np.ndarray, float], np.ndarray] = lie_split_step,
+) -> float:
+    """Spectral norm of e^{(A+B)h} minus the propagator of one splitting step.
+
+    The propagator is the step applied to the identity: e^{Bh} e^{Ah} for
+    the default Lie step, e^{Ah/2} e^{Bh} e^{Ah/2} for strang_split_step.
+    """
     if h < 0:
         raise ValueError(f"time step must be nonnegative, got {h}")
-    D = matrix_exp((sys.A + sys.B) * h) - matrix_exp(sys.A * h) @ matrix_exp(sys.B * h)
-    return spectral_norm(D)
+    return spectral_norm(matrix_exp((sys.A + sys.B) * h) - step(sys, np.eye(len(sys.A)), h))
 
 
 def integrate_second_order(

@@ -7,7 +7,7 @@ import pytest
 
 from splitopt.bench import (
     ExperimentConfig,
-    OPTIMIZER_DEFAULT_LR,
+    OPTIMIZERS,
     TrainingDivergedError,
     emit_metrics,
     format_metrics,
@@ -20,10 +20,13 @@ from splitopt.bench import (
     splitting_study,
     timing_stats,
 )
+from splitopt import adaptive as ad
+from splitopt import optimizers as opt
 from splitopt.cli import main
 from splitopt.datasets import dataset_to_idx, synth_blobs
 
 TINY = "synth:per_class=40,classes=2,dim=2,sep=6"
+OPTIMIZER_DEFAULT_LR = {name: lr for name, (lr, _) in OPTIMIZERS.items()}
 
 
 class TestTimingStats:
@@ -151,6 +154,71 @@ class TestRegistry:
             assert np.all(np.isfinite(theta))
 
 
+HALF = opt.MomentumSchedule.constant(0.5)
+RATIO = opt.MomentumSchedule.ratio_n_over_n_plus_3()
+SPLIT = opt.SplitHyperParams(h=1e-3, k=2.0)
+U, THETA = (lambda s: s.u), (lambda s: s.theta)
+# optimizer -> (initial state, one step, parameter vector of a state): direct
+# calls of each step rule with the defaults the README documents
+DIRECT = {
+    "sgd": (np.copy, lambda s, g: opt.minibatch_sgd_step(s, g(s), 1e-3), lambda s: s),
+    "polyak": (opt.InertialState.at_rest, lambda s, g: opt.polyak_step(s, g(s.u), 0.5, 1e-2), U),
+    "nesterov": (
+        opt.InertialState.at_rest,
+        lambda s, g: opt.nesterov_step(s, g, 1e-3, HALF, form="velocity"),
+        U,
+    ),
+    "ssa1": (opt.InertialState.at_rest, lambda s, g: opt.ssa1_step(s, g, SPLIT, RATIO), U),
+    "ssa2": (opt.InertialState.at_rest, lambda s, g: opt.ssa2_step(s, g, SPLIT, RATIO), U),
+    "ssa1-const": (opt.InertialState.at_rest, lambda s, g: opt.ssa1_step(s, g, SPLIT, HALF), U),
+    "ssa2-const": (opt.InertialState.at_rest, lambda s, g: opt.ssa2_step(s, g, SPLIT, HALF), U),
+    "adagrad": (
+        ad.AdaptiveState.fresh,
+        lambda s, g: ad.adagrad_step(s, g(s.theta), ad.AdaptiveHyperParams(h=1e-3, eps=1e-8)),
+        THETA,
+    ),
+    "adadelta": (
+        ad.AdaptiveState.fresh,
+        lambda s, g: ad.adadelta_step(
+            s, g(s.theta), ad.AdaptiveHyperParams(h=1.0, gamma=0.9, eps=1e-6)
+        ),
+        THETA,
+    ),
+    "rmsprop": (
+        ad.AdaptiveState.fresh,
+        lambda s, g: ad.rmsprop_step(
+            s, g(s.theta), ad.AdaptiveHyperParams(h=1e-3, gamma=0.9, eps=1e-8)
+        ),
+        THETA,
+    ),
+    "adam": (
+        ad.AdaptiveState.fresh,
+        lambda s, g: ad.adam_step(s, g(s.theta), ad.AdaptiveHyperParams(h=1e-3, eps=1e-8)),
+        THETA,
+    ),
+    "ssa1-ada": (
+        ad.AdaptiveState.fresh,
+        lambda s, g: ad.ssa1_ada_step(
+            s, g, ad.AdaptiveHyperParams(h=1.0, gamma=0.9, eps=1e-6, k=2.0), RATIO,
+            variant="as-written",
+        ),
+        THETA,
+    ),
+}
+
+
+def test_table_defaults_match_direct_rule_calls():
+    assert set(DIRECT) == set(OPTIMIZERS)
+    grad = lambda t: np.array([1.0, 4.0, 9.0]) * t - 1.0
+    theta0 = np.array([1.0, -2.0, 0.5])
+    for name, (init, advance, params) in DIRECT.items():
+        stepper = make_stepper(ExperimentConfig(optimizer=name), theta0)
+        state = init(theta0)
+        for _ in range(5):
+            state = advance(state, grad)
+            assert stepper(grad).tobytes() == params(state).tobytes(), name
+
+
 class TestPolyakSchedule:
     def test_ratio_momentum_matches_a_hand_rolled_heavy_ball(self):
         h, grad = 0.01, lambda t: 2.0 * t
@@ -275,6 +343,14 @@ class TestSplittingStudy:
         with pytest.raises(ValueError):
             splitting_study(method="leapfrog")
 
+    def test_strang_defect_is_strangs_own(self):
+        lie = splitting_study(method="lie")
+        strang = splitting_study(method="strang")
+        assert all(s[1] < l[1] for l, s in zip(lie, strang))
+        # local error O(h^3): the defect falls about 8x per halving of h
+        ratios = [a[1] / b[1] for a, b in zip(strang, strang[1:])]
+        assert all(7.5 <= r <= 8.5 for r in ratios), ratios
+
 
 class TestCli:
     def test_run_writes_csv(self, tmp_path, capsys):
@@ -360,6 +436,15 @@ class TestCli:
             ("variant = bogus", "unknown variant"),
             ("momentum = sideways", "neither a float"),
             ("momentum = 1.5", "constant beta"),
+            ("optimizer = sgd\nmomentum = 0.9", "sgd takes no momentum option"),
+            ("optimizer = sgd\nvariant = z-first", "sgd takes no variant option"),
+            ("optimizer = adam\ngamma = 0.5", "adam takes no gamma option"),
+            ("optimizer = adam\neps = -1", "eps must be positive"),
+            ("optimizer = polyak\nmomentum = 1", "alpha must lie in [0, 1)"),
+            ("optimizer = ssa1\nlr = 0", "step size must be positive"),
+            ("optimizer = ssa1\nk = -1", "velocity exponent must be nonnegative"),
+            ("optimizer = adadelta\ngamma = 1.5", "decay rate must lie in (0, 1)"),
+            ("lr = 0", "step size must be positive"),
         ],
     )
     def test_bad_config_value_exits_2_before_data_loads(
@@ -372,6 +457,12 @@ class TestCli:
         )
         assert main(["run", "--config", str(config)]) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags", [["--optimizer", "sgd", "--lr", "0"], ["--optimizer", "ssa1-ada", "--momentum", "1"]]
+    )
+    def test_boundary_values_still_run(self, flags, capsys):
+        assert main(["run", *flags, "--epochs", "1", "--dataset", TINY]) == 0
 
     def test_bad_config_line(self, tmp_path, capsys):
         config = tmp_path / "run.conf"
