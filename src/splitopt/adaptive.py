@@ -33,15 +33,16 @@ class AdaptiveHyperParams:
     k: float = 2.0
 
     def __post_init__(self):
-        if self.h <= 0:
+        # each range check is negated so that NaN fails it
+        if not self.h > 0:
             raise ValueError(f"learning rate must be positive, got {self.h}")
         if not 0.0 < self.gamma < 1.0:
             raise ValueError(f"decay rate must lie in (0, 1), got {self.gamma}")
-        if self.eps <= 0:
+        if not self.eps > 0:
             raise ValueError(f"eps must be positive, got {self.eps}")
         if not 0.0 < self.beta1 < 1.0 or not 0.0 < self.beta2 < 1.0:
             raise ValueError("Adam decay rates must lie in (0, 1)")
-        if self.k < 0:
+        if not self.k >= 0:
             raise ValueError(f"velocity exponent must be nonnegative, got {self.k}")
 
 

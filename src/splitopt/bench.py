@@ -10,7 +10,7 @@ splitting defect/order sweep backing the CLI subcommands.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import attrgetter
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -19,7 +19,7 @@ import numpy as np
 from . import adaptive as ad
 from . import optimizers as opt
 from .datasets import Dataset, load_idx, synth_blobs
-from .nn import Batch, MlpModel, epoch_batches, forward_backward, nll_loss, normalize
+from .nn import LOSSES, Batch, MlpModel, epoch_batches, forward_backward, nll_loss, normalize
 from .splitting import LinearSplitSystem, lie_split_step, matrix_exp, splitting_defect, strang_split_step
 
 HIDDEN_UNITS = 32  # fixed desk-scale architecture: input -> 32 rectified -> classes
@@ -65,7 +65,9 @@ class ExperimentConfig:
             raise ValueError(f"epochs must be at least 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ValueError(f"batch size must be at least 1, got {self.batch_size}")
-        if self.loss not in ("nll", "xent"):
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
+        if self.loss not in LOSSES:
             raise ValueError(f"unknown loss {self.loss!r}")
         if self.nesterov_form not in (None,) + opt.NESTEROV_FORMS:
             raise ValueError(
@@ -349,9 +351,17 @@ def format_metrics(records: Sequence[MetricsRecord]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def emit_metrics(records: Sequence[MetricsRecord], path: str) -> None:
-    with open(path, "w", newline="") as f:
-        f.write(format_metrics(records))
+def write_text(text: str, path: Optional[str]) -> None:
+    """Write text to the file at path, or to stdout when there is no path."""
+    if path:
+        with open(path, "w", newline="") as f:
+            f.write(text)
+    else:
+        print(text, end="")
+
+
+def emit_metrics(records: Sequence[MetricsRecord], path: Optional[str]) -> None:
+    write_text(format_metrics(records), path)
 
 
 def read_timing_column(path: str) -> List[float]:
@@ -369,6 +379,7 @@ def read_timing_column(path: str) -> List[float]:
 
 STUDY_A = np.array([[0.0, 1.0], [0.0, 0.0]])
 STUDY_B = np.array([[0.0, 0.0], [1.0, 0.0]])
+SPLITTING_METHODS = ("lie", "strang")
 
 
 def splitting_study(
@@ -382,7 +393,7 @@ def splitting_study(
     T = 1, and reports (h, defect(h), observed order) per N.  The order
     entry pairs each h with the next finer one; the last row has none.
     """
-    if method not in ("lie", "strang"):
+    if method not in SPLITTING_METHODS:
         raise ValueError(f"unknown method {method!r}")
     sys = LinearSplitSystem(STUDY_A, STUDY_B)
     x0 = np.array([1.0, 0.0])

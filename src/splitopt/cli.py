@@ -22,36 +22,55 @@ from .adaptive import SSA1_ADA_VARIANTS
 from .bench import (
     ExperimentConfig,
     OPTIMIZERS,
+    SPLITTING_METHODS,
     TrainingDivergedError,
     emit_metrics,
-    format_metrics,
     read_timing_column,
     run_experiment,
     splitting_study,
     timing_stats,
+    write_text,
 )
 from .datasets import IdxFormatError
+from .nn import LOSSES
 from .optimizers import NESTEROV_FORMS
 
 EXIT_DIVERGED = 3
 EXIT_IO = 4
 
-_CONFIG_TYPES = {
-    "optimizer": str,
-    "lr": float,
-    "k": float,
-    "momentum": str,
-    "gamma": float,
-    "eps": float,
-    "variant": str,
-    "nesterov_form": str,
-    "epochs": int,
-    "batch_size": int,
-    "seed": int,
-    "dataset": str,
-    "loss": str,
-    "out": str,
-    "normalize": lambda s: s.strip().lower() in ("1", "true", "yes"),
+_BOOLEANS = {"true": True, "false": False, "yes": True, "no": False, "1": True, "0": False}
+
+
+def _boolean(text: str) -> bool:
+    try:
+        return _BOOLEANS[text.lower()]
+    except KeyError:
+        raise ValueError(f"expected one of {'/'.join(_BOOLEANS)}, got {text!r}") from None
+
+
+# Every `run` option, as the argparse keywords of its flag.  A config line
+# is typed by the same `type` (text when there is none); its choices are
+# left to ExperimentConfig.  normalize's flag is --no-normalize, which can
+# only turn it off, so its entry serves config lines alone.
+_RUN_OPTIONS = {
+    "optimizer": dict(choices=sorted(OPTIMIZERS)),
+    "lr": dict(type=float, help="step size / learning rate h"),
+    "k": dict(type=float, help="velocity boost exponent"),
+    "momentum": dict(
+        help="constant coefficient (float) or schedule kind "
+        "(ratio-n-over-n-plus-3, ratio-n-minus-1-over-n-plus-2)"
+    ),
+    "gamma": dict(type=float, help="running-average decay rate"),
+    "eps": dict(type=float, help="division guard"),
+    "variant": dict(choices=SSA1_ADA_VARIANTS),
+    "nesterov_form": dict(choices=NESTEROV_FORMS),
+    "epochs": dict(type=int),
+    "batch_size": dict(type=int),
+    "seed": dict(type=int),
+    "dataset": dict(help="synth:k=v,... or idx:4 comma-separated paths"),
+    "loss": dict(choices=LOSSES),
+    "out": dict(help="metrics CSV path (stdout when omitted)"),
+    "normalize": dict(type=_boolean),
 }
 
 
@@ -64,9 +83,12 @@ def _load_config_file(path: str) -> dict:
                 continue
             key, sep, value = line.partition("=")
             key = key.strip().replace("-", "_")
-            if not sep or key not in _CONFIG_TYPES:
+            if not sep or key not in _RUN_OPTIONS:
                 raise ValueError(f"{path}:{lineno}: bad config line {raw.strip()!r}")
-            values[key] = _CONFIG_TYPES[key](value.strip())
+            try:
+                values[key] = _RUN_OPTIONS[key].get("type", str)(value.strip())
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
     return values
 
 
@@ -76,24 +98,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="train one experiment and emit metrics")
     run.add_argument("--config", help="key=value file providing defaults")
-    run.add_argument("--optimizer", choices=sorted(OPTIMIZERS))
-    run.add_argument("--lr", type=float, help="step size / learning rate h")
-    run.add_argument("--k", type=float, help="velocity boost exponent")
-    run.add_argument(
-        "--momentum",
-        help="constant coefficient (float) or schedule kind "
-        "(ratio-n-over-n-plus-3, ratio-n-minus-1-over-n-plus-2)",
-    )
-    run.add_argument("--gamma", type=float, help="running-average decay rate")
-    run.add_argument("--eps", type=float, help="division guard")
-    run.add_argument("--variant", choices=SSA1_ADA_VARIANTS)
-    run.add_argument("--nesterov-form", choices=NESTEROV_FORMS)
-    run.add_argument("--epochs", type=int)
-    run.add_argument("--batch-size", type=int)
-    run.add_argument("--seed", type=int)
-    run.add_argument("--dataset", help="synth:k=v,... or idx:4 comma-separated paths")
-    run.add_argument("--loss", choices=["nll", "xent"])
-    run.add_argument("--out", help="metrics CSV path (stdout when omitted)")
+    for name, keywords in _RUN_OPTIONS.items():
+        if name != "normalize":
+            run.add_argument("--" + name.replace("_", "-"), **keywords)
     run.add_argument(
         "--no-normalize",
         dest="normalize",
@@ -108,18 +115,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     study = sub.add_parser("splitting-study", help="defect/order sweep")
     study.add_argument("--out", help="CSV path (stdout when omitted)")
-    study.add_argument("--method", choices=["lie", "strang"], default="lie")
+    study.add_argument("--method", choices=SPLITTING_METHODS, default="lie")
     return parser
 
 
 def _run_command(args: argparse.Namespace) -> int:
-    values = {}
-    if args.config:
-        values.update(_load_config_file(args.config))
-    for key in _CONFIG_TYPES:
-        flag_value = getattr(args, key, None)
-        if flag_value is not None:
-            values[key] = flag_value
+    values = _load_config_file(args.config) if args.config else {}
+    for name in _RUN_OPTIONS:
+        if getattr(args, name) is not None:
+            values[name] = getattr(args, name)
     config = ExperimentConfig(**values)
 
     try:
@@ -129,11 +133,7 @@ def _run_command(args: argparse.Namespace) -> int:
             emit_metrics(exc.records, config.out)
         print(f"error: {exc} ({len(exc.records)} epochs flushed)", file=sys.stderr)
         return EXIT_DIVERGED
-
-    if config.out:
-        emit_metrics(records, config.out)
-    else:
-        sys.stdout.write(format_metrics(records))
+    emit_metrics(records, config.out)
     return 0
 
 
@@ -143,12 +143,7 @@ def _timing_command(args: argparse.Namespace) -> int:
     row = ",".join(
         f"{getattr(stats, name):.6g}" for name in header.split(",")
     )
-    text = f"{header}\n{row}\n"
-    if args.out:
-        with open(args.out, "w", newline="") as f:
-            f.write(text)
-    else:
-        sys.stdout.write(text)
+    write_text(f"{header}\n{row}\n", args.out)
     return 0
 
 
@@ -157,12 +152,7 @@ def _study_command(args: argparse.Namespace) -> int:
     for h, defect, order in splitting_study(method=args.method):
         order_text = f"{order:.6g}" if order is not None else ""
         lines.append(f"{h:.6g},{defect:.6g},{order_text}")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", newline="") as f:
-            f.write(text)
-    else:
-        sys.stdout.write(text)
+    write_text("\n".join(lines) + "\n", args.out)
     return 0
 
 

@@ -9,7 +9,7 @@ to [0, 1] by /255 on load.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Tuple
 
@@ -29,7 +29,6 @@ class Dataset:
 
     images: np.ndarray
     labels: np.ndarray
-    meta: str = ""
 
     def __post_init__(self):
         self.images = np.atleast_2d(np.asarray(self.images, dtype=float))
@@ -89,7 +88,7 @@ def parse_idx(image_bytes: bytes, label_bytes: bytes) -> Dataset:
     if n_labels != count:
         raise IdxFormatError(f"{count} images but {n_labels} labels")
     labels = np.frombuffer(body, dtype=np.uint8).astype(np.int64)
-    return Dataset(images=images, labels=labels, meta="idx")
+    return Dataset(images=images, labels=labels)
 
 
 def dataset_to_idx(dataset: Dataset) -> Tuple[bytes, bytes]:
@@ -109,12 +108,8 @@ def dataset_to_idx(dataset: Dataset) -> Tuple[bytes, bytes]:
 
 
 def load_idx(image_path: str | Path, label_path: str | Path) -> Dataset:
-    """parse_idx over file contents, with the paths recorded in meta."""
-    image_bytes = Path(image_path).read_bytes()
-    label_bytes = Path(label_path).read_bytes()
-    ds = parse_idx(image_bytes, label_bytes)
-    ds.meta = f"idx:{image_path},{label_path}"
-    return ds
+    """parse_idx over the contents of the two files."""
+    return parse_idx(Path(image_path).read_bytes(), Path(label_path).read_bytes())
 
 
 def synth_blobs(
@@ -146,8 +141,4 @@ def synth_blobs(
     lo = -4.0
     hi = (n_classes - 1) * step + 4.0
     images = np.clip((raw - lo) / (hi - lo), 0.0, 1.0)
-    meta = (
-        f"synth:per_class={n_per_class},classes={n_classes},dim={dim},"
-        f"sep={separation},seed={seed}"
-    )
-    return Dataset(images=images, labels=labels, meta=meta)
+    return Dataset(images=images, labels=labels)

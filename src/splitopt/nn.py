@@ -18,6 +18,8 @@ import numpy as np
 NORMALIZE_MEAN = 0.1307
 NORMALIZE_STD = 0.3081
 
+LOSSES = ("nll", "xent")
+
 
 def normalize(x: np.ndarray) -> np.ndarray:
     """Shift and scale raw values in [0, 1] by the fixed pixel statistics."""
@@ -119,10 +121,6 @@ class MlpModel:
         return cls(weights, biases)
 
     @property
-    def sizes(self) -> Tuple[int, ...]:
-        return tuple([self.weights[0].shape[0]] + [w.shape[1] for w in self.weights])
-
-    @property
     def n_params(self) -> int:
         return self._flat.size
 
@@ -177,7 +175,7 @@ def forward_backward(
     log-softmax, and share the same gradient.  Batch has already checked
     the row count and the nonnegative targets.
     """
-    if loss not in ("nll", "xent"):
+    if loss not in LOSSES:
         raise ValueError(f"unknown loss {loss!r}")
     m = len(batch)
     if m == 0:

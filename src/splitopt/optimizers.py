@@ -85,9 +85,10 @@ class SplitHyperParams:
     k_schedule: str = "constant"
 
     def __post_init__(self):
-        if self.h <= 0:
+        # each range check is negated so that NaN fails it
+        if not self.h > 0:
             raise ValueError(f"step size must be positive, got {self.h}")
-        if self.k < 0:
+        if not self.k >= 0:
             raise ValueError(f"velocity exponent must be nonnegative, got {self.k}")
         if self.k_schedule not in ("constant", "exp-decay"):
             raise ValueError(f"unknown k_schedule {self.k_schedule!r}")
@@ -140,7 +141,7 @@ def _check_shape(u: np.ndarray, other: np.ndarray, what: str) -> None:
 
 def gd_step(u: np.ndarray, grad: np.ndarray, h: float) -> np.ndarray:
     """One explicit-Euler gradient step u - h * grad, for h > 0."""
-    if h <= 0:
+    if not h > 0:
         raise ValueError(f"step size must be positive, got {h}")
     return minibatch_sgd_step(u, grad, h)
 
@@ -155,7 +156,7 @@ def minibatch_sgd_step(theta: np.ndarray, grad_batch: np.ndarray, h: float) -> n
     theta = np.asarray(theta, dtype=float)
     grad_batch = np.asarray(grad_batch, dtype=float)
     _check_shape(theta, grad_batch, "gradient")
-    if h < 0:
+    if not h >= 0:
         raise ValueError(f"step size must be nonnegative, got {h}")
     return theta - h * grad_batch
 
@@ -189,7 +190,7 @@ def polyak_step(
         raise ValueError("polyak_step requires u_prev to be populated")
     if not 0.0 <= alpha_n < 1.0:
         raise ValueError(f"alpha must lie in [0, 1), got {alpha_n}")
-    if beta_n <= 0:
+    if not beta_n > 0:
         raise ValueError(f"step size must be positive, got {beta_n}")
     grad_at_u = np.asarray(grad_at_u, dtype=float)
     _check_shape(state.u, grad_at_u, "gradient")
@@ -220,7 +221,7 @@ def nesterov_step(
     Both representations are updated regardless of form so states stay
     interchangeable.
     """
-    if h <= 0:
+    if not h > 0:
         raise ValueError(f"step size must be positive, got {h}")
     beta = momentum_coefficient(state.n, schedule)
     if form == "velocity":

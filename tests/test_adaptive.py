@@ -272,6 +272,9 @@ class TestStateDiscipline:
             AdaptiveHyperParams(h=0.1, eps=0.0)
         with pytest.raises(ValueError):
             AdaptiveHyperParams(h=0.1, beta2=1.0)
+        for field in ("h", "eps", "k"):
+            with pytest.raises(ValueError, match="must be"):
+                AdaptiveHyperParams(**{"h": 0.1, field: float("nan")})
         with pytest.raises(ValueError):
             ssa1_ada_step(
                 AdaptiveState.fresh(np.zeros(2)),

@@ -1,5 +1,6 @@
 """Unit tests for the experiment runner, timing statistics, and CLI."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -22,7 +23,7 @@ from splitopt.bench import (
 )
 from splitopt import adaptive as ad
 from splitopt import optimizers as opt
-from splitopt.cli import main
+from splitopt.cli import _build_parser, _load_config_file, main
 from splitopt.datasets import dataset_to_idx, synth_blobs
 
 TINY = "synth:per_class=40,classes=2,dim=2,sep=6"
@@ -390,12 +391,32 @@ class TestCli:
         emit_metrics([MetricsRecord(0, 1, 1, 1, 1, 0.25)], str(metrics))
         assert read_timing_column(str(metrics)) == [0.25]
 
+    def test_timing_out_matches_stdout(self, tmp_path, capsys):
+        metrics, table = tmp_path / "metrics.csv", tmp_path / "table.csv"
+        emit_metrics([MetricsRecord(i, 0.5, 0.9, 0.5, 0.9, float(i + 1)) for i in range(4)],
+                     str(metrics))
+        assert main(["timing", "--in", str(metrics)]) == 0
+        printed = capsys.readouterr().out
+        assert main(["timing", "--in", str(metrics), "--out", str(table)]) == 0
+        assert capsys.readouterr().out == ""
+        assert table.read_text() == printed
+        assert printed.startswith("mean,std,min,q25,q50,q75,max,sum\n2.5,")
+
     def test_splitting_study_subcommand(self, tmp_path):
         out = tmp_path / "study.csv"
         assert main(["splitting-study", "--out", str(out)]) == 0
         lines = out.read_text().strip().split("\n")
         assert lines[0] == "h,defect,observed_order"
         assert len(lines) >= 4
+
+    @pytest.mark.parametrize("method", ["lie", "strang"])
+    def test_splitting_study_stdout_matches_out(self, tmp_path, capsys, method):
+        out = tmp_path / "study.csv"
+        assert main(["splitting-study", "--method", method]) == 0
+        printed = capsys.readouterr().out
+        assert main(["splitting-study", "--method", method, "--out", str(out)]) == 0
+        assert out.read_text() == printed
+        assert printed.count("\n") == 6 and printed.startswith("h,defect,observed_order\n0.1,")
 
     def test_missing_idx_file_exits_4(self, capsys):
         code = main(
@@ -445,6 +466,12 @@ class TestCli:
             ("optimizer = ssa1\nk = -1", "velocity exponent must be nonnegative"),
             ("optimizer = adadelta\ngamma = 1.5", "decay rate must lie in (0, 1)"),
             ("lr = 0", "step size must be positive"),
+            ("normalize = ture", "normalize: expected one of true/false/yes/no/1/0"),
+            ("optimizer = ssa1\nlr = nan", "step size must be positive"),
+            ("optimizer = sgd\nlr = nan", "step size must be nonnegative"),
+            ("optimizer = adam\neps = nan", "eps must be positive"),
+            ("optimizer = ssa1\nk = nan", "velocity exponent must be nonnegative"),
+            ("seed = -1", "seed must be nonnegative"),
         ],
     )
     def test_bad_config_value_exits_2_before_data_loads(
@@ -463,6 +490,28 @@ class TestCli:
     )
     def test_boundary_values_still_run(self, flags, capsys):
         assert main(["run", *flags, "--epochs", "1", "--dataset", TINY]) == 0
+
+    def test_normalize_false_in_config_matches_no_normalize_flag(self, tmp_path, capsys):
+        def metrics(*args):
+            out = tmp_path / "m.csv"
+            flags = ["--optimizer", "sgd", "--lr", "0.1", "--epochs", "2", "--dataset", TINY]
+            assert main(["run", *flags, "--out", str(out), *args]) == 0
+            # every column but the wall time is deterministic
+            return [line.rsplit(",", 1)[0] for line in out.read_text().splitlines()]
+
+        config = tmp_path / "run.conf"
+        config.write_text("normalize = false\n")
+        from_config = metrics("--config", str(config))
+        assert from_config == metrics("--no-normalize")
+        assert from_config != metrics()
+
+    def test_every_config_field_is_a_flag_and_a_config_key(self, tmp_path):
+        names = {f.name for f in dataclasses.fields(ExperimentConfig)}
+        flags = vars(_build_parser().parse_args(["run"]))
+        assert names == set(flags) - {"command", "config"}
+        config = tmp_path / "run.conf"
+        config.write_text("".join(f"{name} = 1\n" for name in names))
+        assert set(_load_config_file(str(config))) == names
 
     def test_bad_config_line(self, tmp_path, capsys):
         config = tmp_path / "run.conf"

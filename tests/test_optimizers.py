@@ -16,6 +16,7 @@ def make_quadratic(dim, lmin, lmax, seed):
 
 SCH_N3 = opt.MomentumSchedule.ratio_n_over_n_plus_3()
 SCH_NM1 = opt.MomentumSchedule.ratio_n_minus_1_over_n_plus_2()
+NAN = float("nan")
 
 
 class TestMomentumSchedule:
@@ -72,6 +73,9 @@ class TestSplitHyperParams:
             opt.SplitHyperParams(h=0.1, k=-1.0)
         with pytest.raises(ValueError):
             opt.SplitHyperParams(h=0.1, k_schedule="linear")
+        for bad in ({"h": NAN}, {"h": 0.1, "k": NAN}):
+            with pytest.raises(ValueError, match="must be"):
+                opt.SplitHyperParams(**bad)
 
 
 class TestGdAndSgd:
@@ -106,6 +110,10 @@ class TestGdAndSgd:
             opt.gd_step(np.zeros(2), np.zeros(2), 0.0)
         with pytest.raises(ValueError):
             opt.minibatch_sgd_step(np.zeros(2), np.zeros(2), -0.1)
+        with pytest.raises(ValueError, match="must be positive"):
+            opt.gd_step(np.zeros(2), np.zeros(2), NAN)
+        with pytest.raises(ValueError, match="must be nonnegative"):
+            opt.minibatch_sgd_step(np.zeros(2), np.zeros(2), NAN)
 
 
 class TestSunStepsize:
@@ -152,6 +160,12 @@ class TestPolyak:
         state = opt.InertialState(u=np.zeros(2), v=np.zeros(2), n=0, u_prev=None)
         with pytest.raises(ValueError, match="u_prev"):
             opt.polyak_step(state, np.zeros(2), 0.5, 0.1)
+
+    @pytest.mark.parametrize("beta_n", [0.0, NAN])
+    def test_step_size_must_be_positive(self, beta_n):
+        state = opt.InertialState.at_rest(np.zeros(2))
+        with pytest.raises(ValueError, match="step size must be positive"):
+            opt.polyak_step(state, np.zeros(2), 0.5, beta_n)
 
 
 class TestNesterov:
@@ -202,6 +216,8 @@ class TestNesterov:
             opt.nesterov_step(state, lambda u: u, 0.1, SCH_N3, form="magic")
         with pytest.raises(ValueError, match="dimension mismatch"):
             opt.nesterov_step(state, lambda u: np.zeros(3), 0.1, SCH_N3)
+        with pytest.raises(ValueError, match="step size must be positive"):
+            opt.nesterov_step(state, lambda u: u, NAN, SCH_N3)
 
 
 class TestSsa1:
