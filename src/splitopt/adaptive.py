@@ -13,7 +13,10 @@ from typing import Optional
 
 import numpy as np
 
-from .optimizers import GradFn, MomentumSchedule, momentum_coefficient
+from .optimizers import (
+    GradFn, MomentumSchedule, _checked_grad, _look_ahead, _split_position,
+    _split_velocity, momentum_coefficient,
+)
 
 
 @dataclass(frozen=True)
@@ -85,16 +88,6 @@ class AdaptiveState:
         )
 
 
-def _check_grad(state: AdaptiveState, grad: np.ndarray) -> np.ndarray:
-    grad = np.asarray(grad, dtype=float)
-    if grad.shape != state.theta.shape:
-        raise ValueError(
-            f"dimension mismatch: gradient has shape {grad.shape}, "
-            f"expected {state.theta.shape}"
-        )
-    return grad
-
-
 def adagrad_step(
     state: AdaptiveState, grad: np.ndarray, hp: AdaptiveHyperParams
 ) -> AdaptiveState:
@@ -103,7 +96,7 @@ def adagrad_step(
         G += g^2
         theta -= h * g / (sqrt(G) + eps)
     """
-    grad = _check_grad(state, grad)
+    grad = _checked_grad(grad, state.theta)
     acc = state.acc_grad_sq + grad**2
     theta = state.theta - hp.h * grad / (np.sqrt(acc) + hp.eps)
     return replace(state, theta=theta, acc_grad_sq=acc, n=state.n + 1)
@@ -122,7 +115,7 @@ def adadelta_step(
     The numerator uses E[d^2] from the previous step; h defaults to 1.0
     in benchmark configurations.
     """
-    grad = _check_grad(state, grad)
+    grad = _checked_grad(grad, state.theta)
     acc_g = hp.gamma * state.acc_grad_sq + (1.0 - hp.gamma) * grad**2
     delta = -(np.sqrt(state.acc_update_sq + hp.eps) / np.sqrt(acc_g + hp.eps)) * grad
     acc_d = hp.gamma * state.acc_update_sq + (1.0 - hp.gamma) * delta**2
@@ -140,7 +133,7 @@ def rmsprop_step(
         E[g^2] <- gamma E[g^2] + (1-gamma) g^2
         theta  -= h * g / sqrt(E[g^2] + eps)
     """
-    grad = _check_grad(state, grad)
+    grad = _checked_grad(grad, state.theta)
     acc_g = hp.gamma * state.acc_grad_sq + (1.0 - hp.gamma) * grad**2
     theta = state.theta - hp.h * grad / np.sqrt(acc_g + hp.eps)
     return replace(state, theta=theta, acc_grad_sq=acc_g, n=state.n + 1)
@@ -157,7 +150,7 @@ def adam_step(
 
     with t = n + 1 so the first correction divides by (1 - beta).
     """
-    grad = _check_grad(state, grad)
+    grad = _checked_grad(grad, state.theta)
     t = state.n + 1
     mom = hp.beta1 * state.mom + (1.0 - hp.beta1) * grad
     acc = hp.beta2 * state.acc_grad_sq + (1.0 - hp.beta2) * grad**2
@@ -199,15 +192,11 @@ def ssa1_ada_step(
     h, gamma, eps, k = hp.h, hp.gamma, hp.eps, hp.k
     beta = momentum_coefficient(state.n, schedule)
 
-    z_next = state.theta + h * beta * state.v
     if variant == "as-written":
-        grad_acc = np.asarray(grad_fn(state.z), dtype=float)
-        _check_grad(state, grad_acc)
-        grad_upd = np.asarray(grad_fn(z_next), dtype=float)
-    else:
-        grad_acc = np.asarray(grad_fn(z_next), dtype=float)
-        grad_upd = grad_acc
-    _check_grad(state, grad_upd)
+        grad_acc = _checked_grad(grad_fn(state.z), state.theta)
+    z_next, grad_upd = _look_ahead(state.theta, state.v, grad_fn, h, beta)
+    if variant == "z-first":
+        grad_acc = grad_upd
 
     acc_g = gamma * state.acc_grad_sq + (1.0 - gamma) * grad_acc**2
     rms_grad = np.sqrt(acc_g + eps)
@@ -216,12 +205,8 @@ def ssa1_ada_step(
     dz = -h_n * grad_acc
     acc_d = gamma * state.acc_update_sq + (1.0 - gamma) * dz**2
 
-    v_next = beta**k * ((1.0 - h_n * beta) * state.v - h_n * grad_upd)
-    theta_next = (
-        state.theta
-        + beta * (1.0 - h_n * beta) * (z_next - state.theta)
-        - h_n**2 * grad_upd
-    )
+    v_next = _split_velocity(state.v, grad_upd, h_n, beta, k)
+    theta_next = _split_position(state.theta, z_next, grad_upd, h_n, beta)
     return replace(
         state,
         theta=theta_next,

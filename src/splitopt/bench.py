@@ -19,7 +19,7 @@ import numpy as np
 from . import adaptive as ad
 from . import optimizers as opt
 from .datasets import Dataset, load_idx, synth_blobs
-from .nn import LOSSES, Batch, MlpModel, epoch_batches, forward_backward, nll_loss, normalize
+from .nn import Batch, MlpModel, epoch_batches, forward_backward, nll_loss, normalize
 from .splitting import LinearSplitSystem, lie_split_step, matrix_exp, splitting_defect, strang_split_step
 
 HIDDEN_UNITS = 32  # fixed desk-scale architecture: input -> 32 rectified -> classes
@@ -52,7 +52,6 @@ class ExperimentConfig:
     batch_size: int = 32
     seed: int = 1
     dataset: str = "synth:per_class=500,classes=2,dim=2,sep=6"
-    loss: str = "nll"
     out: Optional[str] = None
     normalize: bool = True
 
@@ -67,8 +66,6 @@ class ExperimentConfig:
             raise ValueError(f"batch size must be at least 1, got {self.batch_size}")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
-        if self.loss not in LOSSES:
-            raise ValueError(f"unknown loss {self.loss!r}")
         if self.nesterov_form not in (None,) + opt.NESTEROV_FORMS:
             raise ValueError(
                 f"unknown nesterov form {self.nesterov_form!r}; "
@@ -257,11 +254,8 @@ def load_dataset_spec(spec: str, seed: int) -> Tuple[Dataset, Dataset]:
 
 
 def _evaluate(model: MlpModel, X: np.ndarray, y: np.ndarray) -> Tuple[float, float]:
-    """Mean loss and accuracy on a full set with the model frozen.
-
-    The two loss kinds coincide on a log-softmax head, so the negative
-    log likelihood of the log-probabilities serves for both.
-    """
+    """Mean loss (the training loss, the negative log likelihood of the
+    log-probabilities) and accuracy on a full set with the model frozen."""
     log_probs = model.forward(X)
     loss = nll_loss(log_probs, y)
     acc = float(np.mean(np.argmax(log_probs, axis=1) == y))
@@ -296,7 +290,7 @@ def run_experiment(config: ExperimentConfig) -> List[MetricsRecord]:
 
                 def grad_fn(point: np.ndarray) -> np.ndarray:
                     model.set_param_vector(point)
-                    return forward_backward(model, batch, loss=config.loss)[1]
+                    return forward_backward(model, batch)[1]
 
                 theta = stepper(grad_fn)
             elapsed = time.perf_counter() - tic

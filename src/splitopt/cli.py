@@ -32,7 +32,6 @@ from .bench import (
     write_text,
 )
 from .datasets import IdxFormatError
-from .nn import LOSSES
 from .optimizers import NESTEROV_FORMS
 
 EXIT_DIVERGED = 3
@@ -68,7 +67,6 @@ _RUN_OPTIONS = {
     "batch_size": dict(type=int),
     "seed": dict(type=int),
     "dataset": dict(help="synth:k=v,... or idx:4 comma-separated paths"),
-    "loss": dict(choices=LOSSES),
     "out": dict(help="metrics CSV path (stdout when omitted)"),
     "normalize": dict(type=_boolean),
 }

@@ -42,7 +42,8 @@ class Dataset:
         if self.labels.min() < 0:
             raise ValueError("labels must be nonnegative")
         lo, hi = float(self.images.min()), float(self.images.max())
-        if lo < 0.0 or hi > 1.0:
+        # negated so that a NaN value fails it
+        if not (lo >= 0.0 and hi <= 1.0):
             raise ValueError(f"image values must lie in [0, 1], got [{lo}, {hi}]")
 
     def __len__(self) -> int:
@@ -128,8 +129,8 @@ def synth_blobs(
     """
     if n_per_class < 1 or n_classes < 1 or dim < 1:
         raise ValueError("counts must be at least 1")
-    if separation <= 0:
-        raise ValueError(f"separation must be positive, got {separation}")
+    if not 0 < separation < np.inf:
+        raise ValueError(f"separation must be positive and finite, got {separation}")
     rng = np.random.default_rng(seed)
     step = separation / np.sqrt(dim)
     raw = np.empty((n_per_class * n_classes, dim))

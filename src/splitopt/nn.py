@@ -18,8 +18,6 @@ import numpy as np
 NORMALIZE_MEAN = 0.1307
 NORMALIZE_STD = 0.3081
 
-LOSSES = ("nll", "xent")
-
 
 def normalize(x: np.ndarray) -> np.ndarray:
     """Shift and scale raw values in [0, 1] by the fixed pixel statistics."""
@@ -164,19 +162,14 @@ class MlpModel:
         return log_softmax(logits)
 
 
-def forward_backward(
-    model: MlpModel, batch: Batch, loss: str = "nll"
-) -> Tuple[float, np.ndarray]:
+def forward_backward(model: MlpModel, batch: Batch) -> Tuple[float, np.ndarray]:
     """Loss and gradient with respect to the flattened parameters.
 
-    loss="nll" applies the negative log likelihood to the log-softmax
-    output; loss="xent" applies the fused cross entropy to the raw logits.
-    On this head the two are the same number, computed once from one
-    log-softmax, and share the same gradient.  Batch has already checked
-    the row count and the nonnegative targets.
+    The loss is the negative log likelihood of the log-softmax output,
+    which is also the cross entropy of the raw logits; it and the gradient
+    come from one log-softmax.  Batch has already checked the row count
+    and the nonnegative targets.
     """
-    if loss not in LOSSES:
-        raise ValueError(f"unknown loss {loss!r}")
     m = len(batch)
     if m == 0:
         raise ValueError("batch must be nonempty")

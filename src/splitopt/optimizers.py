@@ -103,8 +103,10 @@ class SplitHyperParams:
 class InertialState:
     """Iterate, velocity, and previous iterate of a momentum method.
 
-    The velocity and two-sequence representations are kept in sync:
-    h * v = u - u_prev along any trajectory produced here.
+    nesterov_step keeps its velocity and two-sequence representations in
+    sync: after each of its steps, in either form, h * v = u - u_prev up to
+    rounding.  The other rules do not: polyak_step leaves v as it was, and
+    the splitting steps carry the boosted velocity of their own update.
     """
 
     u: np.ndarray
@@ -131,12 +133,33 @@ class InertialState:
         return cls(u=u0.copy(), v=np.zeros_like(u0), n=n, u_prev=u0.copy())
 
 
-def _check_shape(u: np.ndarray, other: np.ndarray, what: str) -> None:
-    if np.shape(u) != np.shape(other):
+def _checked_grad(grad: np.ndarray, like: np.ndarray) -> np.ndarray:
+    """grad as a float64 array, which must have the shape of like."""
+    grad = np.asarray(grad, dtype=float)
+    if grad.shape != np.shape(like):
         raise ValueError(
-            f"dimension mismatch: {what} has shape {np.shape(other)}, "
-            f"expected {np.shape(u)}"
+            f"dimension mismatch: gradient has shape {grad.shape}, "
+            f"expected {np.shape(like)}"
         )
+    return grad
+
+
+def _look_ahead(u: np.ndarray, v: np.ndarray, grad_fn: GradFn, h: float, beta: float):
+    """The look-ahead point y = u + h*beta*v and the checked gradient there."""
+    y = u + h * beta * v
+    return y, _checked_grad(grad_fn(y), u)
+
+
+def _split_velocity(v, grad_y, h, beta: float, k: float):
+    """Velocity update of the splitting schemes,
+    beta^k * ((1 - h*beta) * v - h * grad(y)); h may be per-component."""
+    return beta**k * ((1.0 - h * beta) * v - h * grad_y)
+
+
+def _split_position(u, y, grad_y, h, beta: float):
+    """Scaled-drift position update of the first splitting scheme,
+    u + beta*(1 - h*beta)*(y - u) - h^2 * grad(y); h may be per-component."""
+    return u + beta * (1.0 - h * beta) * (y - u) - h * h * grad_y
 
 
 def gd_step(u: np.ndarray, grad: np.ndarray, h: float) -> np.ndarray:
@@ -154,8 +177,7 @@ def minibatch_sgd_step(theta: np.ndarray, grad_batch: np.ndarray, h: float) -> n
     (a frozen run is a valid experiment).
     """
     theta = np.asarray(theta, dtype=float)
-    grad_batch = np.asarray(grad_batch, dtype=float)
-    _check_shape(theta, grad_batch, "gradient")
+    grad_batch = _checked_grad(grad_batch, theta)
     if not h >= 0:
         raise ValueError(f"step size must be nonnegative, got {h}")
     return theta - h * grad_batch
@@ -192,8 +214,7 @@ def polyak_step(
         raise ValueError(f"alpha must lie in [0, 1), got {alpha_n}")
     if not beta_n > 0:
         raise ValueError(f"step size must be positive, got {beta_n}")
-    grad_at_u = np.asarray(grad_at_u, dtype=float)
-    _check_shape(state.u, grad_at_u, "gradient")
+    grad_at_u = _checked_grad(grad_at_u, state.u)
     y = state.u + alpha_n * (state.u - state.u_prev)
     u_next = y - beta_n * grad_at_u
     return replace(state, u=u_next, u_prev=state.u.copy(), n=state.n + 1)
@@ -227,17 +248,14 @@ def nesterov_step(
     if form == "velocity":
         if state.v is None:
             raise ValueError("velocity form requires v to be populated")
-        y = state.u + h * beta * state.v
-        grad_y = np.asarray(grad_fn(y), dtype=float)
-        _check_shape(state.u, grad_y, "gradient")
+        _, grad_y = _look_ahead(state.u, state.v, grad_fn, h, beta)
         v_next = beta * state.v - h * grad_y
         u_next = state.u + h * v_next
     elif form == "two-sequence":
         if state.u_prev is None:
             raise ValueError("two-sequence form requires u_prev to be populated")
         y = state.u + beta * (state.u - state.u_prev)
-        grad_y = np.asarray(grad_fn(y), dtype=float)
-        _check_shape(state.u, grad_y, "gradient")
+        grad_y = _checked_grad(grad_fn(y), state.u)
         u_next = y - h * h * grad_y
         v_next = (u_next - state.u) / h
     else:
@@ -267,15 +285,12 @@ def ssa1_step(
     h = hp.h
     beta = momentum_coefficient(state.n, schedule)
     k = hp.k_at(state.n)
-    y = state.u + h * beta * state.v
-    grad_y = np.asarray(grad_fn(y), dtype=float)
-    _check_shape(state.u, grad_y, "gradient")
-    v_next = beta**k * ((1.0 - h * beta) * state.v - h * grad_y)
+    y, grad_y = _look_ahead(state.u, state.v, grad_fn, h, beta)
+    v_next = _split_velocity(state.v, grad_y, h, beta, k)
     if plain_drift:
-        drift = h * (1.0 - h * beta) * state.v
+        u_next = state.u + h * (1.0 - h * beta) * state.v - h * h * grad_y
     else:
-        drift = beta * (1.0 - h * beta) * (y - state.u)
-    u_next = state.u + drift - h * h * grad_y
+        u_next = _split_position(state.u, y, grad_y, h, beta)
     return InertialState(u=u_next, v=v_next, n=state.n + 1, u_prev=state.u.copy())
 
 
@@ -299,10 +314,8 @@ def ssa2_step(
     h = hp.h
     beta = momentum_coefficient(state.n, schedule)
     k = hp.k_at(state.n)
-    y = state.u + h * beta * state.v
-    grad_y = np.asarray(grad_fn(y), dtype=float)
-    _check_shape(state.u, grad_y, "gradient")
-    v_next = beta**k * ((1.0 - h * beta) * state.v - h * grad_y)
+    _, grad_y = _look_ahead(state.u, state.v, grad_fn, h, beta)
+    v_next = _split_velocity(state.v, grad_y, h, beta, k)
     u_next = state.u + h * (1.0 - h * beta) * state.v
     return InertialState(u=u_next, v=v_next, n=state.n + 1, u_prev=state.u.copy())
 

@@ -99,6 +99,19 @@ def spectral_norm(M: np.ndarray) -> float:
     return float(np.linalg.norm(np.asarray(M, dtype=float), 2))
 
 
+def _checked_state(sys: LinearSplitSystem, X: np.ndarray, h: float) -> np.ndarray:
+    """X as a float64 array whose length matches the system, for h >= 0."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim == 0 or X.shape[0] != sys.A.shape[0]:
+        raise ValueError(
+            f"dimension mismatch: state has shape {X.shape}, "
+            f"system is {sys.A.shape[0]}-dimensional"
+        )
+    if not h >= 0:  # negated so that NaN fails it
+        raise ValueError(f"time step must be nonnegative, got {h}")
+    return X
+
+
 def lie_split_step(
     sys: LinearSplitSystem, X: np.ndarray, h: float, reverse: bool = False
 ) -> np.ndarray:
@@ -107,14 +120,7 @@ def lie_split_step(
     Returns e^{Bh} e^{Ah} X (or e^{Ah} e^{Bh} X with reverse=True, for
     order-sensitivity experiments).
     """
-    X = np.asarray(X, dtype=float)
-    if X.shape[0] != sys.A.shape[0]:
-        raise ValueError(
-            f"dimension mismatch: state has length {X.shape[0]}, "
-            f"system is {sys.A.shape[0]}-dimensional"
-        )
-    if h < 0:
-        raise ValueError(f"time step must be nonnegative, got {h}")
+    X = _checked_state(sys, X, h)
     first, second = (sys.B, sys.A) if reverse else (sys.A, sys.B)
     return matrix_exp(second * h) @ (matrix_exp(first * h) @ X)
 
@@ -124,7 +130,7 @@ def strang_split_step(sys: LinearSplitSystem, X: np.ndarray, h: float) -> np.nda
 
     Supplementary: second-order reference for defect comparisons only.
     """
-    X = np.asarray(X, dtype=float)
+    X = _checked_state(sys, X, h)
     half = matrix_exp(sys.A * (h / 2.0))
     return half @ (matrix_exp(sys.B * h) @ (half @ X))
 

@@ -251,8 +251,6 @@ class TestConfig:
             ExperimentConfig(epochs=0)
         with pytest.raises(ValueError):
             ExperimentConfig(batch_size=0)
-        with pytest.raises(ValueError):
-            ExperimentConfig(loss="mse")
 
     def test_default_lr_resolution(self):
         assert ExperimentConfig(optimizer="adadelta").resolved_lr == 1.0
@@ -417,6 +415,24 @@ class TestCli:
         assert main(["splitting-study", "--method", method, "--out", str(out)]) == 0
         assert out.read_text() == printed
         assert printed.count("\n") == 6 and printed.startswith("h,defect,observed_order\n0.1,")
+
+    @pytest.mark.parametrize("sep", ["nan", "inf"])
+    def test_non_finite_separation_exits_2(self, sep, capsys):
+        code = main(
+            ["run", "--optimizer", "sgd", "--epochs", "1",
+             "--dataset", f"synth:per_class=40,classes=2,dim=2,sep={sep}"]
+        )
+        assert code == 2
+        assert "separation must be positive and finite" in capsys.readouterr().err
+
+    def test_loss_is_not_an_option(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--loss", "nll", "--epochs", "1", "--dataset", TINY])
+        assert exc.value.code == 2
+        config = tmp_path / "run.conf"
+        config.write_text(f"dataset = {TINY}\nloss = nll\n")
+        assert main(["run", "--config", str(config)]) == 2
+        assert "bad config line" in capsys.readouterr().err
 
     def test_missing_idx_file_exits_4(self, capsys):
         code = main(

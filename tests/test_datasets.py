@@ -98,6 +98,10 @@ class TestDatasetValidation:
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             Dataset(np.array([[1.5]]), np.array([0]))
 
+    def test_rejects_nan_values(self):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            Dataset(np.array([[np.nan]]), np.array([0]))
+
     def test_rejects_count_mismatch(self):
         with pytest.raises(ValueError):
             Dataset(np.zeros((2, 2)), np.zeros(3, dtype=int))
@@ -137,3 +141,8 @@ class TestSynthBlobs:
             synth_blobs(0, 2, 2, 6.0, seed=1)
         with pytest.raises(ValueError):
             synth_blobs(10, 2, 2, 0.0, seed=1)
+
+    @pytest.mark.parametrize("separation", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_separation(self, separation):
+        with pytest.raises(ValueError, match="separation must be positive and finite"):
+            synth_blobs(10, 2, 2, separation, seed=1)

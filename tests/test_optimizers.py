@@ -1,8 +1,13 @@
-"""Unit tests for the non-adaptive step rules."""
+"""Unit tests for the non-adaptive step rules, and byte-for-byte pins of
+the splitting updates that the adaptive splitting step shares with them."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+import splitopt.adaptive as ad
 import splitopt.optimizers as opt
 from splitopt.objectives import quadratic
 
@@ -418,3 +423,153 @@ class TestStepDiscipline:
         hp = opt.SplitHyperParams(h=0.1)
         out = opt.ssa2_step(state, lambda u: u, hp, SCH_N3)
         assert out.n == 8
+
+
+# --- randomized properties -----------------------------------------------------
+#
+# Derandomized with no deadline, so every run draws the same examples and a
+# slow machine cannot fail a test by timing.
+PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=60)
+
+SCHEDULES = st.one_of(
+    st.sampled_from([SCH_N3, SCH_NM1]),
+    st.floats(0.0, 1.0).map(opt.MomentumSchedule.constant),
+)
+STEP_SIZES = st.floats(1e-4, 0.5)
+
+
+def vectors(dim, lo=-10.0, hi=10.0):
+    return hnp.arrays(np.float64, dim, elements=st.floats(lo, hi))
+
+
+@st.composite
+def affine_gradients(draw, dim):
+    """grad f(y) = a * y + b with a componentwise curvature in [0, 4]."""
+    a, b = draw(vectors(dim, 0.0, 4.0)), draw(vectors(dim))
+    return lambda y: a * y + b
+
+
+@st.composite
+def inertial_cases(draw):
+    dim = draw(st.integers(1, 6))
+    state = opt.InertialState(
+        u=draw(vectors(dim)), v=draw(vectors(dim)), n=draw(st.integers(0, 50)),
+        u_prev=draw(vectors(dim)),
+    )
+    return state, draw(affine_gradients(dim)), draw(STEP_SIZES), draw(SCHEDULES)
+
+
+def same_bytes(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestPinnedSplittingFormulas:
+    """Each rule against its formula written out here in expression order."""
+
+    @PROPERTY
+    @given(case=inertial_cases(), k=st.floats(0.0, 4.0),
+           kind=st.sampled_from(["scaled", "plain", "ssa2"]))
+    def test_splitting_steps(self, case, k, kind):
+        state, grad_fn, h, schedule = case
+        beta = opt.momentum_coefficient(state.n, schedule)
+        y = state.u + h * beta * state.v
+        grad_y = np.asarray(grad_fn(y), dtype=float)
+        v_next = beta**k * ((1.0 - h * beta) * state.v - h * grad_y)
+        if kind == "ssa2":
+            u_next = state.u + h * (1.0 - h * beta) * state.v
+        else:
+            if kind == "plain":
+                drift = h * (1.0 - h * beta) * state.v
+            else:
+                drift = beta * (1.0 - h * beta) * (y - state.u)
+            u_next = state.u + drift - h * h * grad_y
+
+        hp = opt.SplitHyperParams(h=h, k=k)
+        if kind == "ssa2":
+            out = opt.ssa2_step(state, grad_fn, hp, schedule)
+        else:
+            out = opt.ssa1_step(state, grad_fn, hp, schedule, plain_drift=kind == "plain")
+        assert same_bytes(out.u, u_next) and same_bytes(out.v, v_next)
+        assert same_bytes(out.u_prev, state.u) and out.n == state.n + 1
+
+    @PROPERTY
+    @given(case=inertial_cases(), form=st.sampled_from(opt.NESTEROV_FORMS))
+    def test_nesterov_step(self, case, form):
+        state, grad_fn, h, schedule = case
+        beta = opt.momentum_coefficient(state.n, schedule)
+        if form == "velocity":
+            y = state.u + h * beta * state.v
+            grad_y = np.asarray(grad_fn(y), dtype=float)
+            v_next = beta * state.v - h * grad_y
+            u_next = state.u + h * v_next
+        else:
+            y = state.u + beta * (state.u - state.u_prev)
+            grad_y = np.asarray(grad_fn(y), dtype=float)
+            u_next = y - h * h * grad_y
+            v_next = (u_next - state.u) / h
+
+        out = opt.nesterov_step(state, grad_fn, h, schedule, form)
+        assert same_bytes(out.u, u_next) and same_bytes(out.v, v_next)
+        assert same_bytes(out.u_prev, state.u) and out.n == state.n + 1
+
+    @PROPERTY
+    @given(case=inertial_cases(), variant=st.sampled_from(ad.SSA1_ADA_VARIANTS),
+           data=st.data(), h=st.floats(1e-3, 2.0), gamma=st.floats(0.01, 0.99),
+           eps=st.floats(1e-8, 1e-2), k=st.floats(0.0, 4.0))
+    def test_ssa1_ada_step(self, case, variant, data, h, gamma, eps, k):
+        inertial, grad_fn, _, schedule = case
+        dim = inertial.u.shape
+        state = ad.AdaptiveState(
+            theta=inertial.u, acc_grad_sq=data.draw(vectors(dim, 0.0, 10.0)),
+            acc_update_sq=data.draw(vectors(dim, 0.0, 10.0)), mom=np.zeros(dim),
+            v=inertial.v, z=inertial.u_prev, n=inertial.n,
+        )
+        beta = opt.momentum_coefficient(state.n, schedule)
+        z_next = state.theta + h * beta * state.v
+        if variant == "as-written":
+            grad_acc = np.asarray(grad_fn(state.z), dtype=float)
+            grad_upd = np.asarray(grad_fn(z_next), dtype=float)
+        else:
+            grad_acc = np.asarray(grad_fn(z_next), dtype=float)
+            grad_upd = grad_acc
+        acc_g = gamma * state.acc_grad_sq + (1.0 - gamma) * grad_acc**2
+        rms_grad = np.sqrt(acc_g + eps)
+        rms_dz_prev = np.sqrt(state.acc_update_sq + eps)
+        h_n = h * rms_dz_prev / rms_grad
+        dz = -h_n * grad_acc
+        acc_d = gamma * state.acc_update_sq + (1.0 - gamma) * dz**2
+        v_next = beta**k * ((1.0 - h_n * beta) * state.v - h_n * grad_upd)
+        theta_next = (
+            state.theta
+            + beta * (1.0 - h_n * beta) * (z_next - state.theta)
+            - h_n**2 * grad_upd
+        )
+
+        hp = ad.AdaptiveHyperParams(h=h, gamma=gamma, eps=eps, k=k)
+        out = ad.ssa1_ada_step(state, grad_fn, hp, schedule, variant)
+        for got, want in [(out.theta, theta_next), (out.v, v_next), (out.z, z_next),
+                          (out.acc_grad_sq, acc_g), (out.acc_update_sq, acc_d)]:
+            assert same_bytes(got, want)
+        assert out.n == state.n + 1
+
+
+class TestNesterovProperties:
+    @PROPERTY
+    @given(dim=st.integers(1, 6), data=st.data(), h=STEP_SIZES,
+           schedule=SCHEDULES, steps=st.integers(1, 15))
+    def test_forms_keep_h_v_equal_to_step_and_agree(self, dim, data, h, schedule, steps):
+        u0 = data.draw(vectors(dim))
+        grad_fn = data.draw(affine_gradients(dim))
+        states = {form: opt.InertialState.at_rest(u0) for form in opt.NESTEROV_FORMS}
+        for _ in range(steps):
+            for form in opt.NESTEROV_FORMS:
+                s = opt.nesterov_step(states[form], grad_fn, h, schedule, form)
+                # a few roundings of numbers no larger than the iterates
+                scale = max(1.0, np.max(np.abs(s.u)), np.max(np.abs(s.u_prev)))
+                np.testing.assert_allclose(
+                    h * s.v, s.u - s.u_prev, rtol=0, atol=8 * np.finfo(float).eps * scale
+                )
+                states[form] = s
+        velocity, two_sequence = (states[form] for form in opt.NESTEROV_FORMS)
+        scale = max(1.0, np.max(np.abs(velocity.u)))
+        np.testing.assert_allclose(velocity.u, two_sequence.u, rtol=0, atol=1e-9 * scale)

@@ -119,6 +119,16 @@ class TestLieSplit:
         with pytest.raises(ValueError):
             LinearSplitSystem(np.zeros((2, 3)), np.zeros((2, 3)))
 
+    @pytest.mark.parametrize("step", [lie_split_step, strang_split_step])
+    def test_steps_reject_bad_state_and_negative_step(self, step):
+        sys_ = LinearSplitSystem(NILPOTENT_A, NILPOTENT_B)
+        for state in (np.zeros(3), 1.0):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                step(sys_, state, 0.1)
+        for h in (-0.1, float("nan")):
+            with pytest.raises(ValueError, match="time step must be nonnegative"):
+                step(sys_, np.zeros(2), h)
+
 
 class TestSplittingDefect:
     def test_commuting_pair_has_no_defect(self):
