@@ -22,7 +22,6 @@ from .optimizers import (
     polyak_step,
     ssa1_step,
     ssa2_step,
-    sun_stepsize,
 )
 from .splitting import (
     DampingSchedule,

@@ -3,18 +3,18 @@
 Adagrad, Adadelta, RMSProp, Adam, and the adaptive splitting optimizer
 (ssa1_ada_step) that combines the first splitting scheme with Adadelta-style
 running averages.  Accumulators are componentwise; all step functions are
-pure and return a new state.
+pure and return a new state, or write it into the buffers of out=.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .optimizers import (
-    GradFn, MomentumSchedule, _checked_grad, _look_ahead, _split_position,
+    GradFn, MomentumSchedule, _checked_grad, _look_ahead, _output, _split_position,
     _split_velocity, momentum_coefficient,
 )
 
@@ -88,24 +88,50 @@ class AdaptiveState:
         )
 
 
+def _running_average(acc, x, gamma: float, out, scratch) -> None:
+    """Writes gamma * acc + (1 - gamma) * x^2 into out; x may be scratch's
+    buffer, which is written after x is read."""
+    np.multiply(x, x, out=out)
+    out *= 1.0 - gamma
+    np.multiply(acc, gamma, out=scratch)
+    out += scratch
+
+
 def adagrad_step(
-    state: AdaptiveState, grad: np.ndarray, hp: AdaptiveHyperParams
+    state: AdaptiveState,
+    grad: np.ndarray,
+    hp: AdaptiveHyperParams,
+    *,
+    out: Optional[AdaptiveState] = None,
 ) -> AdaptiveState:
-    """Accumulated-squared-gradient step.
+    """Accumulated-squared-gradient step; writes theta and acc_grad_sq.
 
         G += g^2
         theta -= h * g / (sqrt(G) + eps)
     """
     grad = _checked_grad(grad, state.theta)
-    acc = state.acc_grad_sq + grad**2
-    theta = state.theta - hp.h * grad / (np.sqrt(acc) + hp.eps)
-    return replace(state, theta=theta, acc_grad_sq=acc, n=state.n + 1)
+    out = _output(state, out, state.theta, ("theta", "acc_grad_sq"))
+    acc, theta = out.acc_grad_sq, out.theta
+    np.multiply(grad, grad, out=acc)
+    np.add(state.acc_grad_sq, acc, out=acc)
+    denom = np.sqrt(acc)
+    denom += hp.eps
+    np.multiply(grad, hp.h, out=theta)
+    theta /= denom
+    np.subtract(state.theta, theta, out=theta)
+    out.n = state.n + 1
+    return out
 
 
 def adadelta_step(
-    state: AdaptiveState, grad: np.ndarray, hp: AdaptiveHyperParams
+    state: AdaptiveState,
+    grad: np.ndarray,
+    hp: AdaptiveHyperParams,
+    *,
+    out: Optional[AdaptiveState] = None,
 ) -> AdaptiveState:
-    """Running-average step with a unitless update ratio.
+    """Running-average step with a unitless update ratio; writes theta,
+    acc_grad_sq and acc_update_sq.
 
         E[g^2] <- gamma E[g^2] + (1-gamma) g^2
         delta   = -(sqrt(E[d^2] + eps) / sqrt(E[g^2] + eps)) * g
@@ -116,33 +142,57 @@ def adadelta_step(
     in benchmark configurations.
     """
     grad = _checked_grad(grad, state.theta)
-    acc_g = hp.gamma * state.acc_grad_sq + (1.0 - hp.gamma) * grad**2
-    delta = -(np.sqrt(state.acc_update_sq + hp.eps) / np.sqrt(acc_g + hp.eps)) * grad
-    acc_d = hp.gamma * state.acc_update_sq + (1.0 - hp.gamma) * delta**2
-    theta = state.theta + hp.h * delta
-    return replace(
-        state, theta=theta, acc_grad_sq=acc_g, acc_update_sq=acc_d, n=state.n + 1
-    )
+    out = _output(state, out, state.theta, ("theta", "acc_grad_sq", "acc_update_sq"))
+    acc_g, acc_d, theta = out.acc_grad_sq, out.acc_update_sq, out.theta
+    _running_average(state.acc_grad_sq, grad, hp.gamma, acc_g, theta)
+    np.add(state.acc_update_sq, hp.eps, out=acc_d)
+    np.sqrt(acc_d, out=acc_d)
+    np.add(acc_g, hp.eps, out=theta)
+    np.sqrt(theta, out=theta)
+    delta = np.divide(acc_d, theta)
+    np.negative(delta, out=delta)
+    delta *= grad
+    _running_average(state.acc_update_sq, delta, hp.gamma, acc_d, theta)
+    np.multiply(delta, hp.h, out=theta)
+    np.add(state.theta, theta, out=theta)
+    out.n = state.n + 1
+    return out
 
 
 def rmsprop_step(
-    state: AdaptiveState, grad: np.ndarray, hp: AdaptiveHyperParams
+    state: AdaptiveState,
+    grad: np.ndarray,
+    hp: AdaptiveHyperParams,
+    *,
+    out: Optional[AdaptiveState] = None,
 ) -> AdaptiveState:
-    """Running-average step with a fixed-rate numerator.
+    """Running-average step with a fixed-rate numerator; writes theta and
+    acc_grad_sq.
 
         E[g^2] <- gamma E[g^2] + (1-gamma) g^2
         theta  -= h * g / sqrt(E[g^2] + eps)
     """
     grad = _checked_grad(grad, state.theta)
-    acc_g = hp.gamma * state.acc_grad_sq + (1.0 - hp.gamma) * grad**2
-    theta = state.theta - hp.h * grad / np.sqrt(acc_g + hp.eps)
-    return replace(state, theta=theta, acc_grad_sq=acc_g, n=state.n + 1)
+    out = _output(state, out, state.theta, ("theta", "acc_grad_sq"))
+    acc_g, theta = out.acc_grad_sq, out.theta
+    _running_average(state.acc_grad_sq, grad, hp.gamma, acc_g, theta)
+    denom = np.add(acc_g, hp.eps)
+    np.sqrt(denom, out=denom)
+    np.multiply(grad, hp.h, out=theta)
+    theta /= denom
+    np.subtract(state.theta, theta, out=theta)
+    out.n = state.n + 1
+    return out
 
 
 def adam_step(
-    state: AdaptiveState, grad: np.ndarray, hp: AdaptiveHyperParams
+    state: AdaptiveState,
+    grad: np.ndarray,
+    hp: AdaptiveHyperParams,
+    *,
+    out: Optional[AdaptiveState] = None,
 ) -> AdaptiveState:
-    """Bias-corrected two-moment step.
+    """Bias-corrected two-moment step; writes theta, mom and acc_grad_sq.
 
         m <- beta1 m + (1-beta1) g        m_hat = m / (1 - beta1^t)
         s <- beta2 s + (1-beta2) g^2      s_hat = s / (1 - beta2^t)
@@ -152,12 +202,21 @@ def adam_step(
     """
     grad = _checked_grad(grad, state.theta)
     t = state.n + 1
-    mom = hp.beta1 * state.mom + (1.0 - hp.beta1) * grad
-    acc = hp.beta2 * state.acc_grad_sq + (1.0 - hp.beta2) * grad**2
-    m_hat = mom / (1.0 - hp.beta1**t)
-    s_hat = acc / (1.0 - hp.beta2**t)
-    theta = state.theta - hp.h * m_hat / (np.sqrt(s_hat) + hp.eps)
-    return replace(state, theta=theta, mom=mom, acc_grad_sq=acc, n=t)
+    out = _output(state, out, state.theta, ("theta", "mom", "acc_grad_sq"))
+    mom, acc, theta = out.mom, out.acc_grad_sq, out.theta
+    np.multiply(grad, 1.0 - hp.beta1, out=mom)
+    np.multiply(state.mom, hp.beta1, out=theta)
+    np.add(theta, mom, out=mom)
+    _running_average(state.acc_grad_sq, grad, hp.beta2, acc, theta)
+    denom = np.divide(acc, 1.0 - hp.beta2**t)
+    np.sqrt(denom, out=denom)
+    denom += hp.eps
+    np.divide(mom, 1.0 - hp.beta1**t, out=theta)
+    theta *= hp.h
+    theta /= denom
+    np.subtract(state.theta, theta, out=theta)
+    out.n = t
+    return out
 
 
 def ssa1_ada_step(
@@ -166,6 +225,8 @@ def ssa1_ada_step(
     hp: AdaptiveHyperParams,
     schedule: MomentumSchedule,
     variant: str = "as-written",
+    *,
+    out: Optional[AdaptiveState] = None,
 ) -> AdaptiveState:
     """Adaptive splitting step: Adadelta-style step sizes inside ssa1.
 
@@ -185,34 +246,44 @@ def ssa1_ada_step(
     variant="as-written" accumulates E[g^2] and E[dz^2] at the carried
     auxiliary point z (two gradient evaluations per step); variant
     "z-first" computes z_next first and uses grad(z_next) everywhere
-    (one evaluation).
+    (one evaluation).  Writes theta, acc_grad_sq, acc_update_sq, v and z;
+    mom is carried over.
     """
     if variant not in SSA1_ADA_VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     h, gamma, eps, k = hp.h, hp.gamma, hp.eps, hp.k
     beta = momentum_coefficient(state.n, schedule)
+    out = _output(
+        state, out, state.theta, ("theta", "acc_grad_sq", "acc_update_sq", "v", "z")
+    )
 
     if variant == "as-written":
         grad_acc = _checked_grad(grad_fn(state.z), state.theta)
-    z_next, grad_upd = _look_ahead(state.theta, state.v, grad_fn, h, beta)
+    # grad_upd may be out.z itself, which is not written again
+    grad_upd = _look_ahead(state.theta, state.v, grad_fn, h, beta, out.z)
     if variant == "z-first":
         grad_acc = grad_upd
 
-    acc_g = gamma * state.acc_grad_sq + (1.0 - gamma) * grad_acc**2
-    rms_grad = np.sqrt(acc_g + eps)
-    rms_dz_prev = np.sqrt(state.acc_update_sq + eps)
-    h_n = h * rms_dz_prev / rms_grad
-    dz = -h_n * grad_acc
-    acc_d = gamma * state.acc_update_sq + (1.0 - gamma) * dz**2
+    theta, acc_g, acc_d, v = out.theta, out.acc_grad_sq, out.acc_update_sq, out.v
+    _running_average(state.acc_grad_sq, grad_acc, gamma, acc_g, theta)
+    h_n = np.add(state.acc_update_sq, eps)
+    np.sqrt(h_n, out=h_n)
+    h_n *= h
+    np.add(acc_g, eps, out=theta)
+    np.sqrt(theta, out=theta)
+    h_n /= theta
+    np.negative(h_n, out=theta)
+    theta *= grad_acc  # dz
+    _running_average(state.acc_update_sq, theta, gamma, acc_d, v)
 
-    v_next = _split_velocity(state.v, grad_upd, h_n, beta, k)
-    theta_next = _split_position(state.theta, z_next, grad_upd, h_n, beta)
-    return replace(
-        state,
-        theta=theta_next,
-        acc_grad_sq=acc_g,
-        acc_update_sq=acc_d,
-        v=v_next,
-        z=z_next,
-        n=state.n + 1,
-    )
+    # the per-component factors beta*(1 - h_n*beta), then 1 - h_n*beta, are
+    # built in v's buffer; the velocity update consumes h_n last
+    np.multiply(h_n, beta, out=v)
+    np.subtract(1.0, v, out=v)
+    v *= beta
+    _split_position(state.theta, out.z, grad_upd, h_n, v, theta, v)
+    np.multiply(h_n, beta, out=v)
+    np.subtract(1.0, v, out=v)
+    _split_velocity(state.v, grad_upd, h_n, v, beta**k, v, h_n)
+    out.n = state.n + 1
+    return out

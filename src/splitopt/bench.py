@@ -9,6 +9,7 @@ splitting defect/order sweep backing the CLI subcommands.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from operator import attrgetter
@@ -167,30 +168,32 @@ def make_stepper(config: ExperimentConfig, theta0: np.ndarray) -> Stepper:
 
     The returned callable takes a gradient oracle for the current batch
     (evaluable at any point, as the inertial methods require) and returns
-    the updated parameter vector.  The step rule is looked up in its module
-    here, when the stepper is built.
+    the updated parameter vector.  That vector is the stepper's own buffer,
+    valid until the next call: the stepper keeps two states and has each
+    step write the next state into the other's buffers (the rules' out=).
+    The step rule is looked up in its module here, when the stepper is
+    built.
     """
     name, h = config.optimizer, config.resolved_lr
     schedule = None if config.momentum is None else parse_momentum(config.momentum)
-    point = attrgetter("u")
+    init, point = opt.InertialState.at_rest, attrgetter("u")
     if name == "sgd":
         rule, point = opt.minibatch_sgd_step, lambda theta: theta
-        state, params = theta0.copy(), (h,)
-        advance = lambda theta, grad_fn, h: rule(theta, grad_fn(theta), h)
+        init, params = (lambda theta: np.array(theta, dtype=float)), (h,)
+        advance = lambda theta, grad_fn, h, out: rule(theta, grad_fn(theta), h, out=out)
     elif name == "polyak":
         rule, coefficient = opt.polyak_step, opt.momentum_coefficient
-        state, params = opt.InertialState.at_rest(theta0), (h,)
-        advance = lambda s, grad_fn, h: rule(
-            s, grad_fn(s.u), coefficient(s.n, schedule), h
+        params = (h,)
+        advance = lambda s, grad_fn, h, out: rule(
+            s, grad_fn(s.u), coefficient(s.n, schedule), h, out=out
         )
     elif name == "nesterov":
-        state, advance = opt.InertialState.at_rest(theta0), opt.nesterov_step
-        params = (h, schedule, config.nesterov_form)
+        advance, params = opt.nesterov_step, (h, schedule, config.nesterov_form)
     elif name in ("ssa1", "ssa2", "ssa1-const", "ssa2-const"):
-        state, advance = opt.InertialState.at_rest(theta0), getattr(opt, name[:4] + "_step")
+        advance = getattr(opt, name[:4] + "_step")
         params = (opt.SplitHyperParams(h=h, k=config.k), schedule)
     else:
-        state, point = ad.AdaptiveState.fresh(theta0), attrgetter("theta")
+        init, point = ad.AdaptiveState.fresh, attrgetter("theta")
         hp = ad.AdaptiveHyperParams(
             h=h,
             **{key: getattr(config, key) for key in ("gamma", "eps", "k")
@@ -200,11 +203,12 @@ def make_stepper(config: ExperimentConfig, theta0: np.ndarray) -> Stepper:
             advance, params = ad.ssa1_ada_step, (hp, schedule, config.variant)
         else:
             rule, params = getattr(ad, name + "_step"), (hp,)
-            advance = lambda s, grad_fn, hp: rule(s, grad_fn(s.theta), hp)
+            advance = lambda s, grad_fn, hp, out: rule(s, grad_fn(s.theta), hp, out=out)
+    state, spare = init(theta0), init(theta0)
 
     def step(grad_fn: GradFn) -> np.ndarray:
-        nonlocal state
-        state = advance(state, grad_fn, *params)
+        nonlocal state, spare
+        state, spare = advance(state, grad_fn, *params, out=spare), state
         return point(state)
 
     return step
@@ -359,14 +363,25 @@ def emit_metrics(records: Sequence[MetricsRecord], path: Optional[str]) -> None:
 
 
 def read_timing_column(path: str) -> List[float]:
-    """epoch_time_s values from a metrics CSV produced by emit_metrics."""
+    """epoch_time_s values from a metrics CSV produced by emit_metrics; each
+    must be finite and nonnegative."""
     with open(path, newline="") as f:
         header = f.readline().strip().split(",")
         try:
             col = header.index("epoch_time_s")
         except ValueError:
             raise ValueError(f"{path}: no epoch_time_s column in header {header}")
-        return [float(line.strip().split(",")[col]) for line in f if line.strip()]
+        rows = [line.strip().split(",") for line in f if line.strip()]
+    samples = []
+    for row in rows:
+        if col >= len(row):
+            raise ValueError(f"{path}: row {','.join(row)!r} has no epoch_time_s value")
+        value = float(row[col])
+        # negated so that NaN fails it
+        if not 0.0 <= value < math.inf:
+            raise ValueError(f"{path}: epoch_time_s {value} is not a finite nonnegative time")
+        samples.append(value)
+    return samples
 
 
 # --- splitting study ----------------------------------------------------------

@@ -20,7 +20,8 @@ LABEL_MAGIC = 0x00000801
 
 
 class IdxFormatError(ValueError):
-    """Malformed IDX payload: wrong magic, truncated body, or count mismatch."""
+    """Malformed IDX payload: wrong magic, truncated body, count mismatch,
+    or images with no pixels."""
 
 
 @dataclass
@@ -65,6 +66,8 @@ def parse_idx(image_bytes: bytes, label_bytes: bytes) -> Dataset:
         raise IdxFormatError(
             f"bad image magic 0x{magic:08x}, expected 0x{IMAGE_MAGIC:08x}"
         )
+    if rows * cols == 0:
+        raise IdxFormatError(f"image header gives {rows}x{cols} images, which have no pixels")
     expected = count * rows * cols
     payload = image_bytes[16:]
     if len(payload) != expected:

@@ -6,8 +6,9 @@ and the two sequential-splitting optimizers (SSA1, SSA2) derived from the
 constant-damping dynamical system  u'' + u' = -grad f(u).
 
 Every step function is pure: it takes a state value and returns a new one,
-evaluating the supplied gradient oracle exactly once.  All arithmetic is
-64-bit.
+evaluating the supplied gradient oracle exactly once.  Given out=, a step
+writes the new state into out's buffers instead of fresh ones; out must
+not be, or share arrays with, the input state.  All arithmetic is 64-bit.
 """
 
 from __future__ import annotations
@@ -144,22 +145,56 @@ def _checked_grad(grad: np.ndarray, like: np.ndarray) -> np.ndarray:
     return grad
 
 
-def _look_ahead(u: np.ndarray, v: np.ndarray, grad_fn: GradFn, h: float, beta: float):
-    """The look-ahead point y = u + h*beta*v and the checked gradient there."""
-    y = u + h * beta * v
-    return y, _checked_grad(grad_fn(y), u)
+def _output(state, out, like: np.ndarray, written: tuple):
+    """The state a step writes its `written` fields into.
+
+    With out None, a copy of state whose written fields are fresh float64
+    buffers shaped like the iterate `like`.  Otherwise out itself, which
+    takes state's other fields by reference.  out must not be state.
+    """
+    if out is None:
+        return replace(state, **{name: np.empty(np.shape(like)) for name in written})
+    if out is state:
+        raise ValueError("out must not be the input state")
+    for name, value in vars(state).items():
+        if name not in written:
+            setattr(out, name, value)
+    return out
 
 
-def _split_velocity(v, grad_y, h, beta: float, k: float):
-    """Velocity update of the splitting schemes,
-    beta^k * ((1 - h*beta) * v - h * grad(y)); h may be per-component."""
-    return beta**k * ((1.0 - h * beta) * v - h * grad_y)
+def _look_ahead(u: np.ndarray, v: np.ndarray, grad_fn: GradFn, h: float, beta: float, out):
+    """Writes the look-ahead point y = u + h*beta*v into out and returns the
+    checked gradient there, which may be out itself."""
+    np.multiply(v, h * beta, out=out)
+    out += u
+    return _checked_grad(grad_fn(out), u)
 
 
-def _split_position(u, y, grad_y, h, beta: float):
-    """Scaled-drift position update of the first splitting scheme,
-    u + beta*(1 - h*beta)*(y - u) - h^2 * grad(y); h may be per-component."""
-    return u + beta * (1.0 - h * beta) * (y - u) - h * h * grad_y
+def _split_velocity(v, grad_y, h, damp, boost: float, out, scratch):
+    """Velocity update of the splitting schemes, written into out:
+    beta^k * ((1 - h*beta) * v - h * grad(y)), given damp = 1 - h*beta and
+    boost = beta^k.  h and damp may be per-component; damp may be out's
+    buffer and h scratch's."""
+    np.multiply(grad_y, h, out=scratch)
+    np.multiply(v, damp, out=out)
+    out -= scratch
+    out *= boost
+
+
+def _split_position(u, y, grad_y, h, drift, out, scratch):
+    """Scaled-drift position update of the first splitting scheme, written
+    into out: u + beta*(1 - h*beta)*(y - u) - h^2 * grad(y), given
+    drift = beta*(1 - h*beta).  h and drift may be per-component.  drift, y
+    and grad_y may be scratch's buffer, which is written after their last
+    read."""
+    np.subtract(y, u, out=out)
+    out *= drift
+    out += u
+    np.multiply(grad_y, h * h, out=scratch)
+    out -= scratch
+
+
+_INERTIAL_FIELDS = ("u", "v", "u_prev")
 
 
 def gd_step(u: np.ndarray, grad: np.ndarray, h: float) -> np.ndarray:
@@ -169,29 +204,27 @@ def gd_step(u: np.ndarray, grad: np.ndarray, h: float) -> np.ndarray:
     return minibatch_sgd_step(u, grad, h)
 
 
-def minibatch_sgd_step(theta: np.ndarray, grad_batch: np.ndarray, h: float) -> np.ndarray:
+def minibatch_sgd_step(
+    theta: np.ndarray, grad_batch: np.ndarray, h: float, *, out: Optional[np.ndarray] = None
+) -> np.ndarray:
     """SGD update with the gradient of the loss on the current mini-batch.
 
     gd_step runs this arithmetic; the contract differs in that grad_batch
     is a batch gradient rather than the full one, and h = 0 is permitted
-    (a frozen run is a valid experiment).
+    (a frozen run is a valid experiment).  The result is written into out
+    when given, which must not be theta.
     """
     theta = np.asarray(theta, dtype=float)
     grad_batch = _checked_grad(grad_batch, theta)
     if not h >= 0:
         raise ValueError(f"step size must be nonnegative, got {h}")
-    return theta - h * grad_batch
-
-
-def sun_stepsize(alpha_n: float, c: float, L: float) -> float:
-    """Step size 2 * (1 - alpha_n) * c / L tied to the heavy-ball coefficient."""
-    if not 0.0 <= alpha_n < 1.0:
-        raise ValueError(f"alpha must lie in [0, 1), got {alpha_n}")
-    if not 0.0 < c < 1.0:
-        raise ValueError(f"c must lie in (0, 1), got {c}")
-    if L <= 0:
-        raise ValueError(f"Lipschitz constant must be positive, got {L}")
-    return 2.0 * (1.0 - alpha_n) * c / L
+    if out is None:
+        out = np.empty(theta.shape)
+    elif out is theta:
+        raise ValueError("out must not be the input iterate")
+    np.multiply(grad_batch, h, out=out)
+    np.subtract(theta, out, out=out)
+    return out
 
 
 def polyak_step(
@@ -199,6 +232,8 @@ def polyak_step(
     grad_at_u: np.ndarray,
     alpha_n: float,
     beta_n: float,
+    *,
+    out: Optional[InertialState] = None,
 ) -> InertialState:
     """Heavy-ball step with extrapolation alpha_n and step size beta_n.
 
@@ -206,7 +241,8 @@ def polyak_step(
         u_next = y - beta_n * grad_at_u
 
     The gradient is evaluated at u, not at y.  The constant-coefficient
-    method is the special case alpha_n = gamma, beta_n = h.
+    method is the special case alpha_n = gamma, beta_n = h.  Writes u and
+    u_prev; v is carried over.
     """
     if state.u_prev is None:
         raise ValueError("polyak_step requires u_prev to be populated")
@@ -215,9 +251,15 @@ def polyak_step(
     if not beta_n > 0:
         raise ValueError(f"step size must be positive, got {beta_n}")
     grad_at_u = _checked_grad(grad_at_u, state.u)
-    y = state.u + alpha_n * (state.u - state.u_prev)
-    u_next = y - beta_n * grad_at_u
-    return replace(state, u=u_next, u_prev=state.u.copy(), n=state.n + 1)
+    out = _output(state, out, state.u, ("u", "u_prev"))
+    np.subtract(state.u, state.u_prev, out=out.u)
+    out.u *= alpha_n
+    out.u += state.u
+    np.multiply(grad_at_u, beta_n, out=out.u_prev)
+    out.u -= out.u_prev
+    np.copyto(out.u_prev, state.u)
+    out.n = state.n + 1
+    return out
 
 
 def nesterov_step(
@@ -226,6 +268,8 @@ def nesterov_step(
     h: float,
     schedule: MomentumSchedule,
     form: str = "velocity",
+    *,
+    out: Optional[InertialState] = None,
 ) -> InertialState:
     """Accelerated-gradient step in the requested representation.
 
@@ -240,27 +284,42 @@ def nesterov_step(
 
     With v_0 = (u_0 - u_{-1}) / h the two produce identical iterates.
     Both representations are updated regardless of form so states stay
-    interchangeable.
+    interchangeable: u, v and u_prev are written.
     """
     if not h > 0:
         raise ValueError(f"step size must be positive, got {h}")
-    beta = momentum_coefficient(state.n, schedule)
     if form == "velocity":
         if state.v is None:
             raise ValueError("velocity form requires v to be populated")
-        _, grad_y = _look_ahead(state.u, state.v, grad_fn, h, beta)
-        v_next = beta * state.v - h * grad_y
-        u_next = state.u + h * v_next
     elif form == "two-sequence":
         if state.u_prev is None:
             raise ValueError("two-sequence form requires u_prev to be populated")
-        y = state.u + beta * (state.u - state.u_prev)
-        grad_y = _checked_grad(grad_fn(y), state.u)
-        u_next = y - h * h * grad_y
-        v_next = (u_next - state.u) / h
     else:
         raise ValueError(f"unknown form {form!r}")
-    return InertialState(u=u_next, v=v_next, n=state.n + 1, u_prev=state.u.copy())
+    beta = momentum_coefficient(state.n, schedule)
+    out = _output(state, out, state.u, _INERTIAL_FIELDS)
+    # y lives in out.u_prev, which takes its own value after the last read
+    # of grad(y): the gradient may be y's buffer itself
+    if form == "velocity":
+        grad_y = _look_ahead(state.u, state.v, grad_fn, h, beta, out.u_prev)
+        np.multiply(state.v, beta, out=out.v)
+        np.multiply(grad_y, h, out=out.u)
+        out.v -= out.u
+        np.multiply(out.v, h, out=out.u)
+        out.u += state.u
+    else:
+        y = out.u_prev
+        np.subtract(state.u, state.u_prev, out=y)
+        y *= beta
+        y += state.u
+        grad_y = _checked_grad(grad_fn(y), state.u)
+        np.multiply(grad_y, h * h, out=out.u)
+        np.subtract(y, out.u, out=out.u)
+        np.subtract(out.u, state.u, out=out.v)
+        out.v /= h
+    np.copyto(out.u_prev, state.u)
+    out.n = state.n + 1
+    return out
 
 
 def ssa1_step(
@@ -268,30 +327,28 @@ def ssa1_step(
     grad_fn: GradFn,
     hp: SplitHyperParams,
     schedule: MomentumSchedule,
-    plain_drift: bool = False,
+    *,
+    out: Optional[InertialState] = None,
 ) -> InertialState:
-    """First sequential-splitting step.
+    """First sequential-splitting step; writes u, v and u_prev.
 
         y = u + h * beta * v
         v_next = beta^k * ((1 - h*beta) * v - h * grad(y))
         u_next = u + beta * (1 - h*beta) * (y - u) - h^2 * grad(y)
-
-    With plain_drift=True the parameter update carries h*(1-h*beta)*v
-    instead of the beta^2-scaled drift (a published pseudocode variant;
-    the scaled form above is canonical here).
     """
     if state.v is None:
         raise ValueError("ssa1_step requires v to be populated")
     h = hp.h
     beta = momentum_coefficient(state.n, schedule)
     k = hp.k_at(state.n)
-    y, grad_y = _look_ahead(state.u, state.v, grad_fn, h, beta)
-    v_next = _split_velocity(state.v, grad_y, h, beta, k)
-    if plain_drift:
-        u_next = state.u + h * (1.0 - h * beta) * state.v - h * h * grad_y
-    else:
-        u_next = _split_position(state.u, y, grad_y, h, beta)
-    return InertialState(u=u_next, v=v_next, n=state.n + 1, u_prev=state.u.copy())
+    out = _output(state, out, state.u, _INERTIAL_FIELDS)
+    grad_y = _look_ahead(state.u, state.v, grad_fn, h, beta, out.u_prev)
+    damp = 1.0 - h * beta
+    _split_velocity(state.v, grad_y, h, damp, beta**k, out.v, out.u)
+    _split_position(state.u, out.u_prev, grad_y, h, beta * damp, out.u, out.u_prev)
+    np.copyto(out.u_prev, state.u)
+    out.n = state.n + 1
+    return out
 
 
 def ssa2_step(
@@ -299,8 +356,10 @@ def ssa2_step(
     grad_fn: GradFn,
     hp: SplitHyperParams,
     schedule: MomentumSchedule,
+    *,
+    out: Optional[InertialState] = None,
 ) -> InertialState:
-    """Second sequential-splitting step.
+    """Second sequential-splitting step; writes u, v and u_prev.
 
         y = u + h * beta * v
         v_next = beta^k * ((1 - h*beta) * v - h * grad(y))
@@ -314,10 +373,15 @@ def ssa2_step(
     h = hp.h
     beta = momentum_coefficient(state.n, schedule)
     k = hp.k_at(state.n)
-    _, grad_y = _look_ahead(state.u, state.v, grad_fn, h, beta)
-    v_next = _split_velocity(state.v, grad_y, h, beta, k)
-    u_next = state.u + h * (1.0 - h * beta) * state.v
-    return InertialState(u=u_next, v=v_next, n=state.n + 1, u_prev=state.u.copy())
+    out = _output(state, out, state.u, _INERTIAL_FIELDS)
+    grad_y = _look_ahead(state.u, state.v, grad_fn, h, beta, out.u_prev)
+    damp = 1.0 - h * beta
+    _split_velocity(state.v, grad_y, h, damp, beta**k, out.v, out.u)
+    np.multiply(state.v, h * damp, out=out.u)
+    out.u += state.u
+    np.copyto(out.u_prev, state.u)
+    out.n = state.n + 1
+    return out
 
 
 # --- splitting sub-steps ----------------------------------------------------

@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -153,6 +155,37 @@ class TestRegistry:
             stepper = make_stepper(config, theta0)
             theta = stepper(grad)
             assert np.all(np.isfinite(theta))
+
+
+# Traced memory a stepper may hold above its start over 5 steps, in
+# parameter vectors, with a gradient oracle that allocates nothing: the
+# inertial rules write into the stepper's two states, and the adaptive ones
+# allocate one work array (two for ssa1-ada).
+STEP_ALLOCATION_BUDGET = {"adagrad": 1.5, "adadelta": 1.5, "rmsprop": 1.5, "adam": 1.5,
+                          "ssa1-ada": 2.5}
+
+
+@pytest.mark.parametrize("name", sorted(OPTIMIZERS))
+def test_steps_allocate_no_state(name):
+    n_params = 1000
+    grad = np.linspace(-1.0, 1.0, n_params)
+    oracle = lambda _: grad
+    stepper = make_stepper(ExperimentConfig(optimizer=name), np.linspace(0.5, -0.5, n_params))
+    tracemalloc.start()
+    try:
+        for _ in range(3):
+            stepper(oracle)
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        for _ in range(5):
+            stepper(oracle)
+        vectors = (tracemalloc.get_traced_memory()[1] - start) / grad.nbytes
+    finally:
+        tracemalloc.stop()
+    if name in STEP_ALLOCATION_BUDGET:
+        assert vectors <= STEP_ALLOCATION_BUDGET[name]
+    else:
+        assert vectors < 0.5
 
 
 HALF = opt.MomentumSchedule.constant(0.5)
@@ -440,6 +473,28 @@ class TestCli:
              "--dataset", "idx:nope1,nope2,nope3,nope4"]
         )
         assert code == 4
+
+    def test_idx_images_without_pixels_exit_4(self, tmp_path, capsys):
+        images, labels = tmp_path / "images", tmp_path / "labels"
+        images.write_bytes(struct.pack(">IIII", 0x00000803, 2, 0, 28))
+        labels.write_bytes(struct.pack(">II", 0x00000801, 2) + bytes([0, 1]))
+        spec = f"idx:{images},{labels},{images},{labels}"
+        assert main(["run", "--optimizer", "sgd", "--epochs", "1", "--dataset", spec]) == 4
+        assert "no pixels" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("row, shown", [
+        ("1,0.5,0.9,0.5,0.9,nan", "nan"), ("1,0.5,0.9,0.5,0.9,-3", "-3.0"),
+        ("1,0.5,0.9,0.5,0.9,inf", "inf"), ("1,0.5", "'1,0.5'"),
+    ])
+    def test_timing_rejects_invalid_times(self, tmp_path, capsys, row, shown):
+        metrics = tmp_path / "metrics.csv"
+        metrics.write_text(
+            f"epoch,train_loss,train_acc,test_loss,test_acc,epoch_time_s\n"
+            f"0,0.5,0.9,0.5,0.9,0.25\n{row}\n"
+        )
+        assert main(["timing", "--in", str(metrics)]) == 2
+        err = capsys.readouterr().err
+        assert str(metrics) in err and shown in err
 
     def test_divergence_exits_3_and_flushes(self, tmp_path, capsys):
         out = tmp_path / "partial.csv"

@@ -60,6 +60,11 @@ class TestParseIdx:
         with pytest.raises(IdxFormatError):
             parse_idx(image_payload(1, 1, 1, [5]), b"\x00")
 
+    @pytest.mark.parametrize("rows, cols", [(0, 28), (28, 0), (0, 0)])
+    def test_images_without_pixels(self, rows, cols):
+        with pytest.raises(IdxFormatError, match="no pixels"):
+            parse_idx(image_payload(2, rows, cols, []), label_payload([0, 1]))
+
     def test_loaded_values_stay_in_unit_interval(self):
         pixels = list(range(256)) * 2
         ds = parse_idx(

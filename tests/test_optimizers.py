@@ -1,5 +1,9 @@
-"""Unit tests for the non-adaptive step rules, and byte-for-byte pins of
-the splitting updates that the adaptive splitting step shares with them."""
+"""Unit tests for the non-adaptive step rules, byte-for-byte pins of the
+splitting updates that the adaptive splitting step shares with them, and
+the out= buffer contract of every step rule."""
+
+import copy
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -121,21 +125,6 @@ class TestGdAndSgd:
             opt.minibatch_sgd_step(np.zeros(2), np.zeros(2), NAN)
 
 
-class TestSunStepsize:
-    def test_examples(self):
-        assert opt.sun_stepsize(0.5, 0.5, 1.0) == pytest.approx(0.5)
-        assert opt.sun_stepsize(0.0, 0.5, 2.0) == pytest.approx(0.5)
-        assert opt.sun_stepsize(1.0 - 1e-12, 0.5, 1.0) == pytest.approx(0.0, abs=1e-11)
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            opt.sun_stepsize(1.0, 0.5, 1.0)
-        with pytest.raises(ValueError):
-            opt.sun_stepsize(0.5, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            opt.sun_stepsize(0.5, 0.5, 0.0)
-
-
 class TestPolyak:
     def test_reduces_to_gd_when_alpha_zero(self):
         state = opt.InertialState.at_rest(np.array([1.0]))
@@ -252,19 +241,6 @@ class TestSsa1:
         out = opt.ssa1_step(state, lambda _: np.zeros(3), hp, SCH_N3)
         np.testing.assert_allclose(out.v, beta**2 * (1 - 0.1 * beta) * v)
         np.testing.assert_allclose(out.u, u + 0.1 * beta**2 * (1 - 0.1 * beta) * v)
-
-    def test_plain_drift_variant(self):
-        # the pseudocode form drops the beta^2 factor on the velocity carry
-        rng = np.random.default_rng(5)
-        u, v = rng.standard_normal(3), rng.standard_normal(3)
-        grad = rng.standard_normal(3)
-        state = opt.InertialState(u=u.copy(), v=v.copy(), n=2)
-        hp = opt.SplitHyperParams(h=0.1, k=2.0)
-        out = opt.ssa1_step(state, lambda _: grad, hp, SCH_N3, plain_drift=True)
-        beta = 2 / 5
-        np.testing.assert_allclose(out.u, u + 0.1 * (1 - 0.1 * beta) * v - 0.01 * grad)
-        # velocity update unchanged between variants
-        np.testing.assert_allclose(out.v, beta**2 * ((1 - 0.1 * beta) * v - 0.1 * grad))
 
 
 class TestSsa2:
@@ -444,7 +420,12 @@ def vectors(dim, lo=-10.0, hi=10.0):
 
 @st.composite
 def affine_gradients(draw, dim):
-    """grad f(y) = a * y + b with a componentwise curvature in [0, 4]."""
+    """grad f(y) = a * y + b with a componentwise curvature in [0, 4], or
+    grad f(y) = y returned as the very array it was given: a rule that
+    overwrites its look-ahead buffer before its last read of the gradient
+    computes a wrong step with it."""
+    if draw(st.booleans()):
+        return lambda y: y
     a, b = draw(vectors(dim, 0.0, 4.0)), draw(vectors(dim))
     return lambda y: a * y + b
 
@@ -468,7 +449,7 @@ class TestPinnedSplittingFormulas:
 
     @PROPERTY
     @given(case=inertial_cases(), k=st.floats(0.0, 4.0),
-           kind=st.sampled_from(["scaled", "plain", "ssa2"]))
+           kind=st.sampled_from(["ssa1", "ssa2"]))
     def test_splitting_steps(self, case, k, kind):
         state, grad_fn, h, schedule = case
         beta = opt.momentum_coefficient(state.n, schedule)
@@ -478,17 +459,11 @@ class TestPinnedSplittingFormulas:
         if kind == "ssa2":
             u_next = state.u + h * (1.0 - h * beta) * state.v
         else:
-            if kind == "plain":
-                drift = h * (1.0 - h * beta) * state.v
-            else:
-                drift = beta * (1.0 - h * beta) * (y - state.u)
-            u_next = state.u + drift - h * h * grad_y
+            u_next = state.u + beta * (1.0 - h * beta) * (y - state.u) - h * h * grad_y
 
         hp = opt.SplitHyperParams(h=h, k=k)
-        if kind == "ssa2":
-            out = opt.ssa2_step(state, grad_fn, hp, schedule)
-        else:
-            out = opt.ssa1_step(state, grad_fn, hp, schedule, plain_drift=kind == "plain")
+        step = opt.ssa2_step if kind == "ssa2" else opt.ssa1_step
+        out = step(state, grad_fn, hp, schedule)
         assert same_bytes(out.u, u_next) and same_bytes(out.v, v_next)
         assert same_bytes(out.u_prev, state.u) and out.n == state.n + 1
 
@@ -573,3 +548,90 @@ class TestNesterovProperties:
         velocity, two_sequence = (states[form] for form in opt.NESTEROV_FORMS)
         scale = max(1.0, np.max(np.abs(velocity.u)))
         np.testing.assert_allclose(velocity.u, two_sequence.u, rtol=0, atol=1e-9 * scale)
+
+
+# --- out= buffers ---------------------------------------------------------------
+
+
+def rule_steps(h, schedule, k):
+    """Every step rule and form, as step(state, grad_fn, **out)."""
+    split = opt.SplitHyperParams(h=h, k=k)
+    hp = ad.AdaptiveHyperParams(h=h, k=k)
+    steps = {
+        "sgd": lambda s, g, **o: opt.minibatch_sgd_step(s, g(s), h, **o),
+        "polyak": lambda s, g, **o: opt.polyak_step(
+            s, g(s.u), opt.momentum_coefficient(s.n, SCH_N3), h, **o
+        ),
+        "ssa1": lambda s, g, **o: opt.ssa1_step(s, g, split, schedule, **o),
+        "ssa2": lambda s, g, **o: opt.ssa2_step(s, g, split, schedule, **o),
+    }
+    for form in opt.NESTEROV_FORMS:
+        steps[f"nesterov-{form}"] = (
+            lambda s, g, form=form, **o: opt.nesterov_step(s, g, h, schedule, form, **o)
+        )
+    for name in ("adagrad", "adadelta", "rmsprop", "adam"):
+        rule = getattr(ad, name + "_step")
+        steps[name] = lambda s, g, rule=rule, **o: rule(s, g(s.theta), hp, **o)
+    for variant in ad.SSA1_ADA_VARIANTS:
+        steps[f"ssa1-ada-{variant}"] = (
+            lambda s, g, variant=variant, **o: ad.ssa1_ada_step(s, g, hp, schedule, variant, **o)
+        )
+    return steps
+
+
+RULE_NAMES = sorted(rule_steps(0.1, SCH_N3, 2.0))
+
+
+def draw_state(data, name, dim):
+    n = data.draw(st.integers(0, 50))
+    if name == "sgd":
+        return data.draw(vectors(dim))
+    if name in ("adagrad", "adadelta", "rmsprop", "adam") or name.startswith("ssa1-ada"):
+        return ad.AdaptiveState(
+            theta=data.draw(vectors(dim)), acc_grad_sq=data.draw(vectors(dim, 0.0, 10.0)),
+            acc_update_sq=data.draw(vectors(dim, 0.0, 10.0)), mom=data.draw(vectors(dim)),
+            v=data.draw(vectors(dim)), z=data.draw(vectors(dim)), n=n,
+        )
+    return opt.InertialState(
+        u=data.draw(vectors(dim)), v=data.draw(vectors(dim)), n=n, u_prev=data.draw(vectors(dim))
+    )
+
+
+def snapshot(state):
+    """Every field of a state, arrays as bytes; an iterate array as bytes."""
+    if isinstance(state, np.ndarray):
+        return state.tobytes()
+    return {name: value.tobytes() if isinstance(value, np.ndarray) else value
+            for name, value in vars(state).items()}
+
+
+def poisoned(state):
+    """A state of the same layout whose arrays hold NaN, so that an element
+    a step leaves unwritten shows."""
+    if isinstance(state, np.ndarray):
+        return np.full_like(state, np.nan)
+    return replace(state, **{name: np.full_like(value, np.nan)
+                             for name, value in vars(state).items()
+                             if isinstance(value, np.ndarray)})
+
+
+class TestOutBuffers:
+    @pytest.mark.parametrize("name", RULE_NAMES)
+    @PROPERTY
+    @given(dim=st.integers(1, 6), data=st.data(), h=STEP_SIZES, schedule=SCHEDULES,
+           k=st.floats(0.0, 4.0), steps=st.integers(1, 8))
+    def test_alternating_chain_equals_pure_chain(self, name, dim, data, h, schedule, k, steps):
+        step = rule_steps(h, schedule, k)[name]
+        grad_fn = data.draw(affine_gradients(dim))
+        pure = draw_state(data, name, dim)
+        state, spare = copy.deepcopy(pure), poisoned(pure)
+        for _ in range(steps):
+            before = snapshot(state)
+            with pytest.raises(ValueError, match="out must not be the input"):
+                step(state, grad_fn, out=state)
+            pure = step(pure, grad_fn)
+            state, spare = step(state, grad_fn, out=spare), state
+            assert snapshot(spare) == before
+            assert snapshot(state) == snapshot(pure)
+            if isinstance(state, ad.AdaptiveState):
+                assert np.all(state.acc_grad_sq >= 0.0) and np.all(state.acc_update_sq >= 0.0)
