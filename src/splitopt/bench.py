@@ -409,22 +409,23 @@ def splitting_study(
     exact = matrix_exp(STUDY_A + STUDY_B) @ x0
     stepper = lie_split_step if method == "lie" else strang_split_step
 
-    errors = []
+    # The defect at h is taken right after the integration at h, so its
+    # step reuses the flows that sys remembers for that h.
+    errors, defects = [], []
     for n_steps in step_counts:
         h = 1.0 / n_steps
         x = x0.copy()
         for _ in range(n_steps):
             x = stepper(sys, x, h)
         errors.append(float(np.linalg.norm(x - exact)))
+        defects.append(splitting_defect(sys, h, step=stepper))
 
     rows: List[Tuple[float, float, Optional[float]]] = []
     for i, n_steps in enumerate(step_counts):
-        h = 1.0 / n_steps
-        defect = splitting_defect(sys, h, step=stepper)
         if i + 1 < len(step_counts) and errors[i + 1] > 0:
             ratio = (1.0 / step_counts[i]) / (1.0 / step_counts[i + 1])
             order = float(np.log(errors[i] / errors[i + 1]) / np.log(ratio))
         else:
             order = None
-        rows.append((h, defect, order))
+        rows.append((1.0 / n_steps, defects[i], order))
     return rows

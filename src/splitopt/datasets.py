@@ -21,7 +21,7 @@ LABEL_MAGIC = 0x00000801
 
 class IdxFormatError(ValueError):
     """Malformed IDX payload: wrong magic, truncated body, count mismatch,
-    or images with no pixels."""
+    or an image file with no pixels (no images, or images of size 0)."""
 
 
 @dataclass
@@ -66,9 +66,11 @@ def parse_idx(image_bytes: bytes, label_bytes: bytes) -> Dataset:
         raise IdxFormatError(
             f"bad image magic 0x{magic:08x}, expected 0x{IMAGE_MAGIC:08x}"
         )
-    if rows * cols == 0:
-        raise IdxFormatError(f"image header gives {rows}x{cols} images, which have no pixels")
     expected = count * rows * cols
+    if expected == 0:
+        raise IdxFormatError(
+            f"image header gives {count} images of {rows}x{cols}, which hold no pixels"
+        )
     payload = image_bytes[16:]
     if len(payload) != expected:
         raise IdxFormatError(

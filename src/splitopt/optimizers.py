@@ -13,7 +13,6 @@ not be, or share arrays with, the input state.  All arithmetic is 64-bit.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
@@ -77,13 +76,11 @@ class SplitHyperParams:
     """Step size and velocity-boost exponent for the splitting optimizers.
 
     The boost multiplies the velocity update by beta_n**k; k defaults
-    to 2.0.  With k_schedule="exp-decay" the exponent becomes
-    exp(-k/n) from n = 1 on (the base k is used at n = 0).
+    to 2.0.
     """
 
     h: float
     k: float = 2.0
-    k_schedule: str = "constant"
 
     def __post_init__(self):
         # each range check is negated so that NaN fails it
@@ -91,13 +88,6 @@ class SplitHyperParams:
             raise ValueError(f"step size must be positive, got {self.h}")
         if not self.k >= 0:
             raise ValueError(f"velocity exponent must be nonnegative, got {self.k}")
-        if self.k_schedule not in ("constant", "exp-decay"):
-            raise ValueError(f"unknown k_schedule {self.k_schedule!r}")
-
-    def k_at(self, n: int) -> float:
-        if self.k_schedule == "exp-decay" and n >= 1:
-            return math.exp(-self.k / n)
-        return self.k
 
 
 @dataclass
@@ -340,11 +330,10 @@ def ssa1_step(
         raise ValueError("ssa1_step requires v to be populated")
     h = hp.h
     beta = momentum_coefficient(state.n, schedule)
-    k = hp.k_at(state.n)
     out = _output(state, out, state.u, _INERTIAL_FIELDS)
     grad_y = _look_ahead(state.u, state.v, grad_fn, h, beta, out.u_prev)
     damp = 1.0 - h * beta
-    _split_velocity(state.v, grad_y, h, damp, beta**k, out.v, out.u)
+    _split_velocity(state.v, grad_y, h, damp, beta**hp.k, out.v, out.u)
     _split_position(state.u, out.u_prev, grad_y, h, beta * damp, out.u, out.u_prev)
     np.copyto(out.u_prev, state.u)
     out.n = state.n + 1
@@ -372,11 +361,10 @@ def ssa2_step(
         raise ValueError("ssa2_step requires v to be populated")
     h = hp.h
     beta = momentum_coefficient(state.n, schedule)
-    k = hp.k_at(state.n)
     out = _output(state, out, state.u, _INERTIAL_FIELDS)
     grad_y = _look_ahead(state.u, state.v, grad_fn, h, beta, out.u_prev)
     damp = 1.0 - h * beta
-    _split_velocity(state.v, grad_y, h, damp, beta**k, out.v, out.u)
+    _split_velocity(state.v, grad_y, h, damp, beta**hp.k, out.v, out.u)
     np.multiply(state.v, h * damp, out=out.u)
     out.u += state.u
     np.copyto(out.u_prev, state.u)

@@ -25,6 +25,7 @@ from splitopt.bench import (
 )
 from splitopt import adaptive as ad
 from splitopt import optimizers as opt
+from splitopt import splitting
 from splitopt.cli import _build_parser, _load_config_file, main
 from splitopt.datasets import dataset_to_idx, synth_blobs
 
@@ -375,6 +376,21 @@ class TestSplittingStudy:
         with pytest.raises(ValueError):
             splitting_study(method="leapfrog")
 
+    @pytest.mark.parametrize("method", ["lie", "strang"])
+    def test_one_exponential_per_operator_and_step_size(self, monkeypatch, method):
+        # per h: two flows and the defect's exact exponential; plus the
+        # exact solution at T = 1, for 5 * 3 + 1 calls
+        calls, real = [], splitting.matrix_exp
+
+        def counting(M):
+            calls.append(M.shape)
+            return real(M)
+
+        monkeypatch.setattr("splitopt.splitting.matrix_exp", counting)
+        monkeypatch.setattr("splitopt.bench.matrix_exp", counting)
+        splitting_study(method=method)
+        assert len(calls) == 16
+
     def test_strang_defect_is_strangs_own(self):
         lie = splitting_study(method="lie")
         strang = splitting_study(method="strang")
@@ -476,11 +492,13 @@ class TestCli:
 
     def test_idx_images_without_pixels_exit_4(self, tmp_path, capsys):
         images, labels = tmp_path / "images", tmp_path / "labels"
-        images.write_bytes(struct.pack(">IIII", 0x00000803, 2, 0, 28))
-        labels.write_bytes(struct.pack(">II", 0x00000801, 2) + bytes([0, 1]))
-        spec = f"idx:{images},{labels},{images},{labels}"
-        assert main(["run", "--optimizer", "sgd", "--epochs", "1", "--dataset", spec]) == 4
-        assert "no pixels" in capsys.readouterr().err
+        # images of 0x28 pixels, then a well-formed pair that holds no images
+        for count, rows, cols in [(2, 0, 28), (0, 28, 28)]:
+            images.write_bytes(struct.pack(">IIII", 0x00000803, count, rows, cols))
+            labels.write_bytes(struct.pack(">II", 0x00000801, count) + bytes(range(count)))
+            spec = f"idx:{images},{labels},{images},{labels}"
+            assert main(["run", "--optimizer", "sgd", "--epochs", "1", "--dataset", spec]) == 4
+            assert "no pixels" in capsys.readouterr().err
 
     @pytest.mark.parametrize("row, shown", [
         ("1,0.5,0.9,0.5,0.9,nan", "nan"), ("1,0.5,0.9,0.5,0.9,-3", "-3.0"),

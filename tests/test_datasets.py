@@ -4,8 +4,13 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from splitopt.datasets import (
+    IMAGE_MAGIC,
+    LABEL_MAGIC,
     Dataset,
     IdxFormatError,
     dataset_to_idx,
@@ -60,10 +65,13 @@ class TestParseIdx:
         with pytest.raises(IdxFormatError):
             parse_idx(image_payload(1, 1, 1, [5]), b"\x00")
 
-    @pytest.mark.parametrize("rows, cols", [(0, 28), (28, 0), (0, 0)])
-    def test_images_without_pixels(self, rows, cols):
+    @pytest.mark.parametrize("count, rows, cols", [
+        pytest.param(2, 0, 28, id="0-28"), pytest.param(2, 28, 0, id="28-0"),
+        pytest.param(2, 0, 0, id="0-0"), pytest.param(0, 28, 28, id="no-images"),
+    ])
+    def test_images_without_pixels(self, count, rows, cols):
         with pytest.raises(IdxFormatError, match="no pixels"):
-            parse_idx(image_payload(2, rows, cols, []), label_payload([0, 1]))
+            parse_idx(image_payload(count, rows, cols, []), label_payload(list(range(count))))
 
     def test_loaded_values_stay_in_unit_interval(self):
         pixels = list(range(256)) * 2
@@ -96,6 +104,46 @@ class TestRoundTrip:
         ds = Dataset(np.zeros((1, 2)), np.array([300]))
         with pytest.raises(ValueError, match="single bytes"):
             dataset_to_idx(ds)
+
+
+PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=60)
+
+
+@st.composite
+def datasets(draw):
+    n, d = draw(st.integers(1, 8)), draw(st.integers(1, 6))
+    images = draw(hnp.arrays(float, (n, d), elements=st.floats(0.0, 1.0)))
+    labels = draw(hnp.arrays(np.int64, n, elements=st.integers(0, 255)))
+    return Dataset(images, labels)
+
+
+class TestIdxProperties:
+    @PROPERTY
+    @given(ds=datasets())
+    def test_round_trip_moves_each_pixel_by_at_most_half_a_step(self, ds):
+        back = parse_idx(*dataset_to_idx(ds))
+        assert back.images.shape == ds.images.shape
+        assert np.max(np.abs(back.images - ds.images)) <= 1.0 / 510.0
+        np.testing.assert_array_equal(back.labels, ds.labels)
+
+    @PROPERTY
+    @given(ds=datasets(), which=st.sampled_from([0, 1]), data=st.data())
+    def test_any_truncation_is_rejected(self, ds, which, data):
+        payloads = list(dataset_to_idx(ds))
+        keep = data.draw(st.integers(0, len(payloads[which]) - 1))
+        payloads[which] = payloads[which][:keep]
+        with pytest.raises(IdxFormatError):
+            parse_idx(*payloads)
+
+    @PROPERTY
+    @given(ds=datasets(), which=st.sampled_from([0, 1]), data=st.data())
+    def test_any_other_magic_is_rejected(self, ds, which, data):
+        expected = (IMAGE_MAGIC, LABEL_MAGIC)[which]
+        magic = data.draw(st.integers(0, 2**32 - 1).filter(lambda m: m != expected))
+        payloads = list(dataset_to_idx(ds))
+        payloads[which] = struct.pack(">I", magic) + payloads[which][4:]
+        with pytest.raises(IdxFormatError, match="magic"):
+            parse_idx(*payloads)
 
 
 class TestDatasetValidation:

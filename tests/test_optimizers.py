@@ -67,21 +67,11 @@ class TestMomentumSchedule:
 
 
 class TestSplitHyperParams:
-    def test_k_schedule(self):
-        hp = opt.SplitHyperParams(h=0.1, k=2.0, k_schedule="exp-decay")
-        assert hp.k_at(0) == 2.0
-        assert hp.k_at(1) == pytest.approx(np.exp(-2.0))
-        assert hp.k_at(4) == pytest.approx(np.exp(-0.5))
-        const = opt.SplitHyperParams(h=0.1, k=2.0)
-        assert const.k_at(17) == 2.0
-
     def test_validation(self):
         with pytest.raises(ValueError):
             opt.SplitHyperParams(h=0.0)
         with pytest.raises(ValueError):
             opt.SplitHyperParams(h=0.1, k=-1.0)
-        with pytest.raises(ValueError):
-            opt.SplitHyperParams(h=0.1, k_schedule="linear")
         for bad in ({"h": NAN}, {"h": 0.1, "k": NAN}):
             with pytest.raises(ValueError, match="must be"):
                 opt.SplitHyperParams(**bad)
