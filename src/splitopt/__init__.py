@@ -15,7 +15,6 @@ from .optimizers import (
     InertialState,
     MomentumSchedule,
     SplitHyperParams,
-    gd_step,
     minibatch_sgd_step,
     momentum_coefficient,
     nesterov_step,

@@ -2,8 +2,10 @@
 
 Adagrad, Adadelta, RMSProp, Adam, and the adaptive splitting optimizer
 (ssa1_ada_step) that combines the first splitting scheme with Adadelta-style
-running averages.  Accumulators are componentwise; all step functions are
-pure and return a new state, or write it into the buffers of out=.
+running averages.  Accumulators are componentwise.  Every rule is
+rule(state, grad_fn, *params, out=None), calls the gradient oracle itself
+(at state.u, or ssa1_ada_step at its own points), and is pure: it returns
+a new state, or writes it into the buffers of out=.
 """
 
 from __future__ import annotations
@@ -62,10 +64,10 @@ class AdaptiveState:
 
     acc_grad_sq holds E[g^2], acc_update_sq holds E[delta^2], mom the Adam
     first moment, v and z the velocity and auxiliary point of the adaptive
-    splitting step (z starts at theta).  Unused fields simply stay zero.
+    splitting step (z starts at u).  Unused fields simply stay zero.
     """
 
-    theta: np.ndarray
+    u: np.ndarray
     acc_grad_sq: np.ndarray
     acc_update_sq: np.ndarray
     mom: np.ndarray
@@ -74,16 +76,16 @@ class AdaptiveState:
     n: int = 0
 
     @classmethod
-    def fresh(cls, theta0: np.ndarray) -> "AdaptiveState":
-        theta0 = np.asarray(theta0, dtype=float)
-        zeros = np.zeros_like(theta0)
+    def fresh(cls, u0: np.ndarray) -> "AdaptiveState":
+        u0 = np.asarray(u0, dtype=float)
+        zeros = np.zeros_like(u0)
         return cls(
-            theta=theta0.copy(),
+            u=u0.copy(),
             acc_grad_sq=zeros.copy(),
             acc_update_sq=zeros.copy(),
             mom=zeros.copy(),
             v=zeros.copy(),
-            z=theta0.copy(),
+            z=u0.copy(),
             n=0,
         )
 
@@ -99,122 +101,122 @@ def _running_average(acc, x, gamma: float, out, scratch) -> None:
 
 def adagrad_step(
     state: AdaptiveState,
-    grad: np.ndarray,
+    grad_fn: GradFn,
     hp: AdaptiveHyperParams,
     *,
     out: Optional[AdaptiveState] = None,
 ) -> AdaptiveState:
-    """Accumulated-squared-gradient step; writes theta and acc_grad_sq.
+    """Accumulated-squared-gradient step; writes u and acc_grad_sq.
 
         G += g^2
-        theta -= h * g / (sqrt(G) + eps)
+        u -= h * g / (sqrt(G) + eps)
     """
-    grad = _checked_grad(grad, state.theta)
-    out = _output(state, out, state.theta, ("theta", "acc_grad_sq"))
-    acc, theta = out.acc_grad_sq, out.theta
+    grad = _checked_grad(grad_fn(state.u), state.u)
+    out = _output(state, out, state.u, ("u", "acc_grad_sq"))
+    acc, u = out.acc_grad_sq, out.u
     np.multiply(grad, grad, out=acc)
     np.add(state.acc_grad_sq, acc, out=acc)
     denom = np.sqrt(acc)
     denom += hp.eps
-    np.multiply(grad, hp.h, out=theta)
-    theta /= denom
-    np.subtract(state.theta, theta, out=theta)
+    np.multiply(grad, hp.h, out=u)
+    u /= denom
+    np.subtract(state.u, u, out=u)
     out.n = state.n + 1
     return out
 
 
 def adadelta_step(
     state: AdaptiveState,
-    grad: np.ndarray,
+    grad_fn: GradFn,
     hp: AdaptiveHyperParams,
     *,
     out: Optional[AdaptiveState] = None,
 ) -> AdaptiveState:
-    """Running-average step with a unitless update ratio; writes theta,
+    """Running-average step with a unitless update ratio; writes u,
     acc_grad_sq and acc_update_sq.
 
         E[g^2] <- gamma E[g^2] + (1-gamma) g^2
         delta   = -(sqrt(E[d^2] + eps) / sqrt(E[g^2] + eps)) * g
         E[d^2] <- gamma E[d^2] + (1-gamma) delta^2
-        theta  += h * delta
+        u      += h * delta
 
     The numerator uses E[d^2] from the previous step; h defaults to 1.0
     in benchmark configurations.
     """
-    grad = _checked_grad(grad, state.theta)
-    out = _output(state, out, state.theta, ("theta", "acc_grad_sq", "acc_update_sq"))
-    acc_g, acc_d, theta = out.acc_grad_sq, out.acc_update_sq, out.theta
-    _running_average(state.acc_grad_sq, grad, hp.gamma, acc_g, theta)
+    grad = _checked_grad(grad_fn(state.u), state.u)
+    out = _output(state, out, state.u, ("u", "acc_grad_sq", "acc_update_sq"))
+    acc_g, acc_d, u = out.acc_grad_sq, out.acc_update_sq, out.u
+    _running_average(state.acc_grad_sq, grad, hp.gamma, acc_g, u)
     np.add(state.acc_update_sq, hp.eps, out=acc_d)
     np.sqrt(acc_d, out=acc_d)
-    np.add(acc_g, hp.eps, out=theta)
-    np.sqrt(theta, out=theta)
-    delta = np.divide(acc_d, theta)
+    np.add(acc_g, hp.eps, out=u)
+    np.sqrt(u, out=u)
+    delta = np.divide(acc_d, u)
     np.negative(delta, out=delta)
     delta *= grad
-    _running_average(state.acc_update_sq, delta, hp.gamma, acc_d, theta)
-    np.multiply(delta, hp.h, out=theta)
-    np.add(state.theta, theta, out=theta)
+    _running_average(state.acc_update_sq, delta, hp.gamma, acc_d, u)
+    np.multiply(delta, hp.h, out=u)
+    np.add(state.u, u, out=u)
     out.n = state.n + 1
     return out
 
 
 def rmsprop_step(
     state: AdaptiveState,
-    grad: np.ndarray,
+    grad_fn: GradFn,
     hp: AdaptiveHyperParams,
     *,
     out: Optional[AdaptiveState] = None,
 ) -> AdaptiveState:
-    """Running-average step with a fixed-rate numerator; writes theta and
+    """Running-average step with a fixed-rate numerator; writes u and
     acc_grad_sq.
 
         E[g^2] <- gamma E[g^2] + (1-gamma) g^2
-        theta  -= h * g / sqrt(E[g^2] + eps)
+        u      -= h * g / sqrt(E[g^2] + eps)
     """
-    grad = _checked_grad(grad, state.theta)
-    out = _output(state, out, state.theta, ("theta", "acc_grad_sq"))
-    acc_g, theta = out.acc_grad_sq, out.theta
-    _running_average(state.acc_grad_sq, grad, hp.gamma, acc_g, theta)
+    grad = _checked_grad(grad_fn(state.u), state.u)
+    out = _output(state, out, state.u, ("u", "acc_grad_sq"))
+    acc_g, u = out.acc_grad_sq, out.u
+    _running_average(state.acc_grad_sq, grad, hp.gamma, acc_g, u)
     denom = np.add(acc_g, hp.eps)
     np.sqrt(denom, out=denom)
-    np.multiply(grad, hp.h, out=theta)
-    theta /= denom
-    np.subtract(state.theta, theta, out=theta)
+    np.multiply(grad, hp.h, out=u)
+    u /= denom
+    np.subtract(state.u, u, out=u)
     out.n = state.n + 1
     return out
 
 
 def adam_step(
     state: AdaptiveState,
-    grad: np.ndarray,
+    grad_fn: GradFn,
     hp: AdaptiveHyperParams,
     *,
     out: Optional[AdaptiveState] = None,
 ) -> AdaptiveState:
-    """Bias-corrected two-moment step; writes theta, mom and acc_grad_sq.
+    """Bias-corrected two-moment step; writes u, mom and acc_grad_sq.
 
         m <- beta1 m + (1-beta1) g        m_hat = m / (1 - beta1^t)
         s <- beta2 s + (1-beta2) g^2      s_hat = s / (1 - beta2^t)
-        theta -= h * m_hat / (sqrt(s_hat) + eps)
+        u -= h * m_hat / (sqrt(s_hat) + eps)
 
     with t = n + 1 so the first correction divides by (1 - beta).
     """
-    grad = _checked_grad(grad, state.theta)
+    grad = _checked_grad(grad_fn(state.u), state.u)
     t = state.n + 1
-    out = _output(state, out, state.theta, ("theta", "mom", "acc_grad_sq"))
-    mom, acc, theta = out.mom, out.acc_grad_sq, out.theta
+    out = _output(state, out, state.u, ("u", "mom", "acc_grad_sq"))
+    mom, acc, u = out.mom, out.acc_grad_sq, out.u
     np.multiply(grad, 1.0 - hp.beta1, out=mom)
-    np.multiply(state.mom, hp.beta1, out=theta)
-    np.add(theta, mom, out=mom)
-    _running_average(state.acc_grad_sq, grad, hp.beta2, acc, theta)
+    np.multiply(state.mom, hp.beta1, out=u)
+    np.add(u, mom, out=mom)
+    _running_average(state.acc_grad_sq, grad, hp.beta2, acc, u)
     denom = np.divide(acc, 1.0 - hp.beta2**t)
     np.sqrt(denom, out=denom)
     denom += hp.eps
-    np.divide(mom, 1.0 - hp.beta1**t, out=theta)
-    theta *= hp.h
-    theta /= denom
-    np.subtract(state.theta, theta, out=theta)
+    np.divide(mom, 1.0 - hp.beta1**t, out=u)
+    u *= hp.h
+    u /= denom
+    np.subtract(state.u, u, out=u)
     out.n = t
     return out
 
@@ -238,50 +240,47 @@ def ssa1_ada_step(
     accumulator before this step (sqrt(eps) initially).  The splitting
     update then runs with h_n in place of h:
 
-        z_next     = theta + h * beta * v
-        v_next     = beta^k * ((1 - h_n*beta) * v - h_n * grad(z_next))
-        theta_next = theta + beta*(1 - h_n*beta)*(z_next - theta)
-                     - h_n^2 * grad(z_next)
+        z_next = u + h * beta * v
+        v_next = beta^k * ((1 - h_n*beta) * v - h_n * grad(z_next))
+        u_next = u + beta*(1 - h_n*beta)*(z_next - u) - h_n^2 * grad(z_next)
 
     variant="as-written" accumulates E[g^2] and E[dz^2] at the carried
     auxiliary point z (two gradient evaluations per step); variant
     "z-first" computes z_next first and uses grad(z_next) everywhere
-    (one evaluation).  Writes theta, acc_grad_sq, acc_update_sq, v and z;
+    (one evaluation).  Writes u, acc_grad_sq, acc_update_sq, v and z;
     mom is carried over.
     """
     if variant not in SSA1_ADA_VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     h, gamma, eps, k = hp.h, hp.gamma, hp.eps, hp.k
     beta = momentum_coefficient(state.n, schedule)
-    out = _output(
-        state, out, state.theta, ("theta", "acc_grad_sq", "acc_update_sq", "v", "z")
-    )
+    out = _output(state, out, state.u, ("u", "acc_grad_sq", "acc_update_sq", "v", "z"))
 
     if variant == "as-written":
-        grad_acc = _checked_grad(grad_fn(state.z), state.theta)
+        grad_acc = _checked_grad(grad_fn(state.z), state.u)
     # grad_upd may be out.z itself, which is not written again
-    grad_upd = _look_ahead(state.theta, state.v, grad_fn, h, beta, out.z)
+    grad_upd = _look_ahead(state.u, state.v, grad_fn, h, beta, out.z)
     if variant == "z-first":
         grad_acc = grad_upd
 
-    theta, acc_g, acc_d, v = out.theta, out.acc_grad_sq, out.acc_update_sq, out.v
-    _running_average(state.acc_grad_sq, grad_acc, gamma, acc_g, theta)
+    u, acc_g, acc_d, v = out.u, out.acc_grad_sq, out.acc_update_sq, out.v
+    _running_average(state.acc_grad_sq, grad_acc, gamma, acc_g, u)
     h_n = np.add(state.acc_update_sq, eps)
     np.sqrt(h_n, out=h_n)
     h_n *= h
-    np.add(acc_g, eps, out=theta)
-    np.sqrt(theta, out=theta)
-    h_n /= theta
-    np.negative(h_n, out=theta)
-    theta *= grad_acc  # dz
-    _running_average(state.acc_update_sq, theta, gamma, acc_d, v)
+    np.add(acc_g, eps, out=u)
+    np.sqrt(u, out=u)
+    h_n /= u
+    np.negative(h_n, out=u)
+    u *= grad_acc  # dz
+    _running_average(state.acc_update_sq, u, gamma, acc_d, v)
 
     # the per-component factors beta*(1 - h_n*beta), then 1 - h_n*beta, are
     # built in v's buffer; the velocity update consumes h_n last
     np.multiply(h_n, beta, out=v)
     np.subtract(1.0, v, out=v)
     v *= beta
-    _split_position(state.theta, out.z, grad_upd, h_n, v, theta, v)
+    _split_position(state.u, out.z, grad_upd, h_n, v, u, v)
     np.multiply(h_n, beta, out=v)
     np.subtract(1.0, v, out=v)
     _split_velocity(state.v, grad_upd, h_n, v, beta**k, v, h_n)

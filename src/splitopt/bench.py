@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -124,30 +123,33 @@ class TimingStats:
 # --- optimizer registry ------------------------------------------------------
 
 # name -> (default lr, {option: default} for each run option its step rule
-# reads).  The learning rates mirror the benchmark protocol: 1.0 for the
+# reads, the rule's module and its name there, and the record that carries
+# h with the k, gamma and eps options, or None when the rule takes h bare).
+# The learning rates mirror the benchmark protocol: 1.0 for the
 # Adadelta-style adaptive pair, 1e-3 elsewhere (1e-2 for heavy ball).
+_RATIO, _SPLIT, _ADA = opt.RATIO_N_OVER_N3, opt.SplitHyperParams, ad.AdaptiveHyperParams
 OPTIMIZERS = {
-    "sgd": (1e-3, {}),
-    "polyak": (1e-2, {"momentum": "0.5"}),
-    "nesterov": (1e-3, {"momentum": "0.5", "nesterov_form": "velocity"}),
-    "ssa1": (1e-3, {"momentum": opt.RATIO_N_OVER_N3, "k": 2.0}),
-    "ssa2": (1e-3, {"momentum": opt.RATIO_N_OVER_N3, "k": 2.0}),
-    "ssa1-const": (1e-3, {"momentum": "0.5", "k": 2.0}),
-    "ssa2-const": (1e-3, {"momentum": "0.5", "k": 2.0}),
-    "adagrad": (1e-3, {"eps": ad.DEFAULT_EPS}),
-    "adadelta": (1.0, {"gamma": 0.9, "eps": ad.ADADELTA_EPS}),
-    "rmsprop": (1e-3, {"gamma": 0.9, "eps": ad.DEFAULT_EPS}),
-    "adam": (1e-3, {"eps": ad.DEFAULT_EPS}),
-    "ssa1-ada": (1.0, {"momentum": opt.RATIO_N_OVER_N3, "k": 2.0, "gamma": 0.9,
-                       "eps": ad.ADADELTA_EPS, "variant": "as-written"}),
+    "sgd": (1e-3, {}, opt, "minibatch_sgd_step", None),
+    "polyak": (1e-2, {"momentum": "0.5"}, opt, "polyak_step", None),
+    "nesterov": (1e-3, {"momentum": "0.5", "nesterov_form": "velocity"}, opt,
+                 "nesterov_step", None),
+    "ssa1": (1e-3, {"momentum": _RATIO, "k": 2.0}, opt, "ssa1_step", _SPLIT),
+    "ssa2": (1e-3, {"momentum": _RATIO, "k": 2.0}, opt, "ssa2_step", _SPLIT),
+    "ssa1-const": (1e-3, {"momentum": "0.5", "k": 2.0}, opt, "ssa1_step", _SPLIT),
+    "ssa2-const": (1e-3, {"momentum": "0.5", "k": 2.0}, opt, "ssa2_step", _SPLIT),
+    "adagrad": (1e-3, {"eps": ad.DEFAULT_EPS}, ad, "adagrad_step", _ADA),
+    "adadelta": (1.0, {"gamma": 0.9, "eps": ad.ADADELTA_EPS}, ad, "adadelta_step", _ADA),
+    "rmsprop": (1e-3, {"gamma": 0.9, "eps": ad.DEFAULT_EPS}, ad, "rmsprop_step", _ADA),
+    "adam": (1e-3, {"eps": ad.DEFAULT_EPS}, ad, "adam_step", _ADA),
+    "ssa1-ada": (1.0, {"momentum": _RATIO, "k": 2.0, "gamma": 0.9, "eps": ad.ADADELTA_EPS,
+                       "variant": "as-written"}, ad, "ssa1_ada_step", _ADA),
 }
 OPTION_FIELDS = ("k", "momentum", "gamma", "eps", "variant", "nesterov_form")
 
 # --momentum schedule kinds; any other text must be a float literal
 MOMENTUM_KINDS = (opt.RATIO_N_OVER_N3, opt.RATIO_NM1_OVER_N2)
 
-GradFn = Callable[[np.ndarray], np.ndarray]
-Stepper = Callable[[GradFn], np.ndarray]
+Stepper = Callable[[opt.GradFn], np.ndarray]
 
 
 def parse_momentum(text: str) -> opt.MomentumSchedule:
@@ -166,50 +168,28 @@ def parse_momentum(text: str) -> opt.MomentumSchedule:
 def make_stepper(config: ExperimentConfig, theta0: np.ndarray) -> Stepper:
     """Stateful closure advancing theta one mini-batch at a time.
 
-    The returned callable takes a gradient oracle for the current batch
-    (evaluable at any point, as the inertial methods require) and returns
-    the updated parameter vector.  That vector is the stepper's own buffer,
-    valid until the next call: the stepper keeps two states and has each
-    step write the next state into the other's buffers (the rules' out=).
-    The step rule is looked up in its module here, when the stepper is
-    built.
+    The returned callable takes a gradient oracle for the current batch,
+    which the rule evaluates where it needs, and returns the updated
+    parameter vector: the stepper's own buffer, valid until the next call,
+    since the stepper keeps two states and has each step write the next
+    into the other's buffers (the rules' out=).  The rule is looked up by
+    name in its module here, when the stepper is built, and called as
+    rule(state, grad_fn, h or record, [schedule], [form or variant]).
     """
-    name, h = config.optimizer, config.resolved_lr
-    schedule = None if config.momentum is None else parse_momentum(config.momentum)
-    init, point = opt.InertialState.at_rest, attrgetter("u")
-    if name == "sgd":
-        rule, point = opt.minibatch_sgd_step, lambda theta: theta
-        init, params = (lambda theta: np.array(theta, dtype=float)), (h,)
-        advance = lambda theta, grad_fn, h, out: rule(theta, grad_fn(theta), h, out=out)
-    elif name == "polyak":
-        rule, coefficient = opt.polyak_step, opt.momentum_coefficient
-        params = (h,)
-        advance = lambda s, grad_fn, h, out: rule(
-            s, grad_fn(s.u), coefficient(s.n, schedule), h, out=out
-        )
-    elif name == "nesterov":
-        advance, params = opt.nesterov_step, (h, schedule, config.nesterov_form)
-    elif name in ("ssa1", "ssa2", "ssa1-const", "ssa2-const"):
-        advance = getattr(opt, name[:4] + "_step")
-        params = (opt.SplitHyperParams(h=h, k=config.k), schedule)
-    else:
-        init, point = ad.AdaptiveState.fresh, attrgetter("theta")
-        hp = ad.AdaptiveHyperParams(
-            h=h,
-            **{key: getattr(config, key) for key in ("gamma", "eps", "k")
-               if getattr(config, key) is not None},
-        )
-        if name == "ssa1-ada":
-            advance, params = ad.ssa1_ada_step, (hp, schedule, config.variant)
-        else:
-            rule, params = getattr(ad, name + "_step"), (hp,)
-            advance = lambda s, grad_fn, hp, out: rule(s, grad_fn(s.theta), hp, out=out)
+    _, options, module, rule, record = OPTIMIZERS[config.optimizer]
+    advance, h = getattr(module, rule), config.resolved_lr
+    hyper = {key: getattr(config, key) for key in ("k", "gamma", "eps") if key in options}
+    params = [h if record is None else record(h=h, **hyper)]
+    if "momentum" in options:
+        params.append(parse_momentum(config.momentum))
+    params += [getattr(config, key) for key in ("nesterov_form", "variant") if key in options]
+    init = ad.AdaptiveState.fresh if module is ad else opt.InertialState.at_rest
     state, spare = init(theta0), init(theta0)
 
-    def step(grad_fn: GradFn) -> np.ndarray:
+    def step(grad_fn: opt.GradFn) -> np.ndarray:
         nonlocal state, spare
         state, spare = advance(state, grad_fn, *params, out=spare), state
-        return point(state)
+        return state.u
 
     return step
 

@@ -1,11 +1,12 @@
 """Minimal multilayer perceptron with backpropagation.
 
 Dense layers with rectifier activations and a log-softmax head, the
-negative-log-likelihood and cross-entropy losses, seeded epoch shuffling,
-and the pixel normalization used by the training pipeline.  Everything is
-plain float64 numpy.  The weights and biases are views of one flat
-parameter vector, and the gradient comes back in the same layout, so the
-model plugs directly into the optimizer step functions.
+negative-log-likelihood loss (taken of the log-softmax, it is the cross
+entropy of the logits), seeded epoch shuffling, and the pixel
+normalization used by the training pipeline.  Everything is plain float64
+numpy.  The weights and biases are views of one flat parameter vector, and
+the gradient comes back in the same layout, so the model plugs directly
+into the optimizer step functions.
 """
 
 from __future__ import annotations
@@ -43,11 +44,6 @@ def nll_loss(log_probs: np.ndarray, targets: np.ndarray) -> float:
         )
     picked = log_probs[np.arange(log_probs.shape[0]), targets]
     return float(-np.mean(picked))
-
-
-def cross_entropy_loss(logits: np.ndarray, targets: np.ndarray) -> float:
-    """nll_loss(log_softmax(logits), targets), computed fused."""
-    return nll_loss(log_softmax(logits), targets)
 
 
 @dataclass

@@ -1,13 +1,13 @@
 """Non-adaptive optimizer step rules.
 
-Plain gradient descent, mini-batch SGD, Polyak's heavy-ball method,
-Nesterov's accelerated gradient in its two-sequence and velocity forms,
-and the two sequential-splitting optimizers (SSA1, SSA2) derived from the
-constant-damping dynamical system  u'' + u' = -grad f(u).
+Mini-batch SGD (gradient descent given the full gradient), Polyak's
+heavy-ball method, Nesterov's accelerated gradient in its two-sequence and
+velocity forms, and the two sequential-splitting optimizers (SSA1, SSA2)
+derived from the constant-damping dynamical system  u'' + u' = -grad f(u).
 
-Every step function is pure: it takes a state value and returns a new one,
-evaluating the supplied gradient oracle exactly once.  Given out=, a step
-writes the new state into out's buffers instead of fresh ones; out must
+Every rule is rule(state, grad_fn, *params, out=None) and pure: it returns
+a new state, calling the gradient oracle itself exactly once.  Given out=,
+it writes the new state into out's buffers instead of fresh ones; out must
 not be, or share arrays with, the input state.  All arithmetic is 64-bit.
 """
 
@@ -96,8 +96,8 @@ class InertialState:
 
     nesterov_step keeps its velocity and two-sequence representations in
     sync: after each of its steps, in either form, h * v = u - u_prev up to
-    rounding.  The other rules do not: polyak_step leaves v as it was, and
-    the splitting steps carry the boosted velocity of their own update.
+    rounding.  The other rules do not: the sgd and polyak steps leave v as
+    it was, and the splitting steps carry the boosted velocity of theirs.
     """
 
     u: np.ndarray
@@ -187,65 +187,57 @@ def _split_position(u, y, grad_y, h, drift, out, scratch):
 _INERTIAL_FIELDS = ("u", "v", "u_prev")
 
 
-def gd_step(u: np.ndarray, grad: np.ndarray, h: float) -> np.ndarray:
-    """One explicit-Euler gradient step u - h * grad, for h > 0."""
-    if not h > 0:
-        raise ValueError(f"step size must be positive, got {h}")
-    return minibatch_sgd_step(u, grad, h)
-
-
 def minibatch_sgd_step(
-    theta: np.ndarray, grad_batch: np.ndarray, h: float, *, out: Optional[np.ndarray] = None
-) -> np.ndarray:
-    """SGD update with the gradient of the loss on the current mini-batch.
+    state: InertialState,
+    grad_fn: GradFn,
+    h: float,
+    *,
+    out: Optional[InertialState] = None,
+) -> InertialState:
+    """SGD step u - h * grad(u); writes u, and v and u_prev are carried over.
 
-    gd_step runs this arithmetic; the contract differs in that grad_batch
-    is a batch gradient rather than the full one, and h = 0 is permitted
-    (a frozen run is a valid experiment).  The result is written into out
-    when given, which must not be theta.
+    With the full gradient as the oracle this is plain gradient descent.
+    h = 0 is permitted (a frozen run is a valid experiment).
     """
-    theta = np.asarray(theta, dtype=float)
-    grad_batch = _checked_grad(grad_batch, theta)
     if not h >= 0:
         raise ValueError(f"step size must be nonnegative, got {h}")
-    if out is None:
-        out = np.empty(theta.shape)
-    elif out is theta:
-        raise ValueError("out must not be the input iterate")
-    np.multiply(grad_batch, h, out=out)
-    np.subtract(theta, out, out=out)
+    grad = _checked_grad(grad_fn(state.u), state.u)
+    out = _output(state, out, state.u, ("u",))
+    np.multiply(grad, h, out=out.u)
+    np.subtract(state.u, out.u, out=out.u)
+    out.n = state.n + 1
     return out
 
 
 def polyak_step(
     state: InertialState,
-    grad_at_u: np.ndarray,
-    alpha_n: float,
-    beta_n: float,
+    grad_fn: GradFn,
+    h: float,
+    schedule: MomentumSchedule,
     *,
     out: Optional[InertialState] = None,
 ) -> InertialState:
-    """Heavy-ball step with extrapolation alpha_n and step size beta_n.
+    """Heavy-ball step with extrapolation alpha_n, the schedule's coefficient.
 
         y = u + alpha_n * (u - u_prev)
-        u_next = y - beta_n * grad_at_u
+        u_next = y - h * grad(u)
 
-    The gradient is evaluated at u, not at y.  The constant-coefficient
-    method is the special case alpha_n = gamma, beta_n = h.  Writes u and
-    u_prev; v is carried over.
+    The gradient is evaluated at u, not at y, and alpha_n must lie in
+    [0, 1).  Writes u and u_prev; v is carried over.
     """
     if state.u_prev is None:
         raise ValueError("polyak_step requires u_prev to be populated")
-    if not 0.0 <= alpha_n < 1.0:
-        raise ValueError(f"alpha must lie in [0, 1), got {alpha_n}")
-    if not beta_n > 0:
-        raise ValueError(f"step size must be positive, got {beta_n}")
-    grad_at_u = _checked_grad(grad_at_u, state.u)
+    alpha = momentum_coefficient(state.n, schedule)
+    if not 0.0 <= alpha < 1.0:
+        raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
+    if not h > 0:
+        raise ValueError(f"step size must be positive, got {h}")
+    grad = _checked_grad(grad_fn(state.u), state.u)
     out = _output(state, out, state.u, ("u", "u_prev"))
     np.subtract(state.u, state.u_prev, out=out.u)
-    out.u *= alpha_n
+    out.u *= alpha
     out.u += state.u
-    np.multiply(grad_at_u, beta_n, out=out.u_prev)
+    np.multiply(grad, h, out=out.u_prev)
     out.u -= out.u_prev
     np.copyto(out.u_prev, state.u)
     out.n = state.n + 1

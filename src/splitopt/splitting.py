@@ -80,7 +80,7 @@ class DampingSchedule:
     offset: float
 
     def __post_init__(self):
-        if self.offset <= 0:
+        if not self.offset > 0:  # negated so that NaN fails it
             raise ValueError(f"offset must be positive, got {self.offset}")
 
 
@@ -167,7 +167,7 @@ def splitting_defect(
     The propagator is the step applied to the identity: e^{Bh} e^{Ah} for
     the default Lie step, e^{Ah/2} e^{Bh} e^{Ah/2} for strang_split_step.
     """
-    if h < 0:
+    if not h >= 0:  # negated so that NaN fails it
         raise ValueError(f"time step must be nonnegative, got {h}")
     return spectral_norm(matrix_exp((sys.A + sys.B) * h) - step(sys, np.eye(len(sys.A)), h))
 
@@ -182,7 +182,7 @@ def integrate_second_order(
     """
     if steps < 1:
         raise ValueError(f"steps must be at least 1, got {steps}")
-    if T <= sys.t0:
+    if not T > sys.t0:  # negated so that NaN fails it
         raise ValueError(f"horizon {T} must exceed start time {sys.t0}")
     u = np.atleast_1d(np.asarray(sys.u0, dtype=float)).copy()
     v = np.atleast_1d(np.asarray(sys.v0, dtype=float)).copy()
@@ -217,7 +217,7 @@ def damping_delta(t: float, schedule: DampingSchedule) -> Tuple[float, float]:
 
     delta(t) = (t - d) / (t + 2d),  delta'(t) = 3d / (t + 2d)^2.
     """
-    if t < 0:
+    if not t >= 0:  # negated so that NaN fails it
         raise ValueError(f"time must be nonnegative, got {t}")
     d = schedule.offset
     value = (t - d) / (t + 2.0 * d)

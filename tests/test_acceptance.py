@@ -255,11 +255,11 @@ def test_criterion_07_convex_convergence():
     h = 0.1
     gaps = {}
 
-    u = np.zeros(10)
-    values = [objective.value(u)]
+    state = opt.InertialState.at_rest(np.zeros(10))
+    values = [objective.value(state.u)]
     for _ in range(5000):
-        u = opt.gd_step(u, objective.gradient(u), 1.0 / objective.L)
-        values.append(objective.value(u))
+        state = opt.minibatch_sgd_step(state, objective.gradient, 1.0 / objective.L)
+        values.append(objective.value(state.u))
     monotone = all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
     gaps["gd"] = values[-1] - f_star
 
@@ -331,41 +331,41 @@ def test_criterion_09_hand_oracle_single_steps():
     # adam: zero state, g=1, h=0.001, eps=1e-8; bias correction cancels
     out = ada.adam_step(
         ada.AdaptiveState.fresh(np.zeros(1)),
-        np.array([1.0]),
+        lambda _: np.array([1.0]),
         ada.AdaptiveHyperParams(h=0.001, eps=1e-8),
     )
-    checks.append(abs(out.theta[0] - (-0.001 / (1.0 + 1e-8))) <= 1e-9)
+    checks.append(abs(out.u[0] - (-0.001 / (1.0 + 1e-8))) <= 1e-9)
 
     # adadelta: zero accumulators, gamma=0.9, eps=1e-6, g=1, h=1
     out = ada.adadelta_step(
         ada.AdaptiveState.fresh(np.zeros(1)),
-        np.array([1.0]),
+        lambda _: np.array([1.0]),
         ada.AdaptiveHyperParams(h=1.0, gamma=0.9, eps=1e-6),
     )
     delta = -math.sqrt(1e-6) / math.sqrt(0.1 + 1e-6)
-    checks.append(abs(out.theta[0] - delta) <= 1e-9)
+    checks.append(abs(out.u[0] - delta) <= 1e-9)
     checks.append(abs(out.acc_update_sq[0] - 0.1 * delta**2) <= 1e-9)
 
     # rmsprop: zero accumulator, gamma=0.9, g=1, h=0.001, eps=1e-8
     out = ada.rmsprop_step(
         ada.AdaptiveState.fresh(np.zeros(1)),
-        np.array([1.0]),
+        lambda _: np.array([1.0]),
         ada.AdaptiveHyperParams(h=0.001, gamma=0.9, eps=1e-8),
     )
-    checks.append(abs(out.theta[0] - (-0.001 / math.sqrt(0.1 + 1e-8))) <= 1e-9)
+    checks.append(abs(out.u[0] - (-0.001 / math.sqrt(0.1 + 1e-8))) <= 1e-9)
 
     # adagrad: two steps with g=1, h=0.1, eps=1e-8
     state = ada.AdaptiveState.fresh(np.zeros(1))
     hp = ada.AdaptiveHyperParams(h=0.1, eps=1e-8)
-    state = ada.adagrad_step(state, np.array([1.0]), hp)
-    checks.append(abs(state.theta[0] - (-0.1 / (1.0 + 1e-8))) <= 1e-9)
-    first_theta = state.theta[0]
-    state = ada.adagrad_step(state, np.array([1.0]), hp)
+    state = ada.adagrad_step(state, lambda _: np.array([1.0]), hp)
+    checks.append(abs(state.u[0] - (-0.1 / (1.0 + 1e-8))) <= 1e-9)
+    first_u = state.u[0]
+    state = ada.adagrad_step(state, lambda _: np.array([1.0]), hp)
     checks.append(
-        abs((state.theta[0] - first_theta) - (-0.1 / (math.sqrt(2.0) + 1e-8))) <= 1e-9
+        abs((state.u[0] - first_u) - (-0.1 / (math.sqrt(2.0) + 1e-8))) <= 1e-9
     )
 
-    # ssa1-ada as written: theta=1, v=0, z=1, n=1, beta=0.25, k=2, h=1,
+    # ssa1-ada as written: u=1, v=0, z=1, n=1, beta=0.25, k=2, h=1,
     # rho=0.9, eps=1e-6, f=u^2/2
     st = ada.AdaptiveState.fresh(np.array([1.0]))
     st.n = 1
@@ -378,7 +378,7 @@ def test_criterion_09_hand_oracle_single_steps():
     )
     h_n = math.sqrt(1e-6) / math.sqrt(0.1 + 1e-6)
     checks.append(abs(out.v[0] - (0.0625 * -h_n)) <= 1e-9)
-    checks.append(abs(out.theta[0] - (1.0 - h_n**2)) <= 1e-9)
+    checks.append(abs(out.u[0] - (1.0 - h_n**2)) <= 1e-9)
 
     elapsed = time.perf_counter() - tic
     report(9, f"hand-oracle single steps ({sum(checks)}/{len(checks)} values)",

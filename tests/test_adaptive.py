@@ -22,35 +22,35 @@ SCH_N3 = opt.MomentumSchedule.ratio_n_over_n_plus_3()
 class TestAdagrad:
     def test_first_step(self):
         hp = AdaptiveHyperParams(h=0.1, eps=1e-8)
-        state = adagrad_step(AdaptiveState.fresh(np.zeros(1)), np.array([1.0]), hp)
-        assert state.theta[0] == pytest.approx(-0.1 / (1.0 + 1e-8), rel=1e-12)
+        state = adagrad_step(AdaptiveState.fresh(np.zeros(1)), lambda _: np.array([1.0]), hp)
+        assert state.u[0] == pytest.approx(-0.1 / (1.0 + 1e-8), rel=1e-12)
 
     def test_zero_gradient(self):
         hp = AdaptiveHyperParams(h=0.1, eps=1e-8)
         start = AdaptiveState.fresh(np.array([2.0, -3.0]))
-        state = adagrad_step(start, np.zeros(2), hp)
-        np.testing.assert_array_equal(state.theta, start.theta)
+        state = adagrad_step(start, lambda _: np.zeros(2), hp)
+        np.testing.assert_array_equal(state.u, start.u)
         np.testing.assert_array_equal(state.acc_grad_sq, np.zeros(2))
 
     def test_second_step_accumulates(self):
         hp = AdaptiveHyperParams(h=0.1, eps=1e-8)
         state = AdaptiveState.fresh(np.zeros(1))
-        state = adagrad_step(state, np.array([1.0]), hp)
-        before = state.theta.copy()
-        state = adagrad_step(state, np.array([1.0]), hp)
+        state = adagrad_step(state, lambda _: np.array([1.0]), hp)
+        before = state.u.copy()
+        state = adagrad_step(state, lambda _: np.array([1.0]), hp)
         assert state.acc_grad_sq[0] == pytest.approx(2.0)
-        delta = state.theta[0] - before[0]
+        delta = state.u[0] - before[0]
         assert delta == pytest.approx(-0.1 / (math.sqrt(2.0) + 1e-8), rel=1e-12)
 
 
 class TestAdadelta:
     def test_first_step_trace(self):
         hp = AdaptiveHyperParams(h=1.0, gamma=0.9, eps=1e-6)
-        state = adadelta_step(AdaptiveState.fresh(np.zeros(1)), np.array([1.0]), hp)
+        state = adadelta_step(AdaptiveState.fresh(np.zeros(1)), lambda _: np.array([1.0]), hp)
         acc_g = 0.1
         delta = -math.sqrt(1e-6) / math.sqrt(acc_g + 1e-6)
         assert state.acc_grad_sq[0] == pytest.approx(acc_g, rel=1e-15)
-        assert state.theta[0] == pytest.approx(delta, rel=1e-12)
+        assert state.u[0] == pytest.approx(delta, rel=1e-12)
         assert state.acc_update_sq[0] == pytest.approx(0.1 * delta**2, rel=1e-12)
 
     def test_zero_gradient_decays_accumulators(self):
@@ -58,8 +58,8 @@ class TestAdadelta:
         state = AdaptiveState.fresh(np.array([1.0]))
         state.acc_grad_sq[:] = 0.4
         state.acc_update_sq[:] = 0.2
-        out = adadelta_step(state, np.zeros(1), hp)
-        assert out.theta[0] == pytest.approx(1.0)
+        out = adadelta_step(state, lambda _: np.zeros(1), hp)
+        assert out.u[0] == pytest.approx(1.0)
         assert out.acc_grad_sq[0] == pytest.approx(0.36)
         assert out.acc_update_sq[0] == pytest.approx(0.18)
 
@@ -70,11 +70,11 @@ class TestAdadelta:
 
         def final_step(c):
             state = AdaptiveState.fresh(np.zeros(1))
-            prev = state.theta.copy()
+            prev = state.u.copy()
             for _ in range(10_000):
-                prev = state.theta.copy()
-                state = adadelta_step(state, np.array([c]), hp)
-            return abs(state.theta[0] - prev[0])
+                prev = state.u.copy()
+                state = adadelta_step(state, lambda _: np.array([c]), hp)
+            return abs(state.u[0] - prev[0])
 
         ratio = final_step(1.0) / final_step(100.0)
         assert ratio == pytest.approx(1.0, rel=1e-2)
@@ -83,23 +83,23 @@ class TestAdadelta:
 class TestRmsprop:
     def test_first_step(self):
         hp = AdaptiveHyperParams(h=0.001, gamma=0.9, eps=1e-8)
-        state = rmsprop_step(AdaptiveState.fresh(np.zeros(1)), np.array([1.0]), hp)
-        assert state.theta[0] == pytest.approx(-0.001 / math.sqrt(0.1 + 1e-8), rel=1e-12)
+        state = rmsprop_step(AdaptiveState.fresh(np.zeros(1)), lambda _: np.array([1.0]), hp)
+        assert state.u[0] == pytest.approx(-0.001 / math.sqrt(0.1 + 1e-8), rel=1e-12)
 
     def test_zero_gradient(self):
         hp = AdaptiveHyperParams(h=0.001)
         start = AdaptiveState.fresh(np.array([5.0]))
-        out = rmsprop_step(start, np.zeros(1), hp)
-        assert out.theta[0] == pytest.approx(5.0)
+        out = rmsprop_step(start, lambda _: np.zeros(1), hp)
+        assert out.u[0] == pytest.approx(5.0)
 
     def test_memoryless_limit(self):
         # gamma -> 0 reduces to -h*g/sqrt(g^2 + eps), about -h*sign(g)
         hp = AdaptiveHyperParams(h=0.01, gamma=1e-12, eps=1e-8)
         g = np.array([3.0, -0.5])
-        out = rmsprop_step(AdaptiveState.fresh(np.zeros(2)), g, hp)
+        out = rmsprop_step(AdaptiveState.fresh(np.zeros(2)), lambda _: g, hp)
         expected = -0.01 * g / np.sqrt(g**2 + 1e-8)
-        np.testing.assert_allclose(out.theta, expected, rtol=1e-9)
-        np.testing.assert_allclose(out.theta, -0.01 * np.sign(g), rtol=1e-6)
+        np.testing.assert_allclose(out.u, expected, rtol=1e-9)
+        np.testing.assert_allclose(out.u, -0.01 * np.sign(g), rtol=1e-6)
 
     def test_matches_adadelta_recursion_with_fixed_numerator(self):
         # same E[g^2] recursion; replacing the adadelta numerator by h
@@ -110,28 +110,28 @@ class TestRmsprop:
         dd_state = AdaptiveState.fresh(np.zeros(4))
         for _ in range(50):
             g = rng.standard_normal(4)
-            theta_before = rms_state.theta.copy()
-            rms_state = rmsprop_step(rms_state, g, hp)
-            dd_state = adadelta_step(dd_state, g, hp)
+            theta_before = rms_state.u.copy()
+            rms_state = rmsprop_step(rms_state, lambda _: g, hp)
+            dd_state = adadelta_step(dd_state, lambda _: g, hp)
             np.testing.assert_allclose(
                 rms_state.acc_grad_sq, dd_state.acc_grad_sq, rtol=0, atol=1e-17
             )
             manual = theta_before - hp.h * g / np.sqrt(dd_state.acc_grad_sq + hp.eps)
-            np.testing.assert_allclose(rms_state.theta, manual, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(rms_state.u, manual, rtol=0, atol=1e-12)
 
 
 class TestAdam:
     def test_first_step(self):
         hp = AdaptiveHyperParams(h=0.001, eps=1e-8)
-        state = adam_step(AdaptiveState.fresh(np.zeros(1)), np.array([1.0]), hp)
+        state = adam_step(AdaptiveState.fresh(np.zeros(1)), lambda _: np.array([1.0]), hp)
         assert state.n == 1
-        assert state.theta[0] == pytest.approx(-0.001 / (1.0 + 1e-8), rel=1e-12)
+        assert state.u[0] == pytest.approx(-0.001 / (1.0 + 1e-8), rel=1e-12)
 
     def test_first_moment_correction_cancels(self):
         for beta1 in (0.5, 0.9, 0.99):
             hp = AdaptiveHyperParams(h=0.001, beta1=beta1)
             g = np.array([0.37])
-            state = adam_step(AdaptiveState.fresh(np.zeros(1)), g, hp)
+            state = adam_step(AdaptiveState.fresh(np.zeros(1)), lambda _: g, hp)
             m_hat = state.mom / (1 - beta1)
             assert m_hat[0] == pytest.approx(g[0], rel=1e-15)
 
@@ -140,14 +140,14 @@ class TestAdam:
         g = np.array([0.3, -1.7, 0.123456789])
         state = AdaptiveState.fresh(np.zeros(3))
         for _ in range(100):
-            state = adam_step(state, g, hp)
+            state = adam_step(state, lambda _: g, hp)
             m_hat = state.mom / (1 - hp.beta1**state.n)
             np.testing.assert_allclose(m_hat, g, rtol=1e-14)
 
     def test_zero_gradient_from_zero_state(self):
         hp = AdaptiveHyperParams(h=0.001)
-        out = adam_step(AdaptiveState.fresh(np.array([4.0])), np.zeros(1), hp)
-        assert out.theta[0] == pytest.approx(4.0)
+        out = adam_step(AdaptiveState.fresh(np.array([4.0])), lambda _: np.zeros(1), hp)
+        assert out.u[0] == pytest.approx(4.0)
 
 
 class TestSsa1Ada:
@@ -163,7 +163,7 @@ class TestSsa1Ada:
         # zero accumulators keep h_n = h * sqrt(eps)/sqrt(eps) = h
         np.testing.assert_allclose(out.v, beta**2 * (1 - 0.5 * beta) * v)
         np.testing.assert_allclose(
-            out.theta, theta + 0.5 * beta**2 * (1 - 0.5 * beta) * v
+            out.u, theta + 0.5 * beta**2 * (1 - 0.5 * beta) * v
         )
 
     def test_hand_trace_as_written(self):
@@ -175,7 +175,7 @@ class TestSsa1Ada:
         h_n = 1.0 * math.sqrt(1e-6) / math.sqrt(acc_g + 1e-6)
         assert out.z[0] == pytest.approx(1.0)
         assert out.v[0] == pytest.approx(0.25**2 * (-h_n), rel=1e-12)
-        assert out.theta[0] == pytest.approx(1.0 - h_n**2, rel=1e-12)
+        assert out.u[0] == pytest.approx(1.0 - h_n**2, rel=1e-12)
         assert out.acc_update_sq[0] == pytest.approx(0.1 * h_n**2, rel=1e-12)
 
     def test_variants_coincide_when_velocity_zero(self):
@@ -186,7 +186,7 @@ class TestSsa1Ada:
             state = AdaptiveState.fresh(np.array([0.7, -0.2]))
             state.n = 3
             outs.append(ssa1_ada_step(state, grad, hp, SCH_N3, variant=variant))
-        np.testing.assert_array_equal(outs[0].theta, outs[1].theta)
+        np.testing.assert_array_equal(outs[0].u, outs[1].u)
         np.testing.assert_array_equal(outs[0].v, outs[1].v)
         np.testing.assert_array_equal(outs[0].z, outs[1].z)
 
@@ -232,7 +232,7 @@ class TestSsa1Ada:
             opt.SplitHyperParams(h=h, k=2.0),
             SCH_N3,
         )
-        assert np.max(np.abs(adaptive.theta - plain.u)) <= 1e-12
+        assert np.max(np.abs(adaptive.u - plain.u)) <= 1e-12
         assert np.max(np.abs(adaptive.v - plain.v)) <= 1e-12
 
 
@@ -241,10 +241,10 @@ class TestStateDiscipline:
         hp = AdaptiveHyperParams(h=0.01, gamma=0.9, eps=1e-8, k=2.0)
         rng = np.random.default_rng(33)
         steps = {
-            "adagrad": lambda s, g: adagrad_step(s, g, hp),
-            "adadelta": lambda s, g: adadelta_step(s, g, hp),
-            "rmsprop": lambda s, g: rmsprop_step(s, g, hp),
-            "adam": lambda s, g: adam_step(s, g, hp),
+            "adagrad": lambda s, g: adagrad_step(s, lambda _: g, hp),
+            "adadelta": lambda s, g: adadelta_step(s, lambda _: g, hp),
+            "rmsprop": lambda s, g: rmsprop_step(s, lambda _: g, hp),
+            "adam": lambda s, g: adam_step(s, lambda _: g, hp),
             "ssa1-ada": lambda s, g: ssa1_ada_step(s, lambda _: g, hp, SCH_N3),
         }
         for name, step in steps.items():
@@ -259,7 +259,7 @@ class TestStateDiscipline:
         state = AdaptiveState.fresh(np.zeros(3))
         for step in (adagrad_step, adadelta_step, rmsprop_step, adam_step):
             with pytest.raises(ValueError, match="dimension mismatch"):
-                step(state, np.zeros(4), hp)
+                step(state, lambda _: np.zeros(4), hp)
         with pytest.raises(ValueError, match="dimension mismatch"):
             ssa1_ada_step(state, lambda _: np.zeros(4), hp, SCH_N3)
 

@@ -30,7 +30,7 @@ from splitopt.cli import _build_parser, _load_config_file, main
 from splitopt.datasets import dataset_to_idx, synth_blobs
 
 TINY = "synth:per_class=40,classes=2,dim=2,sep=6"
-OPTIMIZER_DEFAULT_LR = {name: lr for name, (lr, _) in OPTIMIZERS.items()}
+OPTIMIZER_DEFAULT_LR = {name: row[0] for name, row in OPTIMIZERS.items()}
 
 
 class TestTimingStats:
@@ -189,55 +189,57 @@ def test_steps_allocate_no_state(name):
         assert vectors < 0.5
 
 
+@pytest.mark.parametrize("name", sorted(OPTIMIZERS))
+def test_stepper_looks_its_rule_up_by_name_when_built(monkeypatch, name):
+    # a tracer replaces each step rule by name in its module before a run
+    # starts, so a stepper must call what the module holds when it is built
+    _, _, module, rule, _ = OPTIMIZERS[name]
+    calls, real = [], getattr(module, rule)
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].n)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, rule, counting)
+    stepper = make_stepper(ExperimentConfig(optimizer=name), np.ones(3))
+    for _ in range(3):
+        stepper(lambda t: 2.0 * t)
+    # the config's one check step, then the stepper's three
+    assert calls == [0, 0, 1, 2]
+
+
 HALF = opt.MomentumSchedule.constant(0.5)
 RATIO = opt.MomentumSchedule.ratio_n_over_n_plus_3()
 SPLIT = opt.SplitHyperParams(h=1e-3, k=2.0)
-U, THETA = (lambda s: s.u), (lambda s: s.theta)
-# optimizer -> (initial state, one step, parameter vector of a state): direct
-# calls of each step rule with the defaults the README documents
+REST, FRESH = opt.InertialState.at_rest, ad.AdaptiveState.fresh
+# optimizer -> (initial state, one step): direct calls of each step rule with
+# the defaults the README documents
 DIRECT = {
-    "sgd": (np.copy, lambda s, g: opt.minibatch_sgd_step(s, g(s), 1e-3), lambda s: s),
-    "polyak": (opt.InertialState.at_rest, lambda s, g: opt.polyak_step(s, g(s.u), 0.5, 1e-2), U),
-    "nesterov": (
-        opt.InertialState.at_rest,
-        lambda s, g: opt.nesterov_step(s, g, 1e-3, HALF, form="velocity"),
-        U,
-    ),
-    "ssa1": (opt.InertialState.at_rest, lambda s, g: opt.ssa1_step(s, g, SPLIT, RATIO), U),
-    "ssa2": (opt.InertialState.at_rest, lambda s, g: opt.ssa2_step(s, g, SPLIT, RATIO), U),
-    "ssa1-const": (opt.InertialState.at_rest, lambda s, g: opt.ssa1_step(s, g, SPLIT, HALF), U),
-    "ssa2-const": (opt.InertialState.at_rest, lambda s, g: opt.ssa2_step(s, g, SPLIT, HALF), U),
+    "sgd": (REST, lambda s, g: opt.minibatch_sgd_step(s, g, 1e-3)),
+    "polyak": (REST, lambda s, g: opt.polyak_step(s, g, 1e-2, HALF)),
+    "nesterov": (REST, lambda s, g: opt.nesterov_step(s, g, 1e-3, HALF, form="velocity")),
+    "ssa1": (REST, lambda s, g: opt.ssa1_step(s, g, SPLIT, RATIO)),
+    "ssa2": (REST, lambda s, g: opt.ssa2_step(s, g, SPLIT, RATIO)),
+    "ssa1-const": (REST, lambda s, g: opt.ssa1_step(s, g, SPLIT, HALF)),
+    "ssa2-const": (REST, lambda s, g: opt.ssa2_step(s, g, SPLIT, HALF)),
     "adagrad": (
-        ad.AdaptiveState.fresh,
-        lambda s, g: ad.adagrad_step(s, g(s.theta), ad.AdaptiveHyperParams(h=1e-3, eps=1e-8)),
-        THETA,
+        FRESH, lambda s, g: ad.adagrad_step(s, g, ad.AdaptiveHyperParams(h=1e-3, eps=1e-8))
     ),
     "adadelta": (
-        ad.AdaptiveState.fresh,
-        lambda s, g: ad.adadelta_step(
-            s, g(s.theta), ad.AdaptiveHyperParams(h=1.0, gamma=0.9, eps=1e-6)
-        ),
-        THETA,
+        FRESH,
+        lambda s, g: ad.adadelta_step(s, g, ad.AdaptiveHyperParams(h=1.0, gamma=0.9, eps=1e-6)),
     ),
     "rmsprop": (
-        ad.AdaptiveState.fresh,
-        lambda s, g: ad.rmsprop_step(
-            s, g(s.theta), ad.AdaptiveHyperParams(h=1e-3, gamma=0.9, eps=1e-8)
-        ),
-        THETA,
+        FRESH,
+        lambda s, g: ad.rmsprop_step(s, g, ad.AdaptiveHyperParams(h=1e-3, gamma=0.9, eps=1e-8)),
     ),
-    "adam": (
-        ad.AdaptiveState.fresh,
-        lambda s, g: ad.adam_step(s, g(s.theta), ad.AdaptiveHyperParams(h=1e-3, eps=1e-8)),
-        THETA,
-    ),
+    "adam": (FRESH, lambda s, g: ad.adam_step(s, g, ad.AdaptiveHyperParams(h=1e-3, eps=1e-8))),
     "ssa1-ada": (
-        ad.AdaptiveState.fresh,
+        FRESH,
         lambda s, g: ad.ssa1_ada_step(
             s, g, ad.AdaptiveHyperParams(h=1.0, gamma=0.9, eps=1e-6, k=2.0), RATIO,
             variant="as-written",
         ),
-        THETA,
     ),
 }
 
@@ -246,12 +248,12 @@ def test_table_defaults_match_direct_rule_calls():
     assert set(DIRECT) == set(OPTIMIZERS)
     grad = lambda t: np.array([1.0, 4.0, 9.0]) * t - 1.0
     theta0 = np.array([1.0, -2.0, 0.5])
-    for name, (init, advance, params) in DIRECT.items():
+    for name, (init, advance) in DIRECT.items():
         stepper = make_stepper(ExperimentConfig(optimizer=name), theta0)
         state = init(theta0)
         for _ in range(5):
             state = advance(state, grad)
-            assert stepper(grad).tobytes() == params(state).tobytes(), name
+            assert stepper(grad).tobytes() == state.u.tobytes(), name
 
 
 class TestPolyakSchedule:

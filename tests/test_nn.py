@@ -4,11 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from splitopt.nn import (
     Batch,
     MlpModel,
-    cross_entropy_loss,
     epoch_batches,
     forward_backward,
     log_softmax,
@@ -62,21 +63,15 @@ class TestLosses:
         with pytest.raises(ValueError, match="target out of range"):
             nll_loss(np.zeros((1, 3)), np.array([3]))
 
+    # the cross entropy of logits is nll_loss of their log_softmax
+
     def test_cross_entropy_closed_form(self):
-        assert cross_entropy_loss(np.array([[0.0, 0.0]]), np.array([0])) == (
+        assert nll_loss(log_softmax(np.array([[0.0, 0.0]])), np.array([0])) == (
             pytest.approx(math.log(2), rel=1e-12)
         )
 
-    def test_cross_entropy_is_the_composition(self):
-        rng = np.random.default_rng(2)
-        logits = rng.standard_normal((10, 4)) * 5
-        targets = rng.integers(0, 4, size=10)
-        fused = cross_entropy_loss(logits, targets)
-        composed = nll_loss(log_softmax(logits), targets)
-        assert fused == pytest.approx(composed, abs=1e-12)
-
     def test_saturated_margin(self):
-        assert cross_entropy_loss(np.array([[50.0, -50.0]]), np.array([0])) == (
+        assert nll_loss(log_softmax(np.array([[50.0, -50.0]])), np.array([0])) == (
             pytest.approx(0.0, abs=1e-12)
         )
 
@@ -85,7 +80,6 @@ class TestLosses:
         for _ in range(50):
             logits = rng.standard_normal((6, 5)) * 8
             targets = rng.integers(0, 5, size=6)
-            assert cross_entropy_loss(logits, targets) >= 0.0
             assert nll_loss(log_softmax(logits), targets) >= 0.0
 
 
@@ -137,9 +131,10 @@ class TestMlpModel:
 def reference_forward_backward(model, batch, loss):
     """The gradient as first composed: a separate loss pass, the exp of a
     second log-softmax, and per-layer arrays concatenated at the end.
-    loss="nll" takes the value as nll_loss of the log-softmax, loss="xent"
-    as cross_entropy_loss of the logits; forward_backward's one loss must
-    equal both."""
+    loss="nll" takes the value as nll_loss of this function's own
+    log-softmax, loss="xent" as nll_loss of the library's log_softmax, the
+    cross entropy of the logits; forward_backward's one loss must equal
+    both."""
 
     def ref_log_softmax(x):
         shifted = x - np.max(x, axis=-1, keepdims=True)
@@ -149,7 +144,7 @@ def reference_forward_backward(model, batch, loss):
     if loss == "nll":
         value = nll_loss(ref_log_softmax(logits), batch.targets)
     else:
-        value = cross_entropy_loss(logits, batch.targets)
+        value = nll_loss(log_softmax(logits), batch.targets)
     m = len(batch)
     delta = np.exp(ref_log_softmax(logits))
     delta[np.arange(m), batch.targets] -= 1.0
@@ -248,6 +243,17 @@ class TestEpochBatches:
     def test_oversized_batch(self):
         batches = epoch_batches(3, 10, seed=4)
         assert len(batches) == 1 and len(batches[0]) == 3
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=60)
+    @given(n=st.integers(1, 500), batch_size=st.integers(1, 600),
+           seed=st.integers(0, 2**32 - 1))
+    def test_partition_of_range(self, n, batch_size, seed):
+        # the batches concatenate to a permutation of range(n), and every
+        # batch but the last holds exactly batch_size rows
+        batches = epoch_batches(n, batch_size, seed)
+        assert sorted(np.concatenate(batches).tolist()) == list(range(n))
+        assert all(len(b) == batch_size for b in batches[:-1])
+        assert 1 <= len(batches[-1]) <= batch_size
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -10,7 +10,7 @@ from splitopt.objectives import (
     rosenbrock,
     rosenbrock_objective,
 )
-from splitopt.optimizers import gd_step
+from splitopt.optimizers import InertialState, minibatch_sgd_step
 
 
 def relative_error(got, want):
@@ -133,10 +133,10 @@ class TestDescentSanity:
         basis, _ = np.linalg.qr(rng.standard_normal((6, 6)))
         Q = basis @ np.diag(np.linspace(0.5, 8.0, 6)) @ basis.T
         obj = quadratic((Q + Q.T) / 2, rng.standard_normal(6))
-        u = rng.standard_normal(6) * 3
-        previous = obj.value(u)
+        state = InertialState.at_rest(rng.standard_normal(6) * 3)
+        previous = obj.value(state.u)
         for _ in range(1000):
-            u = gd_step(u, obj.gradient(u), 1.0 / obj.L)
-            current = obj.value(u)
+            state = minibatch_sgd_step(state, obj.gradient, 1.0 / obj.L)
+            current = obj.value(state.u)
             assert current <= previous + 1e-12
             previous = current

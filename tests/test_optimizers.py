@@ -25,6 +25,7 @@ def make_quadratic(dim, lmin, lmax, seed):
 
 SCH_N3 = opt.MomentumSchedule.ratio_n_over_n_plus_3()
 SCH_NM1 = opt.MomentumSchedule.ratio_n_minus_1_over_n_plus_2()
+HALF = opt.MomentumSchedule.constant(0.5)
 NAN = float("nan")
 
 
@@ -77,49 +78,50 @@ class TestSplitHyperParams:
                 opt.SplitHyperParams(**bad)
 
 
+def sgd(u, g, h):
+    """The iterate after one minibatch_sgd_step from rest at u, with the
+    constant gradient g as the oracle."""
+    return opt.minibatch_sgd_step(opt.InertialState.at_rest(u), lambda _: g, h).u
+
+
 class TestGdAndSgd:
     def test_examples(self):
-        assert opt.gd_step(np.array([1.0]), np.array([1.0]), 0.1) == pytest.approx(0.9)
+        assert sgd(np.array([1.0]), np.array([1.0]), 0.1) == pytest.approx(0.9)
         u = np.array([3.0, -1.0])
-        assert np.array_equal(opt.gd_step(u, np.zeros(2), 0.5), u)
+        assert np.array_equal(sgd(u, np.zeros(2), 0.5), u)
         np.testing.assert_allclose(
-            opt.gd_step(np.array([2.0, -2.0]), np.array([1.0, -1.0]), 0.5),
+            sgd(np.array([2.0, -2.0]), np.array([1.0, -1.0]), 0.5),
             [1.5, -1.5],
         )
 
     def test_sgd(self):
-        got = opt.minibatch_sgd_step(np.array([0.5]), np.array([1.0]), 0.01)
+        got = sgd(np.array([0.5]), np.array([1.0]), 0.01)
         assert got == pytest.approx(0.49)
         theta = np.array([1.0, 2.0])
-        assert np.array_equal(opt.minibatch_sgd_step(theta, np.zeros(2), 0.1), theta)
-        # zero step size freezes the parameters (allowed here, not in gd_step)
-        assert np.array_equal(opt.minibatch_sgd_step(theta, np.ones(2), 0.0), theta)
-
-    def test_full_batch_coincides_with_gd(self):
-        u = np.array([1.0, -2.0, 0.5])
-        g = np.array([0.3, 0.1, -0.8])
-        a = opt.gd_step(u, g, 0.05)
-        b = opt.minibatch_sgd_step(u, g, 0.05)
-        assert np.array_equal(a, b)
+        assert np.array_equal(sgd(theta, np.zeros(2), 0.1), theta)
+        # zero step size freezes the parameters (a frozen run is allowed)
+        assert np.array_equal(sgd(theta, np.ones(2), 0.0), theta)
+        # only u is written; v and u_prev are carried over by reference
+        state = opt.InertialState.at_rest(theta, n=4)
+        out = opt.minibatch_sgd_step(state, lambda _: np.ones(2), 0.1)
+        assert out.v is state.v and out.u_prev is state.u_prev and out.n == 5
 
     def test_errors(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
-            opt.gd_step(np.zeros(2), np.zeros(3), 0.1)
+            sgd(np.zeros(2), np.zeros(3), 0.1)
         with pytest.raises(ValueError):
-            opt.gd_step(np.zeros(2), np.zeros(2), 0.0)
-        with pytest.raises(ValueError):
-            opt.minibatch_sgd_step(np.zeros(2), np.zeros(2), -0.1)
-        with pytest.raises(ValueError, match="must be positive"):
-            opt.gd_step(np.zeros(2), np.zeros(2), NAN)
+            sgd(np.zeros(2), np.zeros(2), -0.1)
         with pytest.raises(ValueError, match="must be nonnegative"):
-            opt.minibatch_sgd_step(np.zeros(2), np.zeros(2), NAN)
+            sgd(np.zeros(2), np.zeros(2), NAN)
 
 
 class TestPolyak:
     def test_reduces_to_gd_when_alpha_zero(self):
         state = opt.InertialState.at_rest(np.array([1.0]))
         state.u_prev = np.array([0.3])  # irrelevant at alpha = 0
-        out = opt.polyak_step(state, np.array([1.0]), 0.0, 0.1)
+        out = opt.polyak_step(
+            state, lambda _: np.array([1.0]), 0.1, opt.MomentumSchedule.constant(0.0)
+        )
         assert out.u == pytest.approx(0.9)
         assert out.n == 1
 
@@ -128,7 +130,7 @@ class TestPolyak:
         state = opt.InertialState(
             u=np.array([1.0]), v=np.zeros(1), n=0, u_prev=np.array([0.5])
         )
-        out = opt.polyak_step(state, np.array([1.0]), 0.5, 0.1)
+        out = opt.polyak_step(state, lambda _: np.array([1.0]), 0.1, HALF)
         # y = 1 + 0.5*(1 - 0.5) = 1.25; u' = 1.25 - 0.1
         assert out.u == pytest.approx(1.15)
         assert out.u_prev == pytest.approx(1.0)
@@ -137,19 +139,19 @@ class TestPolyak:
         u0 = np.array([2.0, -1.0])
         state = opt.InertialState.at_rest(u0)
         g = np.array([0.5, 0.5])
-        out = opt.polyak_step(state, g, 0.7, 0.2)
-        np.testing.assert_array_equal(out.u, opt.gd_step(u0, g, 0.2))
+        out = opt.polyak_step(state, lambda _: g, 0.2, opt.MomentumSchedule.constant(0.7))
+        np.testing.assert_array_equal(out.u, sgd(u0, g, 0.2))
 
     def test_requires_u_prev(self):
         state = opt.InertialState(u=np.zeros(2), v=np.zeros(2), n=0, u_prev=None)
         with pytest.raises(ValueError, match="u_prev"):
-            opt.polyak_step(state, np.zeros(2), 0.5, 0.1)
+            opt.polyak_step(state, lambda _: np.zeros(2), 0.1, HALF)
 
-    @pytest.mark.parametrize("beta_n", [0.0, NAN])
-    def test_step_size_must_be_positive(self, beta_n):
+    @pytest.mark.parametrize("h", [0.0, NAN])
+    def test_step_size_must_be_positive(self, h):
         state = opt.InertialState.at_rest(np.zeros(2))
         with pytest.raises(ValueError, match="step size must be positive"):
-            opt.polyak_step(state, np.zeros(2), 0.5, beta_n)
+            opt.polyak_step(state, lambda _: np.zeros(2), h, HALF)
 
 
 class TestNesterov:
@@ -485,12 +487,12 @@ class TestPinnedSplittingFormulas:
         inertial, grad_fn, _, schedule = case
         dim = inertial.u.shape
         state = ad.AdaptiveState(
-            theta=inertial.u, acc_grad_sq=data.draw(vectors(dim, 0.0, 10.0)),
+            u=inertial.u, acc_grad_sq=data.draw(vectors(dim, 0.0, 10.0)),
             acc_update_sq=data.draw(vectors(dim, 0.0, 10.0)), mom=np.zeros(dim),
             v=inertial.v, z=inertial.u_prev, n=inertial.n,
         )
         beta = opt.momentum_coefficient(state.n, schedule)
-        z_next = state.theta + h * beta * state.v
+        z_next = state.u + h * beta * state.v
         if variant == "as-written":
             grad_acc = np.asarray(grad_fn(state.z), dtype=float)
             grad_upd = np.asarray(grad_fn(z_next), dtype=float)
@@ -504,15 +506,15 @@ class TestPinnedSplittingFormulas:
         dz = -h_n * grad_acc
         acc_d = gamma * state.acc_update_sq + (1.0 - gamma) * dz**2
         v_next = beta**k * ((1.0 - h_n * beta) * state.v - h_n * grad_upd)
-        theta_next = (
-            state.theta
-            + beta * (1.0 - h_n * beta) * (z_next - state.theta)
+        u_next = (
+            state.u
+            + beta * (1.0 - h_n * beta) * (z_next - state.u)
             - h_n**2 * grad_upd
         )
 
         hp = ad.AdaptiveHyperParams(h=h, gamma=gamma, eps=eps, k=k)
         out = ad.ssa1_ada_step(state, grad_fn, hp, schedule, variant)
-        for got, want in [(out.theta, theta_next), (out.v, v_next), (out.z, z_next),
+        for got, want in [(out.u, u_next), (out.v, v_next), (out.z, z_next),
                           (out.acc_grad_sq, acc_g), (out.acc_update_sq, acc_d)]:
             assert same_bytes(got, want)
         assert out.n == state.n + 1
@@ -548,10 +550,8 @@ def rule_steps(h, schedule, k):
     split = opt.SplitHyperParams(h=h, k=k)
     hp = ad.AdaptiveHyperParams(h=h, k=k)
     steps = {
-        "sgd": lambda s, g, **o: opt.minibatch_sgd_step(s, g(s), h, **o),
-        "polyak": lambda s, g, **o: opt.polyak_step(
-            s, g(s.u), opt.momentum_coefficient(s.n, SCH_N3), h, **o
-        ),
+        "sgd": lambda s, g, **o: opt.minibatch_sgd_step(s, g, h, **o),
+        "polyak": lambda s, g, **o: opt.polyak_step(s, g, h, SCH_N3, **o),
         "ssa1": lambda s, g, **o: opt.ssa1_step(s, g, split, schedule, **o),
         "ssa2": lambda s, g, **o: opt.ssa2_step(s, g, split, schedule, **o),
     }
@@ -561,7 +561,7 @@ def rule_steps(h, schedule, k):
         )
     for name in ("adagrad", "adadelta", "rmsprop", "adam"):
         rule = getattr(ad, name + "_step")
-        steps[name] = lambda s, g, rule=rule, **o: rule(s, g(s.theta), hp, **o)
+        steps[name] = lambda s, g, rule=rule, **o: rule(s, g, hp, **o)
     for variant in ad.SSA1_ADA_VARIANTS:
         steps[f"ssa1-ada-{variant}"] = (
             lambda s, g, variant=variant, **o: ad.ssa1_ada_step(s, g, hp, schedule, variant, **o)
@@ -574,11 +574,9 @@ RULE_NAMES = sorted(rule_steps(0.1, SCH_N3, 2.0))
 
 def draw_state(data, name, dim):
     n = data.draw(st.integers(0, 50))
-    if name == "sgd":
-        return data.draw(vectors(dim))
     if name in ("adagrad", "adadelta", "rmsprop", "adam") or name.startswith("ssa1-ada"):
         return ad.AdaptiveState(
-            theta=data.draw(vectors(dim)), acc_grad_sq=data.draw(vectors(dim, 0.0, 10.0)),
+            u=data.draw(vectors(dim)), acc_grad_sq=data.draw(vectors(dim, 0.0, 10.0)),
             acc_update_sq=data.draw(vectors(dim, 0.0, 10.0)), mom=data.draw(vectors(dim)),
             v=data.draw(vectors(dim)), z=data.draw(vectors(dim)), n=n,
         )
@@ -588,9 +586,7 @@ def draw_state(data, name, dim):
 
 
 def snapshot(state):
-    """Every field of a state, arrays as bytes; an iterate array as bytes."""
-    if isinstance(state, np.ndarray):
-        return state.tobytes()
+    """Every field of a state, arrays as bytes."""
     return {name: value.tobytes() if isinstance(value, np.ndarray) else value
             for name, value in vars(state).items()}
 
@@ -598,8 +594,6 @@ def snapshot(state):
 def poisoned(state):
     """A state of the same layout whose arrays hold NaN, so that an element
     a step leaves unwritten shows."""
-    if isinstance(state, np.ndarray):
-        return np.full_like(state, np.nan)
     return replace(state, **{name: np.full_like(value, np.nan)
                              for name, value in vars(state).items()
                              if isinstance(value, np.ndarray)})

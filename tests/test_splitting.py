@@ -150,6 +150,12 @@ class TestLieSplit:
 
 
 class TestSplittingDefect:
+    @pytest.mark.parametrize("h", [-0.1, float("nan")])
+    def test_rejects_negative_or_nan_step(self, h):
+        sys_ = LinearSplitSystem(NILPOTENT_A, NILPOTENT_B)
+        with pytest.raises(ValueError, match="time step must be nonnegative"):
+            splitting_defect(sys_, h)
+
     def test_commuting_pair_has_no_defect(self):
         sys_ = LinearSplitSystem(np.diag([1.0, 2.0]), np.diag([-0.5, 0.25]))
         for h in (0.05, 0.1, 0.5, 1.0):
@@ -251,8 +257,31 @@ class TestIntegrateSecondOrder:
         with pytest.raises(ValueError):
             integrate_second_order(sys_, 0.5, 10)
 
+    @pytest.mark.parametrize("T", [1.0, float("nan")])
+    def test_horizon_must_exceed_start(self, T):
+        # a NaN horizon is a usage error, not a diverged integration
+        sys_ = SecondOrderSystem(
+            damping=lambda t: 0.0, grad=lambda u: u, u0=np.array([1.0]), v0=np.array([0.0]),
+            t0=1.0,
+        )
+        with pytest.raises(ValueError, match="must exceed start time"):
+            integrate_second_order(sys_, T, 10)
+
 
 class TestDamping:
+    @pytest.mark.parametrize("offset", [-1.0, float("nan")])
+    def test_offset_must_be_positive(self, offset):
+        with pytest.raises(ValueError, match="offset must be positive"):
+            DampingSchedule(offset=offset)
+
+    @pytest.mark.parametrize("t", [-1.0, float("nan")])
+    def test_time_must_be_nonnegative(self, t):
+        schedule = DampingSchedule(offset=1.0)
+        with pytest.raises(ValueError, match="time must be nonnegative"):
+            damping_delta(t, schedule)
+        with pytest.raises(ValueError, match="time must be nonnegative"):
+            ssa1_damping_coefficient(t, schedule)
+
     def test_zero_at_offset(self):
         value, _ = damping_delta(1.0, DampingSchedule(offset=1.0))
         assert value == 0.0
