@@ -18,7 +18,7 @@ import numpy as np
 
 from . import adaptive as ad
 from . import optimizers as opt
-from .datasets import Dataset, load_idx, synth_blobs
+from .datasets import Dataset, IdxFormatError, load_idx, synth_blobs
 from .nn import Batch, MlpModel, epoch_batches, forward_backward, nll_loss, normalize
 from .splitting import LinearSplitSystem, lie_split_step, matrix_exp, splitting_defect, strang_split_step
 
@@ -202,7 +202,7 @@ def load_dataset_spec(spec: str, seed: int) -> Tuple[Dataset, Dataset]:
 
     synth:per_class=500,classes=2,dim=2,sep=6   seeded blobs; the test
         split is an independent draw (one fifth the size, derived seed)
-    idx:train_images,train_labels,test_images,test_labels   four paths
+    idx:train_images,train_labels,test_images,test_labels   four paths, one image size
     """
     if spec.startswith("synth:") or spec == "synth":
         params = {"per_class": 500, "classes": 2, "dim": 2, "sep": 6.0}
@@ -230,7 +230,11 @@ def load_dataset_spec(spec: str, seed: int) -> Tuple[Dataset, Dataset]:
                 "idx spec needs 4 comma-separated paths "
                 "(train images, train labels, test images, test labels)"
             )
-        return load_idx(paths[0], paths[1]), load_idx(paths[2], paths[3])
+        train, test = load_idx(paths[0], paths[1]), load_idx(paths[2], paths[3])
+        widths = train.images.shape[1], test.images.shape[1]
+        if widths[0] != widths[1]:
+            raise IdxFormatError(f"train images have {widths[0]} pixels, test images {widths[1]}")
+        return train, test
     raise ValueError(f"unknown dataset spec {spec!r}")
 
 

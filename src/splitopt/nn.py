@@ -26,10 +26,12 @@ def normalize(x: np.ndarray) -> np.ndarray:
 
 
 def log_softmax(x: np.ndarray) -> np.ndarray:
-    """Log-probabilities along the last axis, stabilized by max subtraction."""
+    """Log-probabilities along the last axis, stabilized by max subtraction;
+    the reductions are the ufuncs that .max and .sum call."""
     x = np.asarray(x, dtype=float)
-    shifted = x - x.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    shifted = x - np.maximum.reduce(x, axis=-1, keepdims=True)
+    shifted -= np.log(np.add.reduce(np.exp(shifted), axis=-1, keepdims=True))
+    return shifted
 
 
 def nll_loss(log_probs: np.ndarray, targets: np.ndarray) -> float:
@@ -54,14 +56,16 @@ class Batch:
     targets: np.ndarray
 
     def __post_init__(self):
-        self.inputs = np.atleast_2d(np.asarray(self.inputs, dtype=float))
-        self.targets = np.atleast_1d(np.asarray(self.targets, dtype=np.int64))
+        inputs = np.asarray(self.inputs, dtype=float)
+        self.inputs = inputs if inputs.ndim > 1 else np.atleast_2d(inputs)
+        targets = np.asarray(self.targets, dtype=np.int64)
+        self.targets = targets if targets.ndim > 0 else np.atleast_1d(targets)
         if self.inputs.shape[0] != self.targets.shape[0]:
             raise ValueError(
                 f"{self.inputs.shape[0]} input rows vs "
                 f"{self.targets.shape[0]} targets"
             )
-        if self.targets.size and self.targets.min() < 0:
+        if self.targets.size and np.minimum.reduce(self.targets) < 0:
             raise ValueError("class indices must be nonnegative")
 
     def __len__(self) -> int:
@@ -144,12 +148,14 @@ class MlpModel:
         masks = []
         h = X
         for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            pre = h @ w + b
+            pre = h @ w
+            pre += b
             mask = pre > 0  # rectifier derivative taken as 0 at 0
             h = np.where(mask, pre, 0.0)
             activations.append(h)
             masks.append(mask)
-        logits = h @ self.weights[-1] + self.biases[-1]
+        logits = h @ self.weights[-1]
+        logits += self.biases[-1]
         return logits, activations, masks
 
     def forward(self, X: np.ndarray) -> np.ndarray:
@@ -163,21 +169,25 @@ def forward_backward(model: MlpModel, batch: Batch) -> Tuple[float, np.ndarray]:
 
     The loss is the negative log likelihood of the log-softmax output,
     which is also the cross entropy of the raw logits; it and the gradient
-    come from one log-softmax.  Batch has already checked the row count
-    and the nonnegative targets.
+    come from one log-softmax.  Batch checks the row count and the
+    nonnegative targets, _forward_trace the input width, and this function
+    the empty batch; a target at or above the class count fails the pick
+    of the target log-probabilities, whose IndexError becomes a ValueError.
     """
     m = len(batch)
     if m == 0:
         raise ValueError("batch must be nonempty")
     logits, activations, masks = model._forward_trace(batch.inputs)
     targets = batch.targets
-    if targets.max() >= logits.shape[1]:
-        raise ValueError("target out of range for the model's class count")
     log_probs = log_softmax(logits)
     rows = np.arange(m)
-    value = float(-log_probs[rows, targets].mean())
+    try:
+        picked = log_probs[rows, targets]
+    except IndexError:
+        raise ValueError("target out of range for the model's class count") from None
+    value = float(-(np.add.reduce(picked) / m))  # the arithmetic of -picked.mean()
 
-    delta = np.exp(log_probs)
+    delta = np.exp(log_probs, out=log_probs)
     delta[rows, targets] -= 1.0
     delta /= m
 
@@ -185,9 +195,10 @@ def forward_backward(model: MlpModel, batch: Batch) -> Tuple[float, np.ndarray]:
     grads_w, grads_b = _layer_views(grad, model._shapes)
     for layer in range(len(model.weights) - 1, -1, -1):
         np.matmul(activations[layer].T, delta, out=grads_w[layer])
-        delta.sum(axis=0, out=grads_b[layer])
+        np.add.reduce(delta, axis=0, out=grads_b[layer])
         if layer > 0:
-            delta = (delta @ model.weights[layer].T) * masks[layer - 1]
+            delta = delta @ model.weights[layer].T
+            delta *= masks[layer - 1]
     return value, grad
 
 

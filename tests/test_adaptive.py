@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import splitopt.optimizers as opt
 from splitopt.adaptive import (
@@ -234,6 +237,57 @@ class TestSsa1Ada:
         )
         assert np.max(np.abs(adaptive.u - plain.u)) <= 1e-12
         assert np.max(np.abs(adaptive.v - plain.v)) <= 1e-12
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=300)
+    @given(
+        size=st.integers(1, 6), data=st.data(), n=st.integers(0, 1000),
+        h=st.floats(1e-4, 1.0), gamma=st.floats(0.01, 0.99),
+        eps=st.floats(1e-10, 1e-2), k=st.floats(0.0, 4.0),
+    )
+    def test_z_first_is_ssa1_when_rms_ratio_is_one(self, size, data, n, h, gamma, eps, k):
+        # Bounded states: 0 or a magnitude in [1e-6, 10], so nothing underflows.
+        bounded = st.one_of(st.just(0.0), st.floats(1e-6, 10.0), st.floats(-10.0, -1e-6))
+        u, v, slope, shift = (data.draw(hnp.arrays(np.float64, size, elements=bounded))
+                              for _ in range(4))
+        acc_g = data.draw(hnp.arrays(np.float64, size, elements=st.floats(0.0, 10.0)))
+        grad = lambda x: slope * x - shift
+        beta = opt.momentum_coefficient(n, SCH_N3)
+        z = v * (h * beta)  # the look-ahead point as _look_ahead forms it
+        z += u
+        g = grad(z)
+        # E[dz^2]_prev is the E[g^2] this step computes, built in
+        # _running_average's own order, so both RMS values are one float s
+        acc_d = g * g
+        acc_d *= 1.0 - gamma
+        acc_d += acc_g * gamma
+        s = np.sqrt(acc_d + eps)
+        h_n = s * h / s
+
+        state = AdaptiveState.fresh(u)
+        state.v, state.n, state.acc_grad_sq, state.acc_update_sq = v.copy(), n, acc_g, acc_d
+        hp = AdaptiveHyperParams(h=h, gamma=gamma, eps=eps, k=k)
+        adaptive = ssa1_ada_step(state, grad, hp, SCH_N3, variant="z-first")
+        plain = opt.ssa1_step(opt.InertialState(u=u.copy(), v=v.copy(), n=n), grad,
+                              opt.SplitHyperParams(h=h, k=k), SCH_N3)
+        assert adaptive.acc_grad_sq.tobytes() == acc_d.tobytes()
+
+        # Where h_n == h, the two rules run the same operations on the same
+        # floats.
+        same = h_n == h
+        assert adaptive.u[same].tobytes() == plain.u[same].tobytes()
+        assert adaptive.v[same].tobytes() == plain.v[same].tobytes()
+        # Elsewhere the one remaining rounding, h_n = fl(fl(s*h)/s), leaves
+        # |h_n - h| <= 2**-52 * h.  With h <= 1 and 0 <= beta < 1, that moves
+        # the exact update by at most 2**-52 * h * (beta^2 |z-u| + 2h |g|) in
+        # u and 2**-52 * h * beta^k (beta |v| + |g|) in v, and each rule's own
+        # roundings stay within 2**-53 * (5 beta |z-u| + 2|u| + 3 h^2 |g|) and
+        # 2**-53 * beta^k * (5|v| + 3h |g|).  Summed over both rules that is
+        # under 16 units of 2**-53 of each term's magnitude:
+        t = np.abs(z - u)
+        assert np.all(np.abs(adaptive.u - plain.u)
+                      <= 2.0**-49 * (np.abs(u) + beta * t + h * h * np.abs(g)))
+        assert np.all(np.abs(adaptive.v - plain.v)
+                      <= 2.0**-49 * beta**k * (np.abs(v) + h * np.abs(g)))
 
 
 class TestStateDiscipline:

@@ -502,6 +502,31 @@ class TestCli:
             assert main(["run", "--optimizer", "sgd", "--epochs", "1", "--dataset", spec]) == 4
             assert "no pixels" in capsys.readouterr().err
 
+    def test_idx_pair_of_different_image_sizes_exits_4_before_training(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # 28x28 train images against 20x20 test images
+        paths = []
+        for name, side in (("train", 28), ("test", 20)):
+            images, labels = tmp_path / f"{name}-images", tmp_path / f"{name}-labels"
+            images.write_bytes(
+                struct.pack(">IIII", 0x00000803, 4, side, side) + bytes(4 * side * side)
+            )
+            labels.write_bytes(struct.pack(">II", 0x00000801, 4) + bytes([0, 1, 0, 1]))
+            paths += [str(images), str(labels)]
+
+        def no_model(*args, **kwargs):
+            raise AssertionError("a model was built for a mismatched pair")
+
+        monkeypatch.setattr("splitopt.bench.MlpModel.init", no_model)
+        out = tmp_path / "metrics.csv"
+        code = main(["run", "--optimizer", "sgd", "--epochs", "1",
+                     "--dataset", "idx:" + ",".join(paths), "--out", str(out)])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "784" in err and "400" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("row, shown", [
         ("1,0.5,0.9,0.5,0.9,nan", "nan"), ("1,0.5,0.9,0.5,0.9,-3", "-3.0"),
         ("1,0.5,0.9,0.5,0.9,inf", "inf"), ("1,0.5", "'1,0.5'"),

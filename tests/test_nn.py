@@ -128,6 +128,26 @@ class TestMlpModel:
             model.set_param_vector(np.zeros(3))
 
 
+def ref_log_softmax(x):
+    shifted = x - np.max(x, axis=-1, keepdims=True)
+    return shifted - np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
+
+
+def reference_forward(model, X):
+    """Logits, activations and rectifier masks composed from the model's
+    weight and bias arrays with the expressions first written, sharing no
+    code with MlpModel."""
+    activations, masks = [X], []
+    h = X
+    for w, b in zip(model.weights[:-1], model.biases[:-1]):
+        pre = h @ w + b
+        mask = pre > 0
+        h = np.where(mask, pre, 0.0)
+        activations.append(h)
+        masks.append(mask)
+    return h @ model.weights[-1] + model.biases[-1], activations, masks
+
+
 def reference_forward_backward(model, batch, loss):
     """The gradient as first composed: a separate loss pass, the exp of a
     second log-softmax, and per-layer arrays concatenated at the end.
@@ -135,12 +155,7 @@ def reference_forward_backward(model, batch, loss):
     log-softmax, loss="xent" as nll_loss of the library's log_softmax, the
     cross entropy of the logits; forward_backward's one loss must equal
     both."""
-
-    def ref_log_softmax(x):
-        shifted = x - np.max(x, axis=-1, keepdims=True)
-        return shifted - np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
-
-    logits, activations, masks = model._forward_trace(batch.inputs)
+    logits, activations, masks = reference_forward(model, batch.inputs)
     if loss == "nll":
         value = nll_loss(ref_log_softmax(logits), batch.targets)
     else:
@@ -157,23 +172,40 @@ def reference_forward_backward(model, batch, loss):
     return value, np.concatenate(parts)
 
 
+# (5, 7, 6, 3) has two hidden layers, so the masked backward runs twice
+SIZES = [(2, 32, 2), (784, 32, 10), (5, 7, 6, 3)]
+
+
+def draw_batches(sizes):
+    """Five (model, batch) pairs of random rows and scales per size."""
+    rng = np.random.default_rng(sum(sizes))
+    for seed in range(5):
+        rows = int(rng.integers(1, 40))
+        yield MlpModel.init(sizes, seed=seed), Batch(
+            rng.standard_normal((rows, sizes[0])) * rng.uniform(0.5, 4.0),
+            rng.integers(0, sizes[-1], size=rows),
+        )
+
+
 class TestForwardBackward:
     @pytest.mark.parametrize("loss", ["nll", "xent"])
-    @pytest.mark.parametrize("sizes", [(2, 32, 2), (784, 32, 10)])
+    @pytest.mark.parametrize("sizes", SIZES)
     def test_bit_identical_to_reference_composition(self, sizes, loss):
-        rng = np.random.default_rng(sum(sizes))
-        for seed in range(5):
-            model = MlpModel.init(sizes, seed=seed)
-            rows = int(rng.integers(1, 40))
-            batch = Batch(
-                rng.standard_normal((rows, sizes[0])) * rng.uniform(0.5, 4.0),
-                rng.integers(0, sizes[-1], size=rows),
-            )
+        for model, batch in draw_batches(sizes):
             value, grad = forward_backward(model, batch)
             ref_value, ref_grad = reference_forward_backward(model, batch, loss)
             assert np.float64(value).tobytes() == np.float64(ref_value).tobytes()
             assert grad.dtype == ref_grad.dtype and grad.shape == ref_grad.shape
             assert grad.tobytes() == ref_grad.tobytes()
+
+    @pytest.mark.parametrize("sizes", SIZES)
+    def test_forward_bit_identical_to_reference(self, sizes):
+        # the evaluation's log-probabilities feed the CSV's loss columns
+        for model, batch in draw_batches(sizes):
+            got = model.forward(batch.inputs)
+            want = ref_log_softmax(reference_forward(model, batch.inputs)[0])
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
     def test_zero_model_gives_uniform_predictions(self):
         model = MlpModel.init((3, 4, 5), seed=0)
@@ -223,6 +255,32 @@ class TestForwardBackward:
             Batch(np.zeros((2, 3)), np.zeros(3, dtype=int))
         with pytest.raises(ValueError, match="class count"):
             forward_backward(model, Batch(np.zeros((1, 3)), np.array([2])))
+
+
+class TestTargetRange:
+    @settings(derandomize=True, deadline=None, database=None, max_examples=80)
+    @given(
+        sizes=st.lists(st.integers(1, 8), min_size=2, max_size=4).map(tuple),
+        rows=st.integers(1, 20),
+        excess=st.one_of(st.just(0), st.integers(1, 2**62)),
+        data=st.data(),
+    )
+    def test_out_of_range_target_is_a_value_error(self, sizes, rows, excess, data):
+        # exactly the class count, or far above it, in one drawn row: the
+        # pick's IndexError must surface as the class-count ValueError
+        classes = sizes[-1]
+        rng = np.random.default_rng(rows)
+        targets = rng.integers(0, classes, size=rows)
+        bad_row = data.draw(st.integers(0, rows - 1))
+        targets[bad_row] = classes + excess
+        batch = Batch(rng.standard_normal((rows, sizes[0])), targets)
+        model = MlpModel.init(sizes, seed=rows)
+        with pytest.raises(ValueError, match="class count"):
+            forward_backward(model, batch)
+        # a negative target fails in Batch, before any model sees it
+        targets[bad_row] = -1 - excess
+        with pytest.raises(ValueError, match="nonnegative"):
+            Batch(batch.inputs, targets)
 
 
 class TestEpochBatches:
