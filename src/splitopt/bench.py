@@ -19,7 +19,7 @@ import numpy as np
 from . import adaptive as ad
 from . import optimizers as opt
 from .datasets import Dataset, IdxFormatError, load_idx, synth_blobs
-from .nn import Batch, MlpModel, epoch_batches, forward_backward, nll_loss, normalize
+from .nn import Batch, MlpModel, epoch_batches, forward_backward, mean_target_nll, normalize
 from .splitting import LinearSplitSystem, lie_split_step, matrix_exp, splitting_defect, strang_split_step
 
 HIDDEN_UNITS = 32  # fixed desk-scale architecture: input -> 32 rectified -> classes
@@ -241,12 +241,13 @@ def load_dataset_spec(spec: str, seed: int) -> Tuple[Dataset, Dataset]:
 # --- training loop -----------------------------------------------------------
 
 
-def _evaluate(model: MlpModel, X: np.ndarray, y: np.ndarray) -> Tuple[float, float]:
+def _evaluate(model: MlpModel, data: Batch) -> Tuple[float, float]:
     """Mean loss (the training loss, the negative log likelihood of the
-    log-probabilities) and accuracy on a full set with the model frozen."""
-    log_probs = model.forward(X)
-    loss = nll_loss(log_probs, y)
-    acc = float(np.mean(np.argmax(log_probs, axis=1) == y))
+    log-probabilities) and accuracy on a full, already checked set with the
+    model frozen."""
+    log_probs = model.forward(data.inputs)
+    loss = mean_target_nll(log_probs, data.targets)
+    acc = float(np.mean(np.argmax(log_probs, axis=1) == data.targets))
     return loss, acc
 
 
@@ -260,7 +261,8 @@ def run_experiment(config: ExperimentConfig) -> List[MetricsRecord]:
     train, test = load_dataset_spec(config.dataset, config.seed)
     X_train = normalize(train.images) if config.normalize else train.images
     X_test = normalize(test.images) if config.normalize else test.images
-    y_train, y_test = train.labels, test.labels
+    # checked once here; each step gathers its rows from train_set
+    train_set, test_set = Batch(X_train, train.labels), Batch(X_test, test.labels)
     n_classes = max(train.n_classes, test.n_classes)
 
     model = MlpModel.init((X_train.shape[1], HIDDEN_UNITS, n_classes), config.seed)
@@ -274,7 +276,7 @@ def run_experiment(config: ExperimentConfig) -> List[MetricsRecord]:
         for epoch in range(config.epochs):
             tic = time.perf_counter()
             for idx in epoch_batches(len(train), config.batch_size, config.seed + epoch):
-                batch = Batch(X_train[idx], y_train[idx])
+                batch = train_set.rows(idx)
 
                 def grad_fn(point: np.ndarray) -> np.ndarray:
                     model.set_param_vector(point)
@@ -284,8 +286,8 @@ def run_experiment(config: ExperimentConfig) -> List[MetricsRecord]:
             elapsed = time.perf_counter() - tic
 
             model.set_param_vector(theta)
-            train_loss, train_acc = _evaluate(model, X_train, y_train)
-            test_loss, test_acc = _evaluate(model, X_test, y_test)
+            train_loss, train_acc = _evaluate(model, train_set)
+            test_loss, test_acc = _evaluate(model, test_set)
             if not (np.isfinite(train_loss) and np.isfinite(test_loss)):
                 raise TrainingDivergedError(epoch, records)
             records.append(

@@ -24,6 +24,22 @@ class IdxFormatError(ValueError):
     or an image file with no pixels (no images, or images of size 0)."""
 
 
+def class_indices(values, what: str) -> np.ndarray:
+    """values as an int64 array of at least one dimension.  A fraction,
+    NaN or infinity raises rather than being truncated by the cast, and so
+    does a negative value; the message names the bad value."""
+    raw = np.asarray(values)
+    if raw.dtype.kind == "f":
+        whole = (np.abs(raw) < 2.0**63) & (raw == np.trunc(raw))
+        if not np.all(whole):
+            raise ValueError(f"{what} must be integers, got {raw[~whole].flat[0]}")
+    indices = np.atleast_1d(np.asarray(raw, dtype=np.int64))
+    low = indices.min() if indices.size else 0
+    if low < 0:
+        raise ValueError(f"{what} must be nonnegative, got {low}")
+    return indices
+
+
 @dataclass
 class Dataset:
     """Feature matrix in [0, 1] with integer class labels."""
@@ -33,15 +49,13 @@ class Dataset:
 
     def __post_init__(self):
         self.images = np.atleast_2d(np.asarray(self.images, dtype=float))
-        self.labels = np.atleast_1d(np.asarray(self.labels, dtype=np.int64))
+        self.labels = class_indices(self.labels, "labels")
         if self.images.shape[0] == 0:
             raise ValueError("dataset must contain at least one sample")
         if self.images.shape[0] != self.labels.shape[0]:
             raise ValueError(
                 f"{self.images.shape[0]} images vs {self.labels.shape[0]} labels"
             )
-        if self.labels.min() < 0:
-            raise ValueError("labels must be nonnegative")
         lo, hi = float(self.images.min()), float(self.images.max())
         # negated so that a NaN value fails it
         if not (lo >= 0.0 and hi <= 1.0):

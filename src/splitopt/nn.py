@@ -12,9 +12,11 @@ into the optimizer step functions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
+
+from .datasets import class_indices
 
 NORMALIZE_MEAN = 0.1307
 NORMALIZE_STD = 0.3081
@@ -37,15 +39,28 @@ def log_softmax(x: np.ndarray) -> np.ndarray:
 def nll_loss(log_probs: np.ndarray, targets: np.ndarray) -> float:
     """Mean negative log-probability of the target class per row."""
     log_probs = np.atleast_2d(np.asarray(log_probs, dtype=float))
-    targets = np.atleast_1d(np.asarray(targets))
+    targets = class_indices(targets, "targets")
     if targets.shape[0] != log_probs.shape[0]:
         raise ValueError("one target per row required")
-    if np.any(targets < 0) or np.any(targets >= log_probs.shape[1]):
+    if np.any(targets >= log_probs.shape[1]):
         raise ValueError(
             f"target out of range [0, {log_probs.shape[1]}): {targets}"
         )
-    picked = log_probs[np.arange(log_probs.shape[0]), targets]
-    return float(-np.mean(picked))
+    return mean_target_nll(log_probs, targets)
+
+
+def mean_target_nll(
+    log_probs: np.ndarray, targets: np.ndarray, rows: Optional[np.ndarray] = None
+) -> float:
+    """The one loss of training, evaluation and nll_loss: -np.mean of each
+    row's target log-probability.  rows, if given, is np.arange(m).  A
+    target at or above the class count fails the pick with a ValueError."""
+    m = log_probs.shape[0]
+    try:
+        picked = log_probs[np.arange(m) if rows is None else rows, targets]
+    except IndexError:
+        raise ValueError("target out of range for the model's class count") from None
+    return float(-(np.add.reduce(picked) / m))
 
 
 @dataclass
@@ -56,35 +71,46 @@ class Batch:
     targets: np.ndarray
 
     def __post_init__(self):
-        inputs = np.asarray(self.inputs, dtype=float)
-        self.inputs = inputs if inputs.ndim > 1 else np.atleast_2d(inputs)
-        targets = np.asarray(self.targets, dtype=np.int64)
-        self.targets = targets if targets.ndim > 0 else np.atleast_1d(targets)
+        self.inputs = np.atleast_2d(np.asarray(self.inputs, dtype=float))
+        self.targets = class_indices(self.targets, "class indices")
         if self.inputs.shape[0] != self.targets.shape[0]:
             raise ValueError(
                 f"{self.inputs.shape[0]} input rows vs "
                 f"{self.targets.shape[0]} targets"
             )
-        if self.targets.size and np.minimum.reduce(self.targets) < 0:
-            raise ValueError("class indices must be nonnegative")
 
     def __len__(self) -> int:
         return self.inputs.shape[0]
 
+    def rows(self, idx: np.ndarray) -> "Batch":
+        """The rows at the integer indices idx, copied, as a batch that
+        skips the checks this one passed."""
+        subset = Batch.__new__(Batch)
+        subset.inputs, subset.targets = self.inputs[idx], self.targets[idx]
+        return subset
 
-def _layer_views(
-    flat: np.ndarray, shapes: Sequence[Tuple[int, int]]
-) -> Tuple[List[np.ndarray], List[np.ndarray]]:
-    """Weight and bias views of a flat vector: layer by layer, each layer's
-    (fan_in, fan_out) weights row-major before its fan_out biases."""
-    weights, biases = [], []
+
+def rectify_in_place(pre: np.ndarray) -> np.ndarray:
+    """Rectify pre in its own buffer; return the mask pre > 0 (the
+    derivative taken as 0 at 0).  fmax(pre, 0) + 0 is np.where(pre > 0,
+    pre, 0.0) bit for bit on every float64, NaN, +-inf, +-0 and subnormals
+    included (the + 0 turns fmax's -0.0 into +0.0), with no new array."""
+    mask = pre > 0
+    np.fmax(pre, 0.0, out=pre)
+    pre += 0.0
+    return mask
+
+
+def _layout(shapes: Sequence[Tuple[int, int]]) -> List[Tuple[slice, Tuple[int, int], slice]]:
+    """(weight slice, weight shape, bias slice) per layer of a flat vector:
+    each layer's (fan_in, fan_out) weights row-major, then its biases."""
+    layout = []
     offset = 0
     for fan_in, fan_out in shapes:
         end = offset + fan_in * fan_out
-        weights.append(flat[offset:end].reshape(fan_in, fan_out))
-        biases.append(flat[end : end + fan_out])
+        layout.append((slice(offset, end), (fan_in, fan_out), slice(end, end + fan_out)))
         offset = end + fan_out
-    return weights, biases
+    return layout
 
 
 class MlpModel:
@@ -95,10 +121,10 @@ class MlpModel:
     """
 
     def __init__(self, weights: List[np.ndarray], biases: List[np.ndarray]):
-        self._shapes = [np.shape(w) for w in weights]
-        n_params = sum(np.size(w) + np.size(b) for w, b in zip(weights, biases))
-        self._flat = np.empty(n_params)
-        self.weights, self.biases = _layer_views(self._flat, self._shapes)
+        self._layout = _layout([np.shape(w) for w in weights])
+        self._flat = np.empty(self._layout[-1][2].stop)
+        self.weights = [self._flat[w].reshape(shape) for w, shape, _ in self._layout]
+        self.biases = [self._flat[b] for _, _, b in self._layout]
         for view, given in zip(self.weights + self.biases, [*weights, *biases]):
             view[...] = given
 
@@ -148,12 +174,10 @@ class MlpModel:
         masks = []
         h = X
         for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            pre = h @ w
-            pre += b
-            mask = pre > 0  # rectifier derivative taken as 0 at 0
-            h = np.where(mask, pre, 0.0)
+            h = h @ w
+            h += b
+            masks.append(rectify_in_place(h))
             activations.append(h)
-            masks.append(mask)
         logits = h @ self.weights[-1]
         logits += self.biases[-1]
         return logits, activations, masks
@@ -169,10 +193,10 @@ def forward_backward(model: MlpModel, batch: Batch) -> Tuple[float, np.ndarray]:
 
     The loss is the negative log likelihood of the log-softmax output,
     which is also the cross entropy of the raw logits; it and the gradient
-    come from one log-softmax.  Batch checks the row count and the
-    nonnegative targets, _forward_trace the input width, and this function
-    the empty batch; a target at or above the class count fails the pick
-    of the target log-probabilities, whose IndexError becomes a ValueError.
+    come from one log-softmax.  Batch checks the row count and that the
+    targets are nonnegative integers, _forward_trace the input width, and
+    this function the empty batch; a target at or above the class count
+    fails mean_target_nll's pick with a ValueError.
     """
     m = len(batch)
     if m == 0:
@@ -181,21 +205,17 @@ def forward_backward(model: MlpModel, batch: Batch) -> Tuple[float, np.ndarray]:
     targets = batch.targets
     log_probs = log_softmax(logits)
     rows = np.arange(m)
-    try:
-        picked = log_probs[rows, targets]
-    except IndexError:
-        raise ValueError("target out of range for the model's class count") from None
-    value = float(-(np.add.reduce(picked) / m))  # the arithmetic of -picked.mean()
+    value = mean_target_nll(log_probs, targets, rows)
 
     delta = np.exp(log_probs, out=log_probs)
     delta[rows, targets] -= 1.0
     delta /= m
 
     grad = np.empty(model.n_params)
-    grads_w, grads_b = _layer_views(grad, model._shapes)
     for layer in range(len(model.weights) - 1, -1, -1):
-        np.matmul(activations[layer].T, delta, out=grads_w[layer])
-        np.add.reduce(delta, axis=0, out=grads_b[layer])
+        w, shape, b = model._layout[layer]
+        np.matmul(activations[layer].T, delta, out=grad[w].reshape(shape))
+        np.add.reduce(delta, axis=0, out=grad[b])
         if layer > 0:
             delta = delta @ model.weights[layer].T
             delta *= masks[layer - 1]

@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from splitopt import bench
 from splitopt.bench import (
     ExperimentConfig,
     OPTIMIZERS,
@@ -22,12 +23,14 @@ from splitopt.bench import (
     run_experiment,
     splitting_study,
     timing_stats,
+    _evaluate,
 )
 from splitopt import adaptive as ad
 from splitopt import optimizers as opt
 from splitopt import splitting
 from splitopt.cli import _build_parser, _load_config_file, main
 from splitopt.datasets import dataset_to_idx, synth_blobs
+from splitopt.nn import Batch, MlpModel, nll_loss
 
 TINY = "synth:per_class=40,classes=2,dim=2,sep=6"
 OPTIMIZER_DEFAULT_LR = {name: row[0] for name, row in OPTIMIZERS.items()}
@@ -351,6 +354,30 @@ class TestRunExperiment:
         config = ExperimentConfig(optimizer="adam", lr=0.1, epochs=10, dataset=TINY)
         records = run_experiment(config)
         assert records[-1].train_acc >= 0.9
+
+    def test_sets_are_checked_once_per_run(self, monkeypatch):
+        # every step gathers its rows from the checked training set
+        built = []
+
+        def counting_batch(*args):
+            built.append(len(args[0]))
+            return Batch(*args)
+
+        monkeypatch.setattr(bench, "Batch", counting_batch)
+        run_experiment(ExperimentConfig(optimizer="sgd", epochs=2, batch_size=8, dataset=TINY))
+        assert built == [80, 16]
+
+    def test_evaluate_on_a_checked_set(self):
+        rng = np.random.default_rng(4)
+        model = MlpModel.init((2, 5, 3), seed=1)
+        X, y = rng.standard_normal((40, 2)), rng.integers(0, 3, size=40)
+        log_probs = model.forward(X)
+        loss, acc = _evaluate(model, Batch(X, y))
+        assert loss == nll_loss(log_probs, y)
+        assert acc == np.mean(np.argmax(log_probs, axis=1) == y)
+        y[7] = 3  # at the class count: the pick fails
+        with pytest.raises(ValueError, match="class count"):
+            _evaluate(model, Batch(X, y))
 
     def test_divergence_aborts_with_partial_records(self):
         config = ExperimentConfig(optimizer="sgd", lr=1e160, epochs=4, dataset=TINY)

@@ -163,6 +163,18 @@ class TestDatasetValidation:
         with pytest.raises(ValueError):
             Dataset(np.zeros((1, 2)), np.array([-1]))
 
+    @pytest.mark.parametrize(
+        "labels, shown", [([0.5, 1.9], "0.5"), ([1.0, np.nan], "nan"), ([-np.inf, 0.0], "-inf")]
+    )
+    def test_rejects_labels_that_are_not_integers(self, labels, shown):
+        # a cast would train on [0, 1] and report 2 classes for [0.5, 1.9]
+        with pytest.raises(ValueError, match=f"labels must be integers, got {shown}"):
+            Dataset(np.zeros((2, 2)), labels)
+
+    def test_whole_float_labels_are_class_indices(self):
+        ds = Dataset(np.zeros((2, 2)), [0.0, 2.0])
+        assert ds.labels.dtype == np.int64 and ds.n_classes == 3
+
 
 class TestSynthBlobs:
     def test_deterministic(self):

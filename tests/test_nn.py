@@ -1,6 +1,8 @@
 """Unit tests for the MLP, losses, shuffling, and normalization."""
 
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,8 +15,10 @@ from splitopt.nn import (
     epoch_batches,
     forward_backward,
     log_softmax,
+    mean_target_nll,
     nll_loss,
     normalize,
+    rectify_in_place,
 )
 from splitopt.objectives import fd_gradient
 
@@ -62,6 +66,10 @@ class TestLosses:
     def test_nll_target_range(self):
         with pytest.raises(ValueError, match="target out of range"):
             nll_loss(np.zeros((1, 3)), np.array([3]))
+        with pytest.raises(ValueError, match="targets must be nonnegative"):
+            nll_loss(np.zeros((1, 3)), np.array([-1]))
+        with pytest.raises(ValueError, match="targets must be integers, got 0.5"):
+            nll_loss(np.zeros((1, 3)), np.array([0.5]))
 
     # the cross entropy of logits is nll_loss of their log_softmax
 
@@ -81,6 +89,104 @@ class TestLosses:
             logits = rng.standard_normal((6, 5)) * 8
             targets = rng.integers(0, 5, size=6)
             assert nll_loss(log_softmax(logits), targets) >= 0.0
+
+    def test_one_loss_is_minus_mean_of_the_pick(self):
+        # lengths past numpy's pairwise-summation blocks of 8 and 128
+        rng = np.random.default_rng(11)
+        for m in range(1, 258):
+            log_probs = log_softmax(rng.standard_normal((m, 3)) * 4)
+            targets = rng.integers(0, 3, size=m)
+            rows = np.arange(m)
+            want = np.float64(-np.mean(log_probs[rows, targets])).tobytes()
+            for got in (
+                mean_target_nll(log_probs, targets),
+                mean_target_nll(log_probs, targets, rows),
+                nll_loss(log_probs, targets),
+            ):
+                assert np.float64(got).tobytes() == want
+
+
+class TestBatch:
+    @pytest.mark.parametrize(
+        "targets, shown",
+        [([0.7, 1.2], "0.7"), ([0.0, np.nan], "nan"), ([np.inf, 1.0], "inf"),
+         ([1.0, -0.5], "-0.5"), ([1e300, 0.0], "1e+300")],
+    )
+    def test_rejects_targets_that_are_not_integers(self, targets, shown):
+        with pytest.raises(ValueError, match=re.escape(f"must be integers, got {shown}")):
+            Batch(np.zeros((2, 3)), targets)
+
+    def test_whole_float_targets_are_class_indices(self):
+        batch = Batch(np.zeros((3, 2)), [2.0, 0.0, 1.0])
+        assert batch.targets.dtype == np.int64
+        assert batch.targets.tolist() == [2, 0, 1]
+        with pytest.raises(ValueError, match="nonnegative"):
+            Batch(np.zeros((1, 2)), [-1.0])
+
+    def test_rows_is_the_checked_batch_of_those_rows(self):
+        rng = np.random.default_rng(12)
+        X, y = rng.standard_normal((50, 4)), rng.integers(0, 3, size=50)
+        data = Batch(X, y)
+        for idx in (rng.permutation(50)[:32], np.array([7]), np.arange(50)):
+            got, want = data.rows(idx), Batch(X[idx], y[idx])
+            for a, b in ((got.inputs, want.inputs), (got.targets, want.targets)):
+                assert a.dtype == b.dtype and a.shape == b.shape
+                assert a.tobytes() == b.tobytes()
+            assert not np.shares_memory(got.inputs, data.inputs)
+            assert not np.shares_memory(got.targets, data.targets)
+            assert len(got) == len(idx)
+
+
+class TestRectifier:
+    SPECIALS = [np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324,
+                2.2250738585072014e-308, -1e-310, 1.5, -1.5]
+
+    def test_matches_where_bit_for_bit_on_special_values(self):
+        # every value at every position of short and longer rows: fmax
+        # returns -0.0 for -0.0 on some lengths and +0.0 on others
+        specials = np.array(self.SPECIALS)
+        assert np.signbit(specials[1])  # -np.nan carries the sign bit
+        for n in range(1, 3 * len(specials)):
+            for shift in range(len(specials)):
+                pre = np.resize(np.roll(specials, shift), (2, n))
+                want_mask = pre > 0
+                want = np.where(want_mask, pre, 0.0)
+                mask = rectify_in_place(pre)
+                assert pre.tobytes() == want.tobytes()
+                assert np.array_equal(mask, want_mask)
+
+    def test_forward_activations_match_where_reference(self):
+        # one input at 0 and zero weights: the first layer's pre-activations
+        # are the biases, special values included
+        hidden = len(self.SPECIALS)
+        model = MlpModel.init((1, hidden, 2), seed=0)
+        model.weights[0][...] = 0.0
+        model.biases[0][...] = self.SPECIALS
+        with np.errstate(invalid="ignore"):  # the head multiplies inf by 0
+            _, activations, masks = model._forward_trace(np.zeros((2, 1)))
+        pre = np.zeros((2, 1)) @ model.weights[0] + model.biases[0]
+        assert activations[1].tobytes() == np.where(pre > 0, pre, 0.0).tobytes()
+        assert np.array_equal(masks[0], pre > 0)
+
+    @pytest.mark.parametrize("sizes", [(3, 64, 2), (3, 64, 64, 2)])
+    def test_forward_allocates_one_activation_per_hidden_layer(self, sizes):
+        # at the peak each hidden layer holds its activation and its bool
+        # mask; the head's (rows, 2) arrays are small beside them
+        rows = 2000
+        model = MlpModel.init(sizes, seed=1)
+        X = np.random.default_rng(2).standard_normal((rows, sizes[0]))
+        model.forward(X)  # warm up
+        activation = rows * sizes[1] * 8
+        n_hidden = len(sizes) - 2
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            model.forward(X)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak < (n_hidden + 0.5) * activation
 
 
 class TestMlpModel:
@@ -133,6 +239,10 @@ def ref_log_softmax(x):
     return shifted - np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
 
 
+def ref_nll(log_probs, targets):
+    return float(-np.mean(log_probs[np.arange(len(targets)), targets]))
+
+
 def reference_forward(model, X):
     """Logits, activations and rectifier masks composed from the model's
     weight and bias arrays with the expressions first written, sharing no
@@ -151,15 +261,15 @@ def reference_forward(model, X):
 def reference_forward_backward(model, batch, loss):
     """The gradient as first composed: a separate loss pass, the exp of a
     second log-softmax, and per-layer arrays concatenated at the end.
-    loss="nll" takes the value as nll_loss of this function's own
-    log-softmax, loss="xent" as nll_loss of the library's log_softmax, the
+    loss="nll" takes the value as the mean NLL of this function's own
+    log-softmax, loss="xent" as that of the library's log_softmax, the
     cross entropy of the logits; forward_backward's one loss must equal
     both."""
     logits, activations, masks = reference_forward(model, batch.inputs)
     if loss == "nll":
-        value = nll_loss(ref_log_softmax(logits), batch.targets)
+        value = ref_nll(ref_log_softmax(logits), batch.targets)
     else:
-        value = nll_loss(log_softmax(logits), batch.targets)
+        value = ref_nll(log_softmax(logits), batch.targets)
     m = len(batch)
     delta = np.exp(ref_log_softmax(logits))
     delta[np.arange(m), batch.targets] -= 1.0
