@@ -259,13 +259,14 @@ def run_experiment(config: ExperimentConfig) -> List[MetricsRecord]:
     attached) when a non-finite loss appears.
     """
     train, test = load_dataset_spec(config.dataset, config.seed)
-    X_train = normalize(train.images) if config.normalize else train.images
-    X_test = normalize(test.images) if config.normalize else test.images
+    if config.normalize:  # in the sets' own buffers: nothing reads [0, 1] after this
+        normalize(train.images, out=train.images)
+        normalize(test.images, out=test.images)
     # checked once here; each step gathers its rows from train_set
-    train_set, test_set = Batch(X_train, train.labels), Batch(X_test, test.labels)
+    train_set, test_set = Batch(train.images, train.labels), Batch(test.images, test.labels)
     n_classes = max(train.n_classes, test.n_classes)
 
-    model = MlpModel.init((X_train.shape[1], HIDDEN_UNITS, n_classes), config.seed)
+    model = MlpModel.init((train.images.shape[1], HIDDEN_UNITS, n_classes), config.seed)
     theta = model.param_vector()
     stepper = make_stepper(config, theta)
 

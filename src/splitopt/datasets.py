@@ -2,8 +2,9 @@
 
 The IDX container stores big-endian 4-byte magics and dimension sizes
 followed by raw unsigned bytes (magic 0x00000803 for images with dims
-N x rows x cols, 0x00000801 for labels with N entries).  Pixels are scaled
-to [0, 1] by /255 on load.
+N x rows x cols, 0x00000801 for labels with N entries).  Pixels are read
+in place from the file bytes and scaled to [0, 1] by /255 into one float64
+matrix per set.
 """
 
 from __future__ import annotations
@@ -42,16 +43,20 @@ def class_indices(values, what: str) -> np.ndarray:
 
 @dataclass
 class Dataset:
-    """Feature matrix in [0, 1] with integer class labels."""
+    """Feature matrix, checked to lie in [0, 1] when built, with integer
+    class labels.  A float64 matrix is kept as given, not copied."""
 
     images: np.ndarray
     labels: np.ndarray
 
     def __post_init__(self):
-        self.images = np.atleast_2d(np.asarray(self.images, dtype=float))
+        images = np.asarray(self.images, dtype=float)
+        if images.size == 0:
+            raise ValueError(
+                f"dataset needs a sample with a feature, got images of shape {images.shape}"
+            )
+        self.images = np.atleast_2d(images)
         self.labels = class_indices(self.labels, "labels")
-        if self.images.shape[0] == 0:
-            raise ValueError("dataset must contain at least one sample")
         if self.images.shape[0] != self.labels.shape[0]:
             raise ValueError(
                 f"{self.images.shape[0]} images vs {self.labels.shape[0]} labels"
@@ -85,13 +90,12 @@ def parse_idx(image_bytes: bytes, label_bytes: bytes) -> Dataset:
         raise IdxFormatError(
             f"image header gives {count} images of {rows}x{cols}, which hold no pixels"
         )
-    payload = image_bytes[16:]
-    if len(payload) != expected:
+    if len(image_bytes) - 16 != expected:
         raise IdxFormatError(
-            f"image payload holds {len(payload)} bytes, header promises {expected}"
+            f"image payload holds {len(image_bytes) - 16} bytes, header promises {expected}"
         )
-    pixels = np.frombuffer(payload, dtype=np.uint8).astype(float) / 255.0
-    images = pixels.reshape(count, rows * cols)
+    pixels = np.frombuffer(image_bytes, dtype=np.uint8, offset=16)
+    images = np.divide(pixels, 255.0).reshape(count, rows * cols)
 
     if len(label_bytes) < 8:
         raise IdxFormatError(f"label header needs 8 bytes, got {len(label_bytes)}")
@@ -100,14 +104,13 @@ def parse_idx(image_bytes: bytes, label_bytes: bytes) -> Dataset:
         raise IdxFormatError(
             f"bad label magic 0x{magic:08x}, expected 0x{LABEL_MAGIC:08x}"
         )
-    body = label_bytes[8:]
-    if len(body) != n_labels:
+    if len(label_bytes) - 8 != n_labels:
         raise IdxFormatError(
-            f"label payload holds {len(body)} bytes, header promises {n_labels}"
+            f"label payload holds {len(label_bytes) - 8} bytes, header promises {n_labels}"
         )
     if n_labels != count:
         raise IdxFormatError(f"{count} images but {n_labels} labels")
-    labels = np.frombuffer(body, dtype=np.uint8).astype(np.int64)
+    labels = np.frombuffer(label_bytes, dtype=np.uint8, offset=8).astype(np.int64)
     return Dataset(images=images, labels=labels)
 
 
@@ -160,5 +163,7 @@ def synth_blobs(
         labels[block] = c
     lo = -4.0
     hi = (n_classes - 1) * step + 4.0
-    images = np.clip((raw - lo) / (hi - lo), 0.0, 1.0)
-    return Dataset(images=images, labels=labels)
+    raw -= lo
+    raw /= hi - lo
+    np.clip(raw, 0.0, 1.0, out=raw)
+    return Dataset(images=raw, labels=labels)

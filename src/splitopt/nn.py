@@ -22,9 +22,12 @@ NORMALIZE_MEAN = 0.1307
 NORMALIZE_STD = 0.3081
 
 
-def normalize(x: np.ndarray) -> np.ndarray:
-    """Shift and scale raw values in [0, 1] by the fixed pixel statistics."""
-    return (np.asarray(x, dtype=float) - NORMALIZE_MEAN) / NORMALIZE_STD
+def normalize(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Shift and scale raw values in [0, 1] by the fixed pixel statistics,
+    into out (which may be x itself) or, when it is None, a fresh array."""
+    out = np.subtract(np.asarray(x, dtype=float), NORMALIZE_MEAN, out=out)
+    out /= NORMALIZE_STD
+    return out
 
 
 def log_softmax(x: np.ndarray) -> np.ndarray:

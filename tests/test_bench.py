@@ -323,6 +323,44 @@ class TestDatasetSpecs:
         train, test = load_dataset_spec("idx:" + ",".join(paths), 1)
         assert len(train) == 24 and len(test) == 24
 
+    def test_run_ingestion_holds_one_float_matrix_per_set(self, tmp_path, monkeypatch):
+        # a run's ingestion: load both sets, range-check and normalize them,
+        # measured up to the model build, which stops the run
+        rng = np.random.default_rng(5)
+        shapes, paths = {"train": (600, 28, 28), "test": (150, 28, 28)}, []
+        for name, (n, rows, cols) in shapes.items():
+            for suffix, payload in (
+                ("images", struct.pack(">IIII", 0x803, n, rows, cols)
+                 + rng.integers(0, 256, n * rows * cols, dtype=np.uint8).tobytes()),
+                ("labels", struct.pack(">II", 0x801, n) + bytes(rng.integers(0, 10, n).tolist())),
+            ):
+                paths.append(tmp_path / f"{name}-{suffix}")
+                paths[-1].write_bytes(payload)
+        config = ExperimentConfig(epochs=1, dataset="idx:" + ",".join(map(str, paths)))
+        built = []
+
+        class ModelBuild(Exception):
+            pass
+
+        def stop(cls, sizes, seed):
+            built.append(sizes)
+            raise ModelBuild
+
+        monkeypatch.setattr(MlpModel, "init", classmethod(stop))
+        # what the two sets keep (float64 pixels, int64 labels) plus the
+        # file bytes, which parse_idx reads in place
+        kept = sum(8 * n * rows * cols + 8 * n for n, rows, cols in shapes.values())
+        budget = kept + sum(p.stat().st_size for p in paths)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ModelBuild):
+                run_experiment(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert built == [(784, bench.HIDDEN_UNITS, 10)]
+        assert peak <= budget, f"peak {peak} B over {budget} B"
+
     def test_idx_spec_path_count(self):
         with pytest.raises(ValueError, match="4 comma-separated"):
             load_dataset_spec("idx:a,b", 1)
@@ -366,6 +404,20 @@ class TestRunExperiment:
         monkeypatch.setattr(bench, "Batch", counting_batch)
         run_experiment(ExperimentConfig(optimizer="sgd", epochs=2, batch_size=8, dataset=TINY))
         assert built == [80, 16]
+
+    @pytest.mark.parametrize("normalize", [True, False])
+    def test_run_normalizes_the_loaded_sets_in_place(self, monkeypatch, normalize):
+        loaded = []
+
+        def keeping(spec, seed):
+            loaded.extend(load_dataset_spec(spec, seed))
+            return tuple(loaded)
+
+        monkeypatch.setattr(bench, "load_dataset_spec", keeping)
+        run_experiment(ExperimentConfig(epochs=1, dataset=TINY, normalize=normalize))
+        for ds, fresh in zip(loaded, load_dataset_spec(TINY, 1)):
+            expected = (fresh.images - 0.1307) / 0.3081 if normalize else fresh.images
+            assert ds.images.tobytes() == expected.tobytes()
 
     def test_evaluate_on_a_checked_set(self):
         rng = np.random.default_rng(4)

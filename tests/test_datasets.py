@@ -73,6 +73,14 @@ class TestParseIdx:
         with pytest.raises(IdxFormatError, match="no pixels"):
             parse_idx(image_payload(count, rows, cols, []), label_payload(list(range(count))))
 
+    def test_decode_matches_cast_then_divide_bit_for_bit(self):
+        pixels = bytes(range(256)) * 3
+        ds = parse_idx(image_payload(3, 16, 16, pixels), label_payload([0, 1, 2]))
+        reference = np.frombuffer(pixels, dtype=np.uint8).astype(float) / 255.0
+        assert ds.images.dtype == np.float64 and ds.images.flags.writeable
+        assert ds.images.tobytes() == reference.tobytes()
+        assert ds.labels.tolist() == [0, 1, 2] and ds.labels.dtype == np.int64
+
     def test_loaded_values_stay_in_unit_interval(self):
         pixels = list(range(256)) * 2
         ds = parse_idx(
@@ -159,6 +167,16 @@ class TestDatasetValidation:
         with pytest.raises(ValueError):
             Dataset(np.zeros((2, 2)), np.zeros(3, dtype=int))
 
+    def test_rejects_an_empty_list_naming_its_shape(self):
+        # atleast_2d would make it one sample of no features, shape (1, 0)
+        with pytest.raises(ValueError, match=r"got images of shape \(0,\)"):
+            Dataset(images=[], labels=[])
+
+    def test_rejects_samples_without_features_naming_their_shape(self):
+        # before the range check, whose min() has no identity on no values
+        with pytest.raises(ValueError, match=r"got images of shape \(3, 0\)"):
+            Dataset(np.empty((3, 0)), [0, 1, 2])
+
     def test_rejects_negative_labels(self):
         with pytest.raises(ValueError):
             Dataset(np.zeros((1, 2)), np.array([-1]))
@@ -200,6 +218,22 @@ class TestSynthBlobs:
         dists = np.linalg.norm(ds.images[:, None, :] - centroids[None], axis=2)
         predicted = np.argmin(dists, axis=1)
         assert np.array_equal(predicted, ds.labels)
+
+    @pytest.mark.parametrize("n_per_class, n_classes, dim, separation, seed", [
+        (1, 1, 1, 6.0, 0), (40, 2, 2, 6.0, 1), (7, 10, 784, 3.0, 2), (25, 3, 5, 0.5, 3),
+    ])
+    def test_maps_into_the_unit_box_as_the_out_of_place_formula(
+        self, n_per_class, n_classes, dim, separation, seed
+    ):
+        rng = np.random.default_rng(seed)
+        step = separation / np.sqrt(dim)
+        raw = np.concatenate(
+            [rng.standard_normal((n_per_class, dim)) + c * step for c in range(n_classes)]
+        )
+        lo, hi = -4.0, (n_classes - 1) * step + 4.0
+        reference = np.clip((raw - lo) / (hi - lo), 0, 1)
+        ds = synth_blobs(n_per_class, n_classes, dim, separation, seed)
+        assert ds.images.tobytes() == reference.tobytes()
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from splitopt.nn import (
     Batch,
@@ -439,3 +440,31 @@ class TestNormalize:
 
     def test_zero_pixel(self):
         assert normalize(np.array([0.0]))[0] == pytest.approx(-0.1307 / 0.3081, rel=1e-12)
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=200)
+    @given(x=hnp.arrays(
+        st.sampled_from([np.float16, np.float32, np.float64]),
+        hnp.array_shapes(min_dims=1, max_dims=2, max_side=9),
+        elements=st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True, width=16),
+    ))
+    def test_fresh_result_matches_subtract_then_divide_and_leaves_x(self, x):
+        before = x.tobytes()
+        reference = (np.asarray(x, float) - 0.1307) / 0.3081
+        out = normalize(x)
+        assert out.dtype == np.float64 and out.tobytes() == reference.tobytes()
+        assert x.tobytes() == before
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=200)
+    @given(x=hnp.arrays(
+        np.float64,
+        hnp.array_shapes(min_dims=1, max_dims=2, max_side=9),
+        elements=st.one_of(
+            st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+            st.sampled_from([0.0, -0.0, 5e-324, -5e-324, np.inf, -np.inf, np.nan]),
+        ),
+    ))
+    def test_in_place_matches_subtract_then_divide(self, x):
+        reference = (np.asarray(x, float) - 0.1307) / 0.3081
+        assert normalize(x).tobytes() == reference.tobytes()
+        out = normalize(x, out=x)
+        assert out is x and x.tobytes() == reference.tobytes()
