@@ -3,7 +3,6 @@ a desk-scale training benchmark."""
 
 from .adaptive import (
     AdaptiveHyperParams,
-    AdaptiveState,
     adagrad_step,
     adadelta_step,
     adam_step,
@@ -12,9 +11,9 @@ from .adaptive import (
 )
 from .objectives import Objective, fd_gradient, quadratic, rosenbrock
 from .optimizers import (
-    InertialState,
     MomentumSchedule,
     SplitHyperParams,
+    State,
     minibatch_sgd_step,
     momentum_coefficient,
     nesterov_step,

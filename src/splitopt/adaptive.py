@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .optimizers import (
-    GradFn, MomentumSchedule, _checked_grad, _look_ahead, _output, _split_position,
+    GradFn, MomentumSchedule, State, _checked_grad, _look_ahead, _output, _split_position,
     _split_velocity, momentum_coefficient,
 )
 
@@ -58,38 +58,6 @@ DEFAULT_EPS = 1e-8
 SSA1_ADA_VARIANTS = ("as-written", "z-first")
 
 
-@dataclass
-class AdaptiveState:
-    """Parameters plus the running statistics of the adaptive optimizers.
-
-    acc_grad_sq holds E[g^2], acc_update_sq holds E[delta^2], mom the Adam
-    first moment, v and z the velocity and auxiliary point of the adaptive
-    splitting step (z starts at u).  Unused fields simply stay zero.
-    """
-
-    u: np.ndarray
-    acc_grad_sq: np.ndarray
-    acc_update_sq: np.ndarray
-    mom: np.ndarray
-    v: np.ndarray
-    z: np.ndarray
-    n: int = 0
-
-    @classmethod
-    def fresh(cls, u0: np.ndarray) -> "AdaptiveState":
-        u0 = np.asarray(u0, dtype=float)
-        zeros = np.zeros_like(u0)
-        return cls(
-            u=u0.copy(),
-            acc_grad_sq=zeros.copy(),
-            acc_update_sq=zeros.copy(),
-            mom=zeros.copy(),
-            v=zeros.copy(),
-            z=u0.copy(),
-            n=0,
-        )
-
-
 def _running_average(acc, x, gamma: float, out, scratch) -> None:
     """Writes gamma * acc + (1 - gamma) * x^2 into out; x may be scratch's
     buffer, which is written after x is read."""
@@ -99,24 +67,27 @@ def _running_average(acc, x, gamma: float, out, scratch) -> None:
     out += scratch
 
 
+ADAGRAD_FIELDS = ("u", "acc_grad_sq", "work")
+
+
 def adagrad_step(
-    state: AdaptiveState,
+    state: State,
     grad_fn: GradFn,
     hp: AdaptiveHyperParams,
     *,
-    out: Optional[AdaptiveState] = None,
-) -> AdaptiveState:
-    """Accumulated-squared-gradient step; writes u and acc_grad_sq.
+    out: Optional[State] = None,
+) -> State:
+    """Accumulated-squared-gradient step; writes ADAGRAD_FIELDS.
 
         G += g^2
         u -= h * g / (sqrt(G) + eps)
     """
     grad = _checked_grad(grad_fn(state.u), state.u)
-    out = _output(state, out, state.u, ("u", "acc_grad_sq"))
+    out = _output(state, out, ADAGRAD_FIELDS)
     acc, u = out.acc_grad_sq, out.u
     np.multiply(grad, grad, out=acc)
     np.add(state.acc_grad_sq, acc, out=acc)
-    denom = np.sqrt(acc)
+    denom = np.sqrt(acc, out=out.work)
     denom += hp.eps
     np.multiply(grad, hp.h, out=u)
     u /= denom
@@ -125,15 +96,17 @@ def adagrad_step(
     return out
 
 
+ADADELTA_FIELDS = ("u", "acc_grad_sq", "acc_update_sq", "work")
+
+
 def adadelta_step(
-    state: AdaptiveState,
+    state: State,
     grad_fn: GradFn,
     hp: AdaptiveHyperParams,
     *,
-    out: Optional[AdaptiveState] = None,
-) -> AdaptiveState:
-    """Running-average step with a unitless update ratio; writes u,
-    acc_grad_sq and acc_update_sq.
+    out: Optional[State] = None,
+) -> State:
+    """Running-average step with a unitless update ratio; writes ADADELTA_FIELDS.
 
         E[g^2] <- gamma E[g^2] + (1-gamma) g^2
         delta   = -(sqrt(E[d^2] + eps) / sqrt(E[g^2] + eps)) * g
@@ -144,14 +117,14 @@ def adadelta_step(
     in benchmark configurations.
     """
     grad = _checked_grad(grad_fn(state.u), state.u)
-    out = _output(state, out, state.u, ("u", "acc_grad_sq", "acc_update_sq"))
+    out = _output(state, out, ADADELTA_FIELDS)
     acc_g, acc_d, u = out.acc_grad_sq, out.acc_update_sq, out.u
     _running_average(state.acc_grad_sq, grad, hp.gamma, acc_g, u)
     np.add(state.acc_update_sq, hp.eps, out=acc_d)
     np.sqrt(acc_d, out=acc_d)
     np.add(acc_g, hp.eps, out=u)
     np.sqrt(u, out=u)
-    delta = np.divide(acc_d, u)
+    delta = np.divide(acc_d, u, out=out.work)
     np.negative(delta, out=delta)
     delta *= grad
     _running_average(state.acc_update_sq, delta, hp.gamma, acc_d, u)
@@ -161,24 +134,26 @@ def adadelta_step(
     return out
 
 
+RMSPROP_FIELDS = ("u", "acc_grad_sq", "work")
+
+
 def rmsprop_step(
-    state: AdaptiveState,
+    state: State,
     grad_fn: GradFn,
     hp: AdaptiveHyperParams,
     *,
-    out: Optional[AdaptiveState] = None,
-) -> AdaptiveState:
-    """Running-average step with a fixed-rate numerator; writes u and
-    acc_grad_sq.
+    out: Optional[State] = None,
+) -> State:
+    """Running-average step with a fixed-rate numerator; writes RMSPROP_FIELDS.
 
         E[g^2] <- gamma E[g^2] + (1-gamma) g^2
         u      -= h * g / sqrt(E[g^2] + eps)
     """
     grad = _checked_grad(grad_fn(state.u), state.u)
-    out = _output(state, out, state.u, ("u", "acc_grad_sq"))
+    out = _output(state, out, RMSPROP_FIELDS)
     acc_g, u = out.acc_grad_sq, out.u
     _running_average(state.acc_grad_sq, grad, hp.gamma, acc_g, u)
-    denom = np.add(acc_g, hp.eps)
+    denom = np.add(acc_g, hp.eps, out=out.work)
     np.sqrt(denom, out=denom)
     np.multiply(grad, hp.h, out=u)
     u /= denom
@@ -187,14 +162,17 @@ def rmsprop_step(
     return out
 
 
+ADAM_FIELDS = ("u", "mom", "acc_grad_sq", "work")
+
+
 def adam_step(
-    state: AdaptiveState,
+    state: State,
     grad_fn: GradFn,
     hp: AdaptiveHyperParams,
     *,
-    out: Optional[AdaptiveState] = None,
-) -> AdaptiveState:
-    """Bias-corrected two-moment step; writes u, mom and acc_grad_sq.
+    out: Optional[State] = None,
+) -> State:
+    """Bias-corrected two-moment step; writes ADAM_FIELDS.
 
         m <- beta1 m + (1-beta1) g        m_hat = m / (1 - beta1^t)
         s <- beta2 s + (1-beta2) g^2      s_hat = s / (1 - beta2^t)
@@ -204,13 +182,13 @@ def adam_step(
     """
     grad = _checked_grad(grad_fn(state.u), state.u)
     t = state.n + 1
-    out = _output(state, out, state.u, ("u", "mom", "acc_grad_sq"))
+    out = _output(state, out, ADAM_FIELDS)
     mom, acc, u = out.mom, out.acc_grad_sq, out.u
     np.multiply(grad, 1.0 - hp.beta1, out=mom)
     np.multiply(state.mom, hp.beta1, out=u)
     np.add(u, mom, out=mom)
     _running_average(state.acc_grad_sq, grad, hp.beta2, acc, u)
-    denom = np.divide(acc, 1.0 - hp.beta2**t)
+    denom = np.divide(acc, 1.0 - hp.beta2**t, out=out.work)
     np.sqrt(denom, out=denom)
     denom += hp.eps
     np.divide(mom, 1.0 - hp.beta1**t, out=u)
@@ -221,15 +199,18 @@ def adam_step(
     return out
 
 
+SSA1_ADA_FIELDS = ("u", "acc_grad_sq", "acc_update_sq", "v", "z", "work")
+
+
 def ssa1_ada_step(
-    state: AdaptiveState,
+    state: State,
     grad_fn: GradFn,
     hp: AdaptiveHyperParams,
     schedule: MomentumSchedule,
     variant: str = "as-written",
     *,
-    out: Optional[AdaptiveState] = None,
-) -> AdaptiveState:
+    out: Optional[State] = None,
+) -> State:
     """Adaptive splitting step: Adadelta-style step sizes inside ssa1.
 
     The per-component step size is
@@ -247,14 +228,13 @@ def ssa1_ada_step(
     variant="as-written" accumulates E[g^2] and E[dz^2] at the carried
     auxiliary point z (two gradient evaluations per step); variant
     "z-first" computes z_next first and uses grad(z_next) everywhere
-    (one evaluation).  Writes u, acc_grad_sq, acc_update_sq, v and z;
-    mom is carried over.
+    (one evaluation).  Writes SSA1_ADA_FIELDS, h_n in work.
     """
     if variant not in SSA1_ADA_VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     h, gamma, eps, k = hp.h, hp.gamma, hp.eps, hp.k
     beta = momentum_coefficient(state.n, schedule)
-    out = _output(state, out, state.u, ("u", "acc_grad_sq", "acc_update_sq", "v", "z"))
+    out = _output(state, out, SSA1_ADA_FIELDS)
 
     if variant == "as-written":
         grad_acc = _checked_grad(grad_fn(state.z), state.u)
@@ -265,7 +245,7 @@ def ssa1_ada_step(
 
     u, acc_g, acc_d, v = out.u, out.acc_grad_sq, out.acc_update_sq, out.v
     _running_average(state.acc_grad_sq, grad_acc, gamma, acc_g, u)
-    h_n = np.add(state.acc_update_sq, eps)
+    h_n = np.add(state.acc_update_sq, eps, out=out.work)
     np.sqrt(h_n, out=h_n)
     h_n *= h
     np.add(acc_g, eps, out=u)

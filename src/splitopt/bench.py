@@ -123,26 +123,31 @@ class TimingStats:
 # --- optimizer registry ------------------------------------------------------
 
 # name -> (default lr, {option: default} for each run option its step rule
-# reads, the rule's module and its name there, and the record that carries
-# h with the k, gamma and eps options, or None when the rule takes h bare).
+# reads, the rule's module and its name there, the record that carries h
+# with the k, gamma and eps options, or None when the rule takes h bare,
+# and the fields of the rule's state).
 # The learning rates mirror the benchmark protocol: 1.0 for the
 # Adadelta-style adaptive pair, 1e-3 elsewhere (1e-2 for heavy ball).
 _RATIO, _SPLIT, _ADA = opt.RATIO_N_OVER_N3, opt.SplitHyperParams, ad.AdaptiveHyperParams
 OPTIMIZERS = {
-    "sgd": (1e-3, {}, opt, "minibatch_sgd_step", None),
-    "polyak": (1e-2, {"momentum": "0.5"}, opt, "polyak_step", None),
+    "sgd": (1e-3, {}, opt, "minibatch_sgd_step", None, opt.SGD_FIELDS),
+    "polyak": (1e-2, {"momentum": "0.5"}, opt, "polyak_step", None, opt.POLYAK_FIELDS),
     "nesterov": (1e-3, {"momentum": "0.5", "nesterov_form": "velocity"}, opt,
-                 "nesterov_step", None),
-    "ssa1": (1e-3, {"momentum": _RATIO, "k": 2.0}, opt, "ssa1_step", _SPLIT),
-    "ssa2": (1e-3, {"momentum": _RATIO, "k": 2.0}, opt, "ssa2_step", _SPLIT),
-    "ssa1-const": (1e-3, {"momentum": "0.5", "k": 2.0}, opt, "ssa1_step", _SPLIT),
-    "ssa2-const": (1e-3, {"momentum": "0.5", "k": 2.0}, opt, "ssa2_step", _SPLIT),
-    "adagrad": (1e-3, {"eps": ad.DEFAULT_EPS}, ad, "adagrad_step", _ADA),
-    "adadelta": (1.0, {"gamma": 0.9, "eps": ad.ADADELTA_EPS}, ad, "adadelta_step", _ADA),
-    "rmsprop": (1e-3, {"gamma": 0.9, "eps": ad.DEFAULT_EPS}, ad, "rmsprop_step", _ADA),
-    "adam": (1e-3, {"eps": ad.DEFAULT_EPS}, ad, "adam_step", _ADA),
+                 "nesterov_step", None, opt.NESTEROV_FIELDS),
+    "ssa1": (1e-3, {"momentum": _RATIO, "k": 2.0}, opt, "ssa1_step", _SPLIT, opt.SPLIT_FIELDS),
+    "ssa2": (1e-3, {"momentum": _RATIO, "k": 2.0}, opt, "ssa2_step", _SPLIT, opt.SPLIT_FIELDS),
+    "ssa1-const": (1e-3, {"momentum": "0.5", "k": 2.0}, opt, "ssa1_step", _SPLIT,
+                   opt.SPLIT_FIELDS),
+    "ssa2-const": (1e-3, {"momentum": "0.5", "k": 2.0}, opt, "ssa2_step", _SPLIT,
+                   opt.SPLIT_FIELDS),
+    "adagrad": (1e-3, {"eps": ad.DEFAULT_EPS}, ad, "adagrad_step", _ADA, ad.ADAGRAD_FIELDS),
+    "adadelta": (1.0, {"gamma": 0.9, "eps": ad.ADADELTA_EPS}, ad, "adadelta_step", _ADA,
+                 ad.ADADELTA_FIELDS),
+    "rmsprop": (1e-3, {"gamma": 0.9, "eps": ad.DEFAULT_EPS}, ad, "rmsprop_step", _ADA,
+                ad.RMSPROP_FIELDS),
+    "adam": (1e-3, {"eps": ad.DEFAULT_EPS}, ad, "adam_step", _ADA, ad.ADAM_FIELDS),
     "ssa1-ada": (1.0, {"momentum": _RATIO, "k": 2.0, "gamma": 0.9, "eps": ad.ADADELTA_EPS,
-                       "variant": "as-written"}, ad, "ssa1_ada_step", _ADA),
+                       "variant": "as-written"}, ad, "ssa1_ada_step", _ADA, ad.SSA1_ADA_FIELDS),
 }
 OPTION_FIELDS = ("k", "momentum", "gamma", "eps", "variant", "nesterov_form")
 
@@ -176,15 +181,14 @@ def make_stepper(config: ExperimentConfig, theta0: np.ndarray) -> Stepper:
     name in its module here, when the stepper is built, and called as
     rule(state, grad_fn, h or record, [schedule], [form or variant]).
     """
-    _, options, module, rule, record = OPTIMIZERS[config.optimizer]
+    _, options, module, rule, record, fields = OPTIMIZERS[config.optimizer]
     advance, h = getattr(module, rule), config.resolved_lr
     hyper = {key: getattr(config, key) for key in ("k", "gamma", "eps") if key in options}
     params = [h if record is None else record(h=h, **hyper)]
     if "momentum" in options:
         params.append(parse_momentum(config.momentum))
     params += [getattr(config, key) for key in ("nesterov_form", "variant") if key in options]
-    init = ad.AdaptiveState.fresh if module is ad else opt.InertialState.at_rest
-    state, spare = init(theta0), init(theta0)
+    state, spare = opt.State.start(theta0, fields), opt.State.start(theta0, fields)
 
     def step(grad_fn: opt.GradFn) -> np.ndarray:
         nonlocal state, spare
@@ -207,11 +211,16 @@ def load_dataset_spec(spec: str, seed: int) -> Tuple[Dataset, Dataset]:
     if spec.startswith("synth:") or spec == "synth":
         params = {"per_class": 500, "classes": 2, "dim": 2, "sep": 6.0}
         body = spec[len("synth:"):] if ":" in spec else ""
-        for item in filter(None, body.split(",")):
-            key, _, value = item.partition("=")
+        items = [item.partition("=") for item in filter(None, body.split(","))]
+        for key, _, value in items:
             if key not in params:
                 raise ValueError(f"unknown synth parameter {key!r}")
-            params[key] = type(params[key])(value)
+            if [k for k, _, _ in items].count(key) > 1:
+                raise ValueError(f"synth parameter {key!r} is given twice")
+            try:
+                params[key] = type(params[key])(value)
+            except ValueError as exc:
+                raise ValueError(f"synth parameter {key!r}: {exc}") from None
         train = synth_blobs(
             params["per_class"], params["classes"], params["dim"], params["sep"], seed
         )

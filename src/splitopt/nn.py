@@ -124,7 +124,16 @@ class MlpModel:
     """
 
     def __init__(self, weights: List[np.ndarray], biases: List[np.ndarray]):
-        self._layout = _layout([np.shape(w) for w in weights])
+        if len(weights) != len(biases):
+            raise ValueError(f"layer {min(len(weights), len(biases))}: {len(weights)} weight "
+                             f"matrices but {len(biases)} bias vectors")
+        shapes = [np.shape(w) for w in weights]
+        for layer, (shape, b) in enumerate(zip(shapes, biases)):
+            fan_in = shapes[layer - 1][-1] if layer else shape[0]
+            if len(shape) != 2 or shape[0] != fan_in or np.shape(b) != shape[1:]:
+                raise ValueError(f"layer {layer}: weights {shape} and bias {np.shape(b)} do not "
+                                 f"map {fan_in} inputs to one bias per output")
+        self._layout = _layout(shapes)
         self._flat = np.empty(self._layout[-1][2].stop)
         self.weights = [self._flat[w].reshape(shape) for w, shape, _ in self._layout]
         self.biases = [self._flat[b] for _, _, b in self._layout]

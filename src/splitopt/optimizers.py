@@ -13,8 +13,8 @@ not be, or share arrays with, the input state.  All arithmetic is 64-bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -91,37 +91,40 @@ class SplitHyperParams:
 
 
 @dataclass
-class InertialState:
-    """Iterate, velocity, and previous iterate of a momentum method.
+class State:
+    """Iterate u, step counter n, and the arrays a step rule declares in
+    its *_FIELDS tuple, all written every step; the others stay None.
 
-    nesterov_step keeps its velocity and two-sequence representations in
-    sync: after each of its steps, in either form, h * v = u - u_prev up to
-    rounding.  The other rules do not: the sgd and polyak steps leave v as
-    it was, and the splitting steps carry the boosted velocity of theirs.
+    v is a velocity, u_prev the previous iterate, acc_grad_sq E[g^2],
+    acc_update_sq E[delta^2], mom Adam's first moment and z ssa1-ada's
+    auxiliary point.  work is a scratch buffer whose contents mean nothing
+    between steps.
     """
 
     u: np.ndarray
-    v: np.ndarray
     n: int = 0
+    v: Optional[np.ndarray] = None
     u_prev: Optional[np.ndarray] = None
+    acc_grad_sq: Optional[np.ndarray] = None
+    acc_update_sq: Optional[np.ndarray] = None
+    mom: Optional[np.ndarray] = None
+    z: Optional[np.ndarray] = None
+    work: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        if self.v is not None and np.shape(self.v) != np.shape(self.u):
-            raise ValueError(
-                f"velocity shape {np.shape(self.v)} != iterate shape {np.shape(self.u)}"
-            )
-        if self.u_prev is not None and np.shape(self.u_prev) != np.shape(self.u):
-            raise ValueError(
-                f"u_prev shape {np.shape(self.u_prev)} != iterate shape {np.shape(self.u)}"
-            )
+        shape = np.shape(self.u)
+        for name, value in vars(self).items():
+            if name != "n" and value is not None and np.shape(value) != shape:
+                raise ValueError(f"{name} shape {np.shape(value)} != iterate shape {shape}")
         if self.n < 0:
             raise ValueError(f"iteration counter must be nonnegative, got {self.n}")
 
     @classmethod
-    def at_rest(cls, u0: np.ndarray, n: int = 0) -> "InertialState":
-        """State with zero velocity and u_prev = u0."""
+    def start(cls, u0: np.ndarray, fields: Tuple[str, ...], n: int = 0) -> "State":
+        """State at u0 holding exactly fields: u, u_prev and z at u0, the rest 0."""
         u0 = np.asarray(u0, dtype=float)
-        return cls(u=u0.copy(), v=np.zeros_like(u0), n=n, u_prev=u0.copy())
+        return cls(n=n, **{name: u0.copy() if name in ("u", "u_prev", "z") else np.zeros_like(u0)
+                           for name in fields})
 
 
 def _checked_grad(grad: np.ndarray, like: np.ndarray) -> np.ndarray:
@@ -135,20 +138,13 @@ def _checked_grad(grad: np.ndarray, like: np.ndarray) -> np.ndarray:
     return grad
 
 
-def _output(state, out, like: np.ndarray, written: tuple):
-    """The state a step writes its `written` fields into.
-
-    With out None, a copy of state whose written fields are fresh float64
-    buffers shaped like the iterate `like`.  Otherwise out itself, which
-    takes state's other fields by reference.  out must not be state.
-    """
+def _output(state: State, out: Optional[State], fields: Tuple[str, ...]) -> State:
+    """out, which must not be state, or with out None a State of fresh
+    float64 buffers for exactly fields, shaped like the iterate."""
     if out is None:
-        return replace(state, **{name: np.empty(np.shape(like)) for name in written})
+        return State(**{name: np.empty(np.shape(state.u)) for name in fields})
     if out is state:
         raise ValueError("out must not be the input state")
-    for name, value in vars(state).items():
-        if name not in written:
-            setattr(out, name, value)
     return out
 
 
@@ -184,17 +180,17 @@ def _split_position(u, y, grad_y, h, drift, out, scratch):
     out -= scratch
 
 
-_INERTIAL_FIELDS = ("u", "v", "u_prev")
+SGD_FIELDS = ("u",)
 
 
 def minibatch_sgd_step(
-    state: InertialState,
+    state: State,
     grad_fn: GradFn,
     h: float,
     *,
-    out: Optional[InertialState] = None,
-) -> InertialState:
-    """SGD step u - h * grad(u); writes u, and v and u_prev are carried over.
+    out: Optional[State] = None,
+) -> State:
+    """SGD step u - h * grad(u); writes SGD_FIELDS.
 
     With the full gradient as the oracle this is plain gradient descent.
     h = 0 is permitted (a frozen run is a valid experiment).
@@ -202,28 +198,31 @@ def minibatch_sgd_step(
     if not h >= 0:
         raise ValueError(f"step size must be nonnegative, got {h}")
     grad = _checked_grad(grad_fn(state.u), state.u)
-    out = _output(state, out, state.u, ("u",))
+    out = _output(state, out, SGD_FIELDS)
     np.multiply(grad, h, out=out.u)
     np.subtract(state.u, out.u, out=out.u)
     out.n = state.n + 1
     return out
 
 
+POLYAK_FIELDS = ("u", "u_prev")
+
+
 def polyak_step(
-    state: InertialState,
+    state: State,
     grad_fn: GradFn,
     h: float,
     schedule: MomentumSchedule,
     *,
-    out: Optional[InertialState] = None,
-) -> InertialState:
+    out: Optional[State] = None,
+) -> State:
     """Heavy-ball step with extrapolation alpha_n, the schedule's coefficient.
 
         y = u + alpha_n * (u - u_prev)
         u_next = y - h * grad(u)
 
     The gradient is evaluated at u, not at y, and alpha_n must lie in
-    [0, 1).  Writes u and u_prev; v is carried over.
+    [0, 1).  Writes POLYAK_FIELDS.
     """
     if state.u_prev is None:
         raise ValueError("polyak_step requires u_prev to be populated")
@@ -233,7 +232,7 @@ def polyak_step(
     if not h > 0:
         raise ValueError(f"step size must be positive, got {h}")
     grad = _checked_grad(grad_fn(state.u), state.u)
-    out = _output(state, out, state.u, ("u", "u_prev"))
+    out = _output(state, out, POLYAK_FIELDS)
     np.subtract(state.u, state.u_prev, out=out.u)
     out.u *= alpha
     out.u += state.u
@@ -244,15 +243,18 @@ def polyak_step(
     return out
 
 
+NESTEROV_FIELDS = ("u", "v", "u_prev")
+
+
 def nesterov_step(
-    state: InertialState,
+    state: State,
     grad_fn: GradFn,
     h: float,
     schedule: MomentumSchedule,
     form: str = "velocity",
     *,
-    out: Optional[InertialState] = None,
-) -> InertialState:
+    out: Optional[State] = None,
+) -> State:
     """Accelerated-gradient step in the requested representation.
 
     velocity form:
@@ -265,8 +267,7 @@ def nesterov_step(
         u_next = y - h^2 * grad(y)
 
     With v_0 = (u_0 - u_{-1}) / h the two produce identical iterates.
-    Both representations are updated regardless of form so states stay
-    interchangeable: u, v and u_prev are written.
+    Both forms write NESTEROV_FIELDS and keep h * v = u - u_prev (to rounding).
     """
     if not h > 0:
         raise ValueError(f"step size must be positive, got {h}")
@@ -279,7 +280,7 @@ def nesterov_step(
     else:
         raise ValueError(f"unknown form {form!r}")
     beta = momentum_coefficient(state.n, schedule)
-    out = _output(state, out, state.u, _INERTIAL_FIELDS)
+    out = _output(state, out, NESTEROV_FIELDS)
     # y lives in out.u_prev, which takes its own value after the last read
     # of grad(y): the gradient may be y's buffer itself
     if form == "velocity":
@@ -304,15 +305,18 @@ def nesterov_step(
     return out
 
 
+SPLIT_FIELDS = ("u", "v", "work")
+
+
 def ssa1_step(
-    state: InertialState,
+    state: State,
     grad_fn: GradFn,
     hp: SplitHyperParams,
     schedule: MomentumSchedule,
     *,
-    out: Optional[InertialState] = None,
-) -> InertialState:
-    """First sequential-splitting step; writes u, v and u_prev.
+    out: Optional[State] = None,
+) -> State:
+    """First sequential-splitting step; writes SPLIT_FIELDS, the look-ahead y in work.
 
         y = u + h * beta * v
         v_next = beta^k * ((1 - h*beta) * v - h * grad(y))
@@ -322,25 +326,24 @@ def ssa1_step(
         raise ValueError("ssa1_step requires v to be populated")
     h = hp.h
     beta = momentum_coefficient(state.n, schedule)
-    out = _output(state, out, state.u, _INERTIAL_FIELDS)
-    grad_y = _look_ahead(state.u, state.v, grad_fn, h, beta, out.u_prev)
+    out = _output(state, out, SPLIT_FIELDS)
+    grad_y = _look_ahead(state.u, state.v, grad_fn, h, beta, out.work)
     damp = 1.0 - h * beta
     _split_velocity(state.v, grad_y, h, damp, beta**hp.k, out.v, out.u)
-    _split_position(state.u, out.u_prev, grad_y, h, beta * damp, out.u, out.u_prev)
-    np.copyto(out.u_prev, state.u)
+    _split_position(state.u, out.work, grad_y, h, beta * damp, out.u, out.work)
     out.n = state.n + 1
     return out
 
 
 def ssa2_step(
-    state: InertialState,
+    state: State,
     grad_fn: GradFn,
     hp: SplitHyperParams,
     schedule: MomentumSchedule,
     *,
-    out: Optional[InertialState] = None,
-) -> InertialState:
-    """Second sequential-splitting step; writes u, v and u_prev.
+    out: Optional[State] = None,
+) -> State:
+    """Second sequential-splitting step; writes SPLIT_FIELDS, y in work.
 
         y = u + h * beta * v
         v_next = beta^k * ((1 - h*beta) * v - h * grad(y))
@@ -353,13 +356,12 @@ def ssa2_step(
         raise ValueError("ssa2_step requires v to be populated")
     h = hp.h
     beta = momentum_coefficient(state.n, schedule)
-    out = _output(state, out, state.u, _INERTIAL_FIELDS)
-    grad_y = _look_ahead(state.u, state.v, grad_fn, h, beta, out.u_prev)
+    out = _output(state, out, SPLIT_FIELDS)
+    grad_y = _look_ahead(state.u, state.v, grad_fn, h, beta, out.work)
     damp = 1.0 - h * beta
     _split_velocity(state.v, grad_y, h, damp, beta**hp.k, out.v, out.u)
     np.multiply(state.v, h * damp, out=out.u)
     out.u += state.u
-    np.copyto(out.u_prev, state.u)
     out.n = state.n + 1
     return out
 

@@ -107,8 +107,8 @@ def test_criterion_02_nesterov_form_equivalence():
     tic = time.perf_counter()
     objective = make_quadratic(10, 1.0, 10.0, seed=42)
     u0 = np.random.default_rng(7).standard_normal(10)
-    velocity = opt.InertialState.at_rest(u0)
-    two_seq = opt.InertialState.at_rest(u0)
+    velocity = opt.State.start(u0, opt.NESTEROV_FIELDS)
+    two_seq = opt.State.start(u0, opt.NESTEROV_FIELDS)
     worst = 0.0
     for _ in range(100):
         velocity = opt.nesterov_step(velocity, objective.gradient, 0.1, SCH_NM1, "velocity")
@@ -127,8 +127,8 @@ def test_criterion_03_multistep_identities():
         hp = opt.SplitHyperParams(h=h, k=k)
         for which, step_fn, seed in (("ssa1", opt.ssa1_step, 3), ("ssa2", opt.ssa2_step, 4)):
             objective = make_quadratic(5, 1.0, 10.0, seed=seed)
-            state = opt.InertialState.at_rest(
-                np.random.default_rng(seed + 10).standard_normal(5), n=1
+            state = opt.State.start(
+                np.random.default_rng(seed + 10).standard_normal(5), opt.SPLIT_FIELDS, n=1
             )
             hist = []
             for _ in range(51):
@@ -158,7 +158,7 @@ def test_criterion_04_splitting_composition():
     hp = opt.SplitHyperParams(h=h, k=0.0)
     u = np.random.default_rng(12).standard_normal(3)
     v = np.random.default_rng(13).standard_normal(3)
-    direct = opt.InertialState(u=u.copy(), v=v.copy(), n=1)
+    direct = opt.State(u=u.copy(), v=v.copy(), n=1)
     n = 1
     worst = 0.0
     for _ in range(20):
@@ -255,7 +255,7 @@ def test_criterion_07_convex_convergence():
     h = 0.1
     gaps = {}
 
-    state = opt.InertialState.at_rest(np.zeros(10))
+    state = opt.State.start(np.zeros(10), opt.SGD_FIELDS)
     values = [objective.value(state.u)]
     for _ in range(5000):
         state = opt.minibatch_sgd_step(state, objective.gradient, 1.0 / objective.L)
@@ -263,14 +263,14 @@ def test_criterion_07_convex_convergence():
     monotone = all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
     gaps["gd"] = values[-1] - f_star
 
-    state = opt.InertialState.at_rest(np.zeros(10))
+    state = opt.State.start(np.zeros(10), opt.NESTEROV_FIELDS)
     for _ in range(5000):
         state = opt.nesterov_step(state, objective.gradient, h, SCH_NM1)
     gaps["nesterov"] = objective.value(state.u) - f_star
 
     hp = opt.SplitHyperParams(h=h, k=2.0)
     for name, step_fn in (("ssa1", opt.ssa1_step), ("ssa2", opt.ssa2_step)):
-        state = opt.InertialState.at_rest(np.zeros(10))
+        state = opt.State.start(np.zeros(10), opt.SPLIT_FIELDS)
         for _ in range(5000):
             state = step_fn(state, objective.gradient, hp, SCH_N3)
         gaps[name] = objective.value(state.u) - f_star
@@ -309,7 +309,7 @@ def test_criterion_09_hand_oracle_single_steps():
 
     # ssa1: u=1, v=0, h=0.1, n=1 (beta 0.25), k=2, f=u^2/2
     out = opt.ssa1_step(
-        opt.InertialState(u=np.array([1.0]), v=np.array([0.0]), n=1),
+        opt.State(u=np.array([1.0]), v=np.array([0.0]), n=1),
         lambda u: u,
         opt.SplitHyperParams(h=0.1, k=2.0),
         SCH_N3,
@@ -319,7 +319,7 @@ def test_criterion_09_hand_oracle_single_steps():
 
     # ssa2: u=1, v=1, h=0.1, beta=0.25, k=2, f=u^2/2
     out = opt.ssa2_step(
-        opt.InertialState(u=np.array([1.0]), v=np.array([1.0]), n=0),
+        opt.State(u=np.array([1.0]), v=np.array([1.0]), n=0),
         lambda u: u,
         opt.SplitHyperParams(h=0.1, k=2.0),
         opt.MomentumSchedule.constant(0.25),
@@ -330,7 +330,7 @@ def test_criterion_09_hand_oracle_single_steps():
 
     # adam: zero state, g=1, h=0.001, eps=1e-8; bias correction cancels
     out = ada.adam_step(
-        ada.AdaptiveState.fresh(np.zeros(1)),
+        opt.State.start(np.zeros(1), ada.ADAM_FIELDS),
         lambda _: np.array([1.0]),
         ada.AdaptiveHyperParams(h=0.001, eps=1e-8),
     )
@@ -338,7 +338,7 @@ def test_criterion_09_hand_oracle_single_steps():
 
     # adadelta: zero accumulators, gamma=0.9, eps=1e-6, g=1, h=1
     out = ada.adadelta_step(
-        ada.AdaptiveState.fresh(np.zeros(1)),
+        opt.State.start(np.zeros(1), ada.ADADELTA_FIELDS),
         lambda _: np.array([1.0]),
         ada.AdaptiveHyperParams(h=1.0, gamma=0.9, eps=1e-6),
     )
@@ -348,14 +348,14 @@ def test_criterion_09_hand_oracle_single_steps():
 
     # rmsprop: zero accumulator, gamma=0.9, g=1, h=0.001, eps=1e-8
     out = ada.rmsprop_step(
-        ada.AdaptiveState.fresh(np.zeros(1)),
+        opt.State.start(np.zeros(1), ada.RMSPROP_FIELDS),
         lambda _: np.array([1.0]),
         ada.AdaptiveHyperParams(h=0.001, gamma=0.9, eps=1e-8),
     )
     checks.append(abs(out.u[0] - (-0.001 / math.sqrt(0.1 + 1e-8))) <= 1e-9)
 
     # adagrad: two steps with g=1, h=0.1, eps=1e-8
-    state = ada.AdaptiveState.fresh(np.zeros(1))
+    state = opt.State.start(np.zeros(1), ada.ADAGRAD_FIELDS)
     hp = ada.AdaptiveHyperParams(h=0.1, eps=1e-8)
     state = ada.adagrad_step(state, lambda _: np.array([1.0]), hp)
     checks.append(abs(state.u[0] - (-0.1 / (1.0 + 1e-8))) <= 1e-9)
@@ -367,8 +367,7 @@ def test_criterion_09_hand_oracle_single_steps():
 
     # ssa1-ada as written: u=1, v=0, z=1, n=1, beta=0.25, k=2, h=1,
     # rho=0.9, eps=1e-6, f=u^2/2
-    st = ada.AdaptiveState.fresh(np.array([1.0]))
-    st.n = 1
+    st = opt.State.start(np.array([1.0]), ada.SSA1_ADA_FIELDS, n=1)
     out = ada.ssa1_ada_step(
         st,
         lambda u: u,
@@ -428,7 +427,7 @@ def test_criterion_11_ode_tracking():
     errors = []
     for h in (0.05, 0.025, 0.0125):
         hp = opt.SplitHyperParams(h=h, k=0.0)
-        state = opt.InertialState(u=np.array([1.0]), v=np.array([0.0]), n=0)
+        state = opt.State(u=np.array([1.0]), v=np.array([0.0]), n=0)
         stride = round(h / h_ref)
         sup = 0.0
         for n in range(1, round(5.0 / h) + 1):

@@ -9,9 +9,14 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import splitopt.optimizers as opt
+from splitopt.optimizers import State
 from splitopt.adaptive import (
+    ADADELTA_FIELDS,
+    ADAGRAD_FIELDS,
+    ADAM_FIELDS,
+    RMSPROP_FIELDS,
+    SSA1_ADA_FIELDS,
     AdaptiveHyperParams,
-    AdaptiveState,
     adadelta_step,
     adagrad_step,
     adam_step,
@@ -25,19 +30,20 @@ SCH_N3 = opt.MomentumSchedule.ratio_n_over_n_plus_3()
 class TestAdagrad:
     def test_first_step(self):
         hp = AdaptiveHyperParams(h=0.1, eps=1e-8)
-        state = adagrad_step(AdaptiveState.fresh(np.zeros(1)), lambda _: np.array([1.0]), hp)
+        start = State.start(np.zeros(1), ADAGRAD_FIELDS)
+        state = adagrad_step(start, lambda _: np.array([1.0]), hp)
         assert state.u[0] == pytest.approx(-0.1 / (1.0 + 1e-8), rel=1e-12)
 
     def test_zero_gradient(self):
         hp = AdaptiveHyperParams(h=0.1, eps=1e-8)
-        start = AdaptiveState.fresh(np.array([2.0, -3.0]))
+        start = State.start(np.array([2.0, -3.0]), ADAGRAD_FIELDS)
         state = adagrad_step(start, lambda _: np.zeros(2), hp)
         np.testing.assert_array_equal(state.u, start.u)
         np.testing.assert_array_equal(state.acc_grad_sq, np.zeros(2))
 
     def test_second_step_accumulates(self):
         hp = AdaptiveHyperParams(h=0.1, eps=1e-8)
-        state = AdaptiveState.fresh(np.zeros(1))
+        state = State.start(np.zeros(1), ADAGRAD_FIELDS)
         state = adagrad_step(state, lambda _: np.array([1.0]), hp)
         before = state.u.copy()
         state = adagrad_step(state, lambda _: np.array([1.0]), hp)
@@ -49,7 +55,8 @@ class TestAdagrad:
 class TestAdadelta:
     def test_first_step_trace(self):
         hp = AdaptiveHyperParams(h=1.0, gamma=0.9, eps=1e-6)
-        state = adadelta_step(AdaptiveState.fresh(np.zeros(1)), lambda _: np.array([1.0]), hp)
+        start = State.start(np.zeros(1), ADADELTA_FIELDS)
+        state = adadelta_step(start, lambda _: np.array([1.0]), hp)
         acc_g = 0.1
         delta = -math.sqrt(1e-6) / math.sqrt(acc_g + 1e-6)
         assert state.acc_grad_sq[0] == pytest.approx(acc_g, rel=1e-15)
@@ -58,7 +65,7 @@ class TestAdadelta:
 
     def test_zero_gradient_decays_accumulators(self):
         hp = AdaptiveHyperParams(h=1.0, gamma=0.9, eps=1e-6)
-        state = AdaptiveState.fresh(np.array([1.0]))
+        state = State.start(np.array([1.0]), ADADELTA_FIELDS)
         state.acc_grad_sq[:] = 0.4
         state.acc_update_sq[:] = 0.2
         out = adadelta_step(state, lambda _: np.zeros(1), hp)
@@ -72,7 +79,7 @@ class TestAdadelta:
         hp = AdaptiveHyperParams(h=1.0, gamma=0.9, eps=1e-6)
 
         def final_step(c):
-            state = AdaptiveState.fresh(np.zeros(1))
+            state = State.start(np.zeros(1), ADADELTA_FIELDS)
             prev = state.u.copy()
             for _ in range(10_000):
                 prev = state.u.copy()
@@ -86,12 +93,13 @@ class TestAdadelta:
 class TestRmsprop:
     def test_first_step(self):
         hp = AdaptiveHyperParams(h=0.001, gamma=0.9, eps=1e-8)
-        state = rmsprop_step(AdaptiveState.fresh(np.zeros(1)), lambda _: np.array([1.0]), hp)
+        start = State.start(np.zeros(1), RMSPROP_FIELDS)
+        state = rmsprop_step(start, lambda _: np.array([1.0]), hp)
         assert state.u[0] == pytest.approx(-0.001 / math.sqrt(0.1 + 1e-8), rel=1e-12)
 
     def test_zero_gradient(self):
         hp = AdaptiveHyperParams(h=0.001)
-        start = AdaptiveState.fresh(np.array([5.0]))
+        start = State.start(np.array([5.0]), RMSPROP_FIELDS)
         out = rmsprop_step(start, lambda _: np.zeros(1), hp)
         assert out.u[0] == pytest.approx(5.0)
 
@@ -99,7 +107,7 @@ class TestRmsprop:
         # gamma -> 0 reduces to -h*g/sqrt(g^2 + eps), about -h*sign(g)
         hp = AdaptiveHyperParams(h=0.01, gamma=1e-12, eps=1e-8)
         g = np.array([3.0, -0.5])
-        out = rmsprop_step(AdaptiveState.fresh(np.zeros(2)), lambda _: g, hp)
+        out = rmsprop_step(State.start(np.zeros(2), RMSPROP_FIELDS), lambda _: g, hp)
         expected = -0.01 * g / np.sqrt(g**2 + 1e-8)
         np.testing.assert_allclose(out.u, expected, rtol=1e-9)
         np.testing.assert_allclose(out.u, -0.01 * np.sign(g), rtol=1e-6)
@@ -109,8 +117,8 @@ class TestRmsprop:
         # reproduces the rmsprop step
         hp = AdaptiveHyperParams(h=0.005, gamma=0.9, eps=1e-8)
         rng = np.random.default_rng(17)
-        rms_state = AdaptiveState.fresh(np.zeros(4))
-        dd_state = AdaptiveState.fresh(np.zeros(4))
+        rms_state = State.start(np.zeros(4), RMSPROP_FIELDS)
+        dd_state = State.start(np.zeros(4), ADADELTA_FIELDS)
         for _ in range(50):
             g = rng.standard_normal(4)
             theta_before = rms_state.u.copy()
@@ -126,7 +134,8 @@ class TestRmsprop:
 class TestAdam:
     def test_first_step(self):
         hp = AdaptiveHyperParams(h=0.001, eps=1e-8)
-        state = adam_step(AdaptiveState.fresh(np.zeros(1)), lambda _: np.array([1.0]), hp)
+        start = State.start(np.zeros(1), ADAM_FIELDS)
+        state = adam_step(start, lambda _: np.array([1.0]), hp)
         assert state.n == 1
         assert state.u[0] == pytest.approx(-0.001 / (1.0 + 1e-8), rel=1e-12)
 
@@ -134,14 +143,14 @@ class TestAdam:
         for beta1 in (0.5, 0.9, 0.99):
             hp = AdaptiveHyperParams(h=0.001, beta1=beta1)
             g = np.array([0.37])
-            state = adam_step(AdaptiveState.fresh(np.zeros(1)), lambda _: g, hp)
+            state = adam_step(State.start(np.zeros(1), ADAM_FIELDS), lambda _: g, hp)
             m_hat = state.mom / (1 - beta1)
             assert m_hat[0] == pytest.approx(g[0], rel=1e-15)
 
     def test_constant_gradient_keeps_corrected_moment(self):
         hp = AdaptiveHyperParams(h=0.001)
         g = np.array([0.3, -1.7, 0.123456789])
-        state = AdaptiveState.fresh(np.zeros(3))
+        state = State.start(np.zeros(3), ADAM_FIELDS)
         for _ in range(100):
             state = adam_step(state, lambda _: g, hp)
             m_hat = state.mom / (1 - hp.beta1**state.n)
@@ -149,7 +158,7 @@ class TestAdam:
 
     def test_zero_gradient_from_zero_state(self):
         hp = AdaptiveHyperParams(h=0.001)
-        out = adam_step(AdaptiveState.fresh(np.array([4.0])), lambda _: np.zeros(1), hp)
+        out = adam_step(State.start(np.array([4.0]), ADAM_FIELDS), lambda _: np.zeros(1), hp)
         assert out.u[0] == pytest.approx(4.0)
 
 
@@ -158,7 +167,7 @@ class TestSsa1Ada:
         hp = AdaptiveHyperParams(h=0.5, gamma=0.9, eps=1e-6, k=2.0)
         rng = np.random.default_rng(2)
         theta, v = rng.standard_normal(3), rng.standard_normal(3)
-        state = AdaptiveState.fresh(theta)
+        state = State.start(theta, SSA1_ADA_FIELDS)
         state.v = v.copy()
         state.n = 4
         beta = 4 / 7
@@ -171,7 +180,7 @@ class TestSsa1Ada:
 
     def test_hand_trace_as_written(self):
         hp = AdaptiveHyperParams(h=1.0, gamma=0.9, eps=1e-6, k=2.0)
-        state = AdaptiveState.fresh(np.array([1.0]))
+        state = State.start(np.array([1.0]), SSA1_ADA_FIELDS)
         state.n = 1  # beta = 0.25
         out = ssa1_ada_step(state, lambda u: u, hp, SCH_N3, variant="as-written")
         acc_g = 0.1
@@ -186,7 +195,7 @@ class TestSsa1Ada:
         grad = lambda u: 2.0 * u
         outs = []
         for variant in ("as-written", "z-first"):
-            state = AdaptiveState.fresh(np.array([0.7, -0.2]))
+            state = State.start(np.array([0.7, -0.2]), SSA1_ADA_FIELDS)
             state.n = 3
             outs.append(ssa1_ada_step(state, grad, hp, SCH_N3, variant=variant))
         np.testing.assert_array_equal(outs[0].u, outs[1].u)
@@ -203,7 +212,7 @@ class TestSsa1Ada:
                 calls += 1
                 return u
 
-            state = AdaptiveState.fresh(np.array([1.0, 2.0]))
+            state = State.start(np.array([1.0, 2.0]), SSA1_ADA_FIELDS)
             state.v[:] = 0.3
             ssa1_ada_step(state, grad, hp, SCH_N3, variant=variant)
             assert calls == expected, variant
@@ -222,7 +231,7 @@ class TestSsa1Ada:
         z_next = theta + h * opt.momentum_coefficient(n, SCH_N3) * v
         acc_after = gamma * acc_g + (1 - gamma) * grad(z_next) ** 2
 
-        state = AdaptiveState.fresh(theta)
+        state = State.start(theta, SSA1_ADA_FIELDS)
         state.v = v.copy()
         state.n = n
         state.acc_grad_sq = acc_g.copy()
@@ -230,7 +239,7 @@ class TestSsa1Ada:
         adaptive = ssa1_ada_step(state, grad, hp, SCH_N3, variant="z-first")
 
         plain = opt.ssa1_step(
-            opt.InertialState(u=theta.copy(), v=v.copy(), n=n),
+            opt.State(u=theta.copy(), v=v.copy(), n=n),
             grad,
             opt.SplitHyperParams(h=h, k=2.0),
             SCH_N3,
@@ -263,11 +272,11 @@ class TestSsa1Ada:
         s = np.sqrt(acc_d + eps)
         h_n = s * h / s
 
-        state = AdaptiveState.fresh(u)
+        state = State.start(u, SSA1_ADA_FIELDS)
         state.v, state.n, state.acc_grad_sq, state.acc_update_sq = v.copy(), n, acc_g, acc_d
         hp = AdaptiveHyperParams(h=h, gamma=gamma, eps=eps, k=k)
         adaptive = ssa1_ada_step(state, grad, hp, SCH_N3, variant="z-first")
-        plain = opt.ssa1_step(opt.InertialState(u=u.copy(), v=v.copy(), n=n), grad,
+        plain = opt.ssa1_step(opt.State(u=u.copy(), v=v.copy(), n=n), grad,
                               opt.SplitHyperParams(h=h, k=k), SCH_N3)
         assert adaptive.acc_grad_sq.tobytes() == acc_d.tobytes()
 
@@ -295,27 +304,29 @@ class TestStateDiscipline:
         hp = AdaptiveHyperParams(h=0.01, gamma=0.9, eps=1e-8, k=2.0)
         rng = np.random.default_rng(33)
         steps = {
-            "adagrad": lambda s, g: adagrad_step(s, lambda _: g, hp),
-            "adadelta": lambda s, g: adadelta_step(s, lambda _: g, hp),
-            "rmsprop": lambda s, g: rmsprop_step(s, lambda _: g, hp),
-            "adam": lambda s, g: adam_step(s, lambda _: g, hp),
-            "ssa1-ada": lambda s, g: ssa1_ada_step(s, lambda _: g, hp, SCH_N3),
+            "adagrad": (ADAGRAD_FIELDS, lambda s, g: adagrad_step(s, lambda _: g, hp)),
+            "adadelta": (ADADELTA_FIELDS, lambda s, g: adadelta_step(s, lambda _: g, hp)),
+            "rmsprop": (RMSPROP_FIELDS, lambda s, g: rmsprop_step(s, lambda _: g, hp)),
+            "adam": (ADAM_FIELDS, lambda s, g: adam_step(s, lambda _: g, hp)),
+            "ssa1-ada": (SSA1_ADA_FIELDS, lambda s, g: ssa1_ada_step(s, lambda _: g, hp, SCH_N3)),
         }
-        for name, step in steps.items():
-            state = AdaptiveState.fresh(np.zeros(3))
+        for name, (fields, step) in steps.items():
+            accumulators = [acc for acc in ("acc_grad_sq", "acc_update_sq") if acc in fields]
+            state = State.start(np.zeros(3), fields)
             for _ in range(10_000):
                 state = step(state, rng.standard_normal(3) * 10.0)
-                assert np.all(state.acc_grad_sq >= 0.0), name
-                assert np.all(state.acc_update_sq >= 0.0), name
+                for acc in accumulators:
+                    assert np.all(getattr(state, acc) >= 0.0), (name, acc)
 
     def test_dimension_mismatch(self):
         hp = AdaptiveHyperParams(h=0.01)
-        state = AdaptiveState.fresh(np.zeros(3))
-        for step in (adagrad_step, adadelta_step, rmsprop_step, adam_step):
+        for step, fields in ((adagrad_step, ADAGRAD_FIELDS), (adadelta_step, ADADELTA_FIELDS),
+                             (rmsprop_step, RMSPROP_FIELDS), (adam_step, ADAM_FIELDS)):
             with pytest.raises(ValueError, match="dimension mismatch"):
-                step(state, lambda _: np.zeros(4), hp)
+                step(State.start(np.zeros(3), fields), lambda _: np.zeros(4), hp)
         with pytest.raises(ValueError, match="dimension mismatch"):
-            ssa1_ada_step(state, lambda _: np.zeros(4), hp, SCH_N3)
+            ssa1_ada_step(State.start(np.zeros(3), SSA1_ADA_FIELDS), lambda _: np.zeros(4), hp,
+                          SCH_N3)
 
     def test_hyperparameter_validation(self):
         with pytest.raises(ValueError):
@@ -331,7 +342,7 @@ class TestStateDiscipline:
                 AdaptiveHyperParams(**{"h": 0.1, field: float("nan")})
         with pytest.raises(ValueError):
             ssa1_ada_step(
-                AdaptiveState.fresh(np.zeros(2)),
+                State.start(np.zeros(2), SSA1_ADA_FIELDS),
                 lambda u: u,
                 AdaptiveHyperParams(h=0.1),
                 SCH_N3,

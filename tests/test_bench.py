@@ -1,7 +1,9 @@
 """Unit tests for the experiment runner, timing statistics, and CLI."""
 
 import dataclasses
+import itertools
 import math
+import pathlib
 import struct
 import tracemalloc
 
@@ -162,11 +164,10 @@ class TestRegistry:
 
 
 # Traced memory a stepper may hold above its start over 5 steps, in
-# parameter vectors, with a gradient oracle that allocates nothing: the
-# inertial rules write into the stepper's two states, and the adaptive ones
-# allocate one work array (two for ssa1-ada).
-STEP_ALLOCATION_BUDGET = {"adagrad": 1.5, "adadelta": 1.5, "rmsprop": 1.5, "adam": 1.5,
-                          "ssa1-ada": 2.5}
+# parameter vectors, with a gradient oracle that allocates nothing: every
+# rule writes into the stepper's two states, work buffers included, and
+# ssa1-ada alone allocates one array, h_n^2 in _split_position.
+STEP_ALLOCATION_BUDGET = {"ssa1-ada": 1.5}
 
 
 @pytest.mark.parametrize("name", sorted(OPTIMIZERS))
@@ -196,7 +197,7 @@ def test_steps_allocate_no_state(name):
 def test_stepper_looks_its_rule_up_by_name_when_built(monkeypatch, name):
     # a tracer replaces each step rule by name in its module before a run
     # starts, so a stepper must call what the module holds when it is built
-    _, _, module, rule, _ = OPTIMIZERS[name]
+    module, rule = OPTIMIZERS[name][2:4]
     calls, real = [], getattr(module, rule)
 
     def counting(*args, **kwargs):
@@ -214,31 +215,36 @@ def test_stepper_looks_its_rule_up_by_name_when_built(monkeypatch, name):
 HALF = opt.MomentumSchedule.constant(0.5)
 RATIO = opt.MomentumSchedule.ratio_n_over_n_plus_3()
 SPLIT = opt.SplitHyperParams(h=1e-3, k=2.0)
-REST, FRESH = opt.InertialState.at_rest, ad.AdaptiveState.fresh
-# optimizer -> (initial state, one step): direct calls of each step rule with
+# optimizer -> (state fields, one step): direct calls of each step rule with
 # the defaults the README documents
 DIRECT = {
-    "sgd": (REST, lambda s, g: opt.minibatch_sgd_step(s, g, 1e-3)),
-    "polyak": (REST, lambda s, g: opt.polyak_step(s, g, 1e-2, HALF)),
-    "nesterov": (REST, lambda s, g: opt.nesterov_step(s, g, 1e-3, HALF, form="velocity")),
-    "ssa1": (REST, lambda s, g: opt.ssa1_step(s, g, SPLIT, RATIO)),
-    "ssa2": (REST, lambda s, g: opt.ssa2_step(s, g, SPLIT, RATIO)),
-    "ssa1-const": (REST, lambda s, g: opt.ssa1_step(s, g, SPLIT, HALF)),
-    "ssa2-const": (REST, lambda s, g: opt.ssa2_step(s, g, SPLIT, HALF)),
+    "sgd": (opt.SGD_FIELDS, lambda s, g: opt.minibatch_sgd_step(s, g, 1e-3)),
+    "polyak": (opt.POLYAK_FIELDS, lambda s, g: opt.polyak_step(s, g, 1e-2, HALF)),
+    "nesterov": (
+        opt.NESTEROV_FIELDS, lambda s, g: opt.nesterov_step(s, g, 1e-3, HALF, form="velocity")
+    ),
+    "ssa1": (opt.SPLIT_FIELDS, lambda s, g: opt.ssa1_step(s, g, SPLIT, RATIO)),
+    "ssa2": (opt.SPLIT_FIELDS, lambda s, g: opt.ssa2_step(s, g, SPLIT, RATIO)),
+    "ssa1-const": (opt.SPLIT_FIELDS, lambda s, g: opt.ssa1_step(s, g, SPLIT, HALF)),
+    "ssa2-const": (opt.SPLIT_FIELDS, lambda s, g: opt.ssa2_step(s, g, SPLIT, HALF)),
     "adagrad": (
-        FRESH, lambda s, g: ad.adagrad_step(s, g, ad.AdaptiveHyperParams(h=1e-3, eps=1e-8))
+        ad.ADAGRAD_FIELDS,
+        lambda s, g: ad.adagrad_step(s, g, ad.AdaptiveHyperParams(h=1e-3, eps=1e-8)),
     ),
     "adadelta": (
-        FRESH,
+        ad.ADADELTA_FIELDS,
         lambda s, g: ad.adadelta_step(s, g, ad.AdaptiveHyperParams(h=1.0, gamma=0.9, eps=1e-6)),
     ),
     "rmsprop": (
-        FRESH,
+        ad.RMSPROP_FIELDS,
         lambda s, g: ad.rmsprop_step(s, g, ad.AdaptiveHyperParams(h=1e-3, gamma=0.9, eps=1e-8)),
     ),
-    "adam": (FRESH, lambda s, g: ad.adam_step(s, g, ad.AdaptiveHyperParams(h=1e-3, eps=1e-8))),
+    "adam": (
+        ad.ADAM_FIELDS,
+        lambda s, g: ad.adam_step(s, g, ad.AdaptiveHyperParams(h=1e-3, eps=1e-8)),
+    ),
     "ssa1-ada": (
-        FRESH,
+        ad.SSA1_ADA_FIELDS,
         lambda s, g: ad.ssa1_ada_step(
             s, g, ad.AdaptiveHyperParams(h=1.0, gamma=0.9, eps=1e-6, k=2.0), RATIO,
             variant="as-written",
@@ -251,12 +257,41 @@ def test_table_defaults_match_direct_rule_calls():
     assert set(DIRECT) == set(OPTIMIZERS)
     grad = lambda t: np.array([1.0, 4.0, 9.0]) * t - 1.0
     theta0 = np.array([1.0, -2.0, 0.5])
-    for name, (init, advance) in DIRECT.items():
+    for name, (fields, advance) in DIRECT.items():
         stepper = make_stepper(ExperimentConfig(optimizer=name), theta0)
-        state = init(theta0)
+        state = opt.State.start(theta0, fields)
         for _ in range(5):
             state = advance(state, grad)
             assert stepper(grad).tobytes() == state.u.tobytes(), name
+
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_field_table():
+    """{rule name: (its module, its field tuple's name, the fields listed)}
+    from the README's table of each rule's fields."""
+    lines = README.read_text().splitlines()
+    start = lines.index("| rule | field tuple | fields |") + 2
+    table = {}
+    for line in itertools.takewhile(lambda line: line.startswith("|"), lines[start:]):
+        rules, constant, fields = (cell.strip() for cell in line.strip("|").split("|"))
+        module, name = constant.strip("`").split(".")
+        for rule in rules.split(", "):
+            table[rule.strip("`")] = (module, name, tuple(f.strip("`") for f in fields.split(", ")))
+    return table
+
+
+def test_readme_field_table_matches_the_declared_fields():
+    table = readme_field_table()
+    modules = {"optimizers": opt, "adaptive": ad}
+    for rule, (module, name, fields) in table.items():
+        assert hasattr(modules[module], rule), rule
+        assert getattr(modules[module], name) == fields, rule
+    # every registry row's rule and fields are the table's
+    for optimizer, row in OPTIMIZERS.items():
+        module, rule, fields = row[2], row[3], row[5]
+        assert getattr(module, table[rule][1]) is fields, optimizer
 
 
 class TestPolyakSchedule:
@@ -707,6 +742,19 @@ class TestCli:
         config = tmp_path / "run.conf"
         config.write_text("".join(f"{name} = 1\n" for name in names))
         assert set(_load_config_file(str(config))) == names
+
+    @pytest.mark.parametrize("spec, message", [
+        ("synth:dim=2,dim=3", "synth parameter 'dim' is given twice"),
+        ("synth:dim", "synth parameter 'dim': invalid literal"),
+        ("synth:sep=", "synth parameter 'sep': could not convert"),
+    ])
+    def test_bad_synth_spec_exits_2_before_data_loads(self, capsys, monkeypatch, spec, message):
+        def no_data(*args, **kwargs):
+            raise AssertionError("synth data was drawn for a bad spec")
+
+        monkeypatch.setattr("splitopt.bench.synth_blobs", no_data)
+        assert main(["run", "--optimizer", "sgd", "--epochs", "1", "--dataset", spec]) == 2
+        assert message in capsys.readouterr().err
 
     def test_bad_config_line(self, tmp_path, capsys):
         config = tmp_path / "run.conf"

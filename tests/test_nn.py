@@ -227,6 +227,22 @@ class TestMlpModel:
         out = model.forward(X)
         np.testing.assert_allclose(np.sum(np.exp(out), axis=1), 1.0, atol=1e-12)
 
+    @pytest.mark.parametrize("weights, biases, message", [
+        # a short bias list would leave the last bias uninitialized memory
+        ([np.ones((2, 3)), np.ones((3, 2))], [np.ones(3)], "layer 1: 2 weight matrices but 1"),
+        ([np.ones((2, 3))], [np.ones(3), np.ones(2)], "layer 1: 1 weight matrices but 2"),
+        # a length-1 bias would broadcast across the layer
+        ([np.ones((2, 3)), np.ones((3, 2))], [np.ones(3), np.ones(1)],
+         r"layer 1: weights \(3, 2\) and bias \(1,\)"),
+        # 2x3 then 4x2 would fail only inside matmul
+        ([np.ones((2, 3)), np.ones((4, 2))], [np.ones(3), np.ones(2)],
+         r"layer 1: weights \(4, 2\) and bias \(2,\) do not map 3 inputs"),
+        ([np.ones(3)], [np.ones(3)], r"layer 0: weights \(3,\)"),
+    ])
+    def test_rejects_layers_that_do_not_fit(self, weights, biases, message):
+        with pytest.raises(ValueError, match=message):
+            MlpModel(weights, biases)
+
     def test_input_width_check(self):
         model = MlpModel.init((5, 6, 4), seed=3)
         with pytest.raises(ValueError, match="features"):

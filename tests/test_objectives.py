@@ -10,7 +10,7 @@ from splitopt.objectives import (
     rosenbrock,
     rosenbrock_objective,
 )
-from splitopt.optimizers import InertialState, minibatch_sgd_step
+from splitopt.optimizers import SGD_FIELDS, State, minibatch_sgd_step
 
 
 def relative_error(got, want):
@@ -133,7 +133,7 @@ class TestDescentSanity:
         basis, _ = np.linalg.qr(rng.standard_normal((6, 6)))
         Q = basis @ np.diag(np.linspace(0.5, 8.0, 6)) @ basis.T
         obj = quadratic((Q + Q.T) / 2, rng.standard_normal(6))
-        state = InertialState.at_rest(rng.standard_normal(6) * 3)
+        state = State.start(rng.standard_normal(6) * 3, SGD_FIELDS)
         previous = obj.value(state.u)
         for _ in range(1000):
             state = minibatch_sgd_step(state, obj.gradient, 1.0 / obj.L)

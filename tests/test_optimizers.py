@@ -3,6 +3,7 @@ splitting updates that the adaptive splitting step shares with them, and
 the out= buffer contract of every step rule."""
 
 import copy
+import dataclasses
 from dataclasses import replace
 
 import numpy as np
@@ -81,7 +82,7 @@ class TestSplitHyperParams:
 def sgd(u, g, h):
     """The iterate after one minibatch_sgd_step from rest at u, with the
     constant gradient g as the oracle."""
-    return opt.minibatch_sgd_step(opt.InertialState.at_rest(u), lambda _: g, h).u
+    return opt.minibatch_sgd_step(opt.State.start(u, opt.SGD_FIELDS), lambda _: g, h).u
 
 
 class TestGdAndSgd:
@@ -101,10 +102,10 @@ class TestGdAndSgd:
         assert np.array_equal(sgd(theta, np.zeros(2), 0.1), theta)
         # zero step size freezes the parameters (a frozen run is allowed)
         assert np.array_equal(sgd(theta, np.ones(2), 0.0), theta)
-        # only u is written; v and u_prev are carried over by reference
-        state = opt.InertialState.at_rest(theta, n=4)
+        # u is the only array sgd carries
+        state = opt.State.start(theta, opt.SGD_FIELDS, n=4)
         out = opt.minibatch_sgd_step(state, lambda _: np.ones(2), 0.1)
-        assert out.v is state.v and out.u_prev is state.u_prev and out.n == 5
+        assert out.v is None and out.u_prev is None and out.n == 5
 
     def test_errors(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
@@ -117,7 +118,7 @@ class TestGdAndSgd:
 
 class TestPolyak:
     def test_reduces_to_gd_when_alpha_zero(self):
-        state = opt.InertialState.at_rest(np.array([1.0]))
+        state = opt.State.start(np.array([1.0]), opt.POLYAK_FIELDS)
         state.u_prev = np.array([0.3])  # irrelevant at alpha = 0
         out = opt.polyak_step(
             state, lambda _: np.array([1.0]), 0.1, opt.MomentumSchedule.constant(0.0)
@@ -127,7 +128,7 @@ class TestPolyak:
 
     def test_hand_trace(self):
         # f = u^2/2, gradient taken at u = 1
-        state = opt.InertialState(
+        state = opt.State(
             u=np.array([1.0]), v=np.zeros(1), n=0, u_prev=np.array([0.5])
         )
         out = opt.polyak_step(state, lambda _: np.array([1.0]), 0.1, HALF)
@@ -137,26 +138,26 @@ class TestPolyak:
 
     def test_zero_inertial_difference(self):
         u0 = np.array([2.0, -1.0])
-        state = opt.InertialState.at_rest(u0)
+        state = opt.State.start(u0, opt.POLYAK_FIELDS)
         g = np.array([0.5, 0.5])
         out = opt.polyak_step(state, lambda _: g, 0.2, opt.MomentumSchedule.constant(0.7))
         np.testing.assert_array_equal(out.u, sgd(u0, g, 0.2))
 
     def test_requires_u_prev(self):
-        state = opt.InertialState(u=np.zeros(2), v=np.zeros(2), n=0, u_prev=None)
+        state = opt.State(u=np.zeros(2), v=np.zeros(2), n=0, u_prev=None)
         with pytest.raises(ValueError, match="u_prev"):
             opt.polyak_step(state, lambda _: np.zeros(2), 0.1, HALF)
 
     @pytest.mark.parametrize("h", [0.0, NAN])
     def test_step_size_must_be_positive(self, h):
-        state = opt.InertialState.at_rest(np.zeros(2))
+        state = opt.State.start(np.zeros(2), opt.POLYAK_FIELDS)
         with pytest.raises(ValueError, match="step size must be positive"):
             opt.polyak_step(state, lambda _: np.zeros(2), h, HALF)
 
 
 class TestNesterov:
     def test_velocity_hand_trace(self):
-        state = opt.InertialState(u=np.array([1.0]), v=np.array([0.0]), n=0)
+        state = opt.State(u=np.array([1.0]), v=np.array([0.0]), n=0)
         out = opt.nesterov_step(
             state, lambda u: u, 0.1, opt.MomentumSchedule.constant(0.25)
         )
@@ -166,7 +167,7 @@ class TestNesterov:
     def test_gradient_free_coast(self):
         rng = np.random.default_rng(0)
         u, v = rng.standard_normal(3), rng.standard_normal(3)
-        state = opt.InertialState(u=u.copy(), v=v.copy(), n=5)
+        state = opt.State(u=u.copy(), v=v.copy(), n=5)
         sch = opt.MomentumSchedule.constant(0.8)
         out = opt.nesterov_step(state, lambda _: np.zeros(3), 0.1, sch)
         np.testing.assert_allclose(out.v, 0.8 * v)
@@ -174,8 +175,8 @@ class TestNesterov:
 
     def test_two_sequence_matches_velocity_from_rest(self):
         # u = u_prev corresponds to v = 0; single steps coincide
-        state_a = opt.InertialState.at_rest(np.array([1.0]))
-        state_b = opt.InertialState.at_rest(np.array([1.0]))
+        state_a = opt.State.start(np.array([1.0]), opt.NESTEROV_FIELDS)
+        state_b = opt.State.start(np.array([1.0]), opt.NESTEROV_FIELDS)
         sch = opt.MomentumSchedule.constant(0.5)
         a = opt.nesterov_step(state_a, lambda u: u, 0.1, sch, form="velocity")
         b = opt.nesterov_step(state_b, lambda u: u, 0.1, sch, form="two-sequence")
@@ -185,8 +186,8 @@ class TestNesterov:
     def test_form_equivalence_over_100_steps(self):
         objective = make_quadratic(10, 1.0, 10.0, seed=42)
         u0 = np.random.default_rng(7).standard_normal(10)
-        sv = opt.InertialState.at_rest(u0)
-        st = opt.InertialState.at_rest(u0)
+        sv = opt.State.start(u0, opt.NESTEROV_FIELDS)
+        st = opt.State.start(u0, opt.NESTEROV_FIELDS)
         worst = 0.0
         for _ in range(100):
             sv = opt.nesterov_step(sv, objective.gradient, 0.1, SCH_NM1, "velocity")
@@ -195,7 +196,7 @@ class TestNesterov:
         assert worst <= 1e-12
 
     def test_errors(self):
-        state = opt.InertialState(u=np.zeros(2), v=np.zeros(2), n=0, u_prev=None)
+        state = opt.State(u=np.zeros(2), v=np.zeros(2), n=0, u_prev=None)
         with pytest.raises(ValueError, match="u_prev"):
             opt.nesterov_step(state, lambda u: u, 0.1, SCH_N3, form="two-sequence")
         with pytest.raises(ValueError, match="form"):
@@ -208,7 +209,7 @@ class TestNesterov:
 
 class TestSsa1:
     def test_hand_trace(self):
-        state = opt.InertialState(u=np.array([1.0]), v=np.array([0.0]), n=1)
+        state = opt.State(u=np.array([1.0]), v=np.array([0.0]), n=1)
         hp = opt.SplitHyperParams(h=0.1, k=2.0)
         out = opt.ssa1_step(state, lambda u: u, hp, SCH_N3)  # beta_1 = 0.25
         assert out.v == pytest.approx(-0.00625, abs=1e-12)
@@ -218,7 +219,7 @@ class TestSsa1:
     def test_zero_velocity_collapses_to_squared_step(self):
         rng = np.random.default_rng(3)
         u = rng.standard_normal(4)
-        state = opt.InertialState(u=u.copy(), v=np.zeros(4), n=9)
+        state = opt.State(u=u.copy(), v=np.zeros(4), n=9)
         hp = opt.SplitHyperParams(h=0.2, k=2.0)
         grad = rng.standard_normal(4)
         out = opt.ssa1_step(state, lambda _: grad, hp, SCH_N3)
@@ -227,7 +228,7 @@ class TestSsa1:
     def test_gradient_free_coast(self):
         rng = np.random.default_rng(4)
         u, v = rng.standard_normal(3), rng.standard_normal(3)
-        state = opt.InertialState(u=u.copy(), v=v.copy(), n=2)
+        state = opt.State(u=u.copy(), v=v.copy(), n=2)
         hp = opt.SplitHyperParams(h=0.1, k=2.0)
         beta = 2 / 5
         out = opt.ssa1_step(state, lambda _: np.zeros(3), hp, SCH_N3)
@@ -237,13 +238,13 @@ class TestSsa1:
 
 class TestSsa2:
     def test_zero_velocity_ignores_gradient(self):
-        state = opt.InertialState(u=np.array([1.0]), v=np.array([0.0]), n=3)
+        state = opt.State(u=np.array([1.0]), v=np.array([0.0]), n=3)
         hp = opt.SplitHyperParams(h=0.1, k=2.0)
         out = opt.ssa2_step(state, lambda _: np.array([123.0]), hp, SCH_N3)
         assert out.u == pytest.approx(1.0)
 
     def test_hand_trace(self):
-        state = opt.InertialState(u=np.array([1.0]), v=np.array([1.0]), n=0)
+        state = opt.State(u=np.array([1.0]), v=np.array([1.0]), n=0)
         hp = opt.SplitHyperParams(h=0.1, k=2.0)
         sch = opt.MomentumSchedule.constant(0.25)
         out = opt.ssa2_step(state, lambda u: u, hp, sch)
@@ -254,7 +255,7 @@ class TestSsa2:
     def test_gradient_free_coast(self):
         rng = np.random.default_rng(6)
         u, v = rng.standard_normal(3), rng.standard_normal(3)
-        state = opt.InertialState(u=u.copy(), v=v.copy(), n=2)
+        state = opt.State(u=u.copy(), v=v.copy(), n=2)
         hp = opt.SplitHyperParams(h=0.1, k=2.0)
         beta = 2 / 5
         out = opt.ssa2_step(state, lambda _: np.zeros(3), hp, SCH_N3)
@@ -263,7 +264,7 @@ class TestSsa2:
 
     def test_division_free_form_at_beta_zero(self):
         # n = 0 gives beta = 0 on the ratio schedules; the update must not blow up
-        state = opt.InertialState(u=np.array([2.0]), v=np.array([1.0]), n=0)
+        state = opt.State(u=np.array([2.0]), v=np.array([1.0]), n=0)
         hp = opt.SplitHyperParams(h=0.1, k=2.0)
         out = opt.ssa2_step(state, lambda u: u, hp, SCH_N3)
         assert np.all(np.isfinite(out.u)) and np.all(np.isfinite(out.v))
@@ -291,7 +292,7 @@ class TestMultiStepIdentities:
         u0 = np.random.default_rng(5).standard_normal(5)
         # start at n = 1: the recurrence divides by beta_{n-1}
         hist = _trace(
-            opt.ssa1_step, opt.InertialState.at_rest(u0, n=1), objective, hp, SCH_N3, 51
+            opt.ssa1_step, opt.State.start(u0, opt.SPLIT_FIELDS, n=1), objective, hp, SCH_N3, 51
         )
         h = hp.h
         for (_, bp, u_prev, y_prev, _), (_, bn, u_cur, y_cur, _) in zip(hist, hist[1:]):
@@ -308,7 +309,7 @@ class TestMultiStepIdentities:
         hp = opt.SplitHyperParams(h=0.1, k=k)
         u0 = np.random.default_rng(6).standard_normal(5)
         hist = _trace(
-            opt.ssa2_step, opt.InertialState.at_rest(u0, n=1), objective, hp, SCH_N3, 51
+            opt.ssa2_step, opt.State.start(u0, opt.SPLIT_FIELDS, n=1), objective, hp, SCH_N3, 51
         )
         h = hp.h
         for (_, bp, u_prev, y_prev, g_prev), (_, bn, u_cur, y_cur, _) in zip(
@@ -326,7 +327,7 @@ class TestSplittingComposition:
         hp = opt.SplitHyperParams(h=h, k=0.0)
         u = np.random.default_rng(12).standard_normal(3)
         v = np.random.default_rng(13).standard_normal(3)
-        direct = opt.InertialState(u=u.copy(), v=v.copy(), n=1)
+        direct = opt.State(u=u.copy(), v=v.copy(), n=1)
         n = 1
         worst = 0.0
         for _ in range(20):
@@ -368,7 +369,8 @@ class TestStepDiscipline:
         }
         for name, step in steps.items():
             counter = CountingGradient(objective.gradient)
-            state = opt.InertialState.at_rest(np.ones(4))
+            fields = opt.NESTEROV_FIELDS if name == "nesterov" else opt.SPLIT_FIELDS
+            state = opt.State.start(np.ones(4), fields)
             for _ in range(10):
                 state = step(state, counter)
             assert counter.calls == 10, name
@@ -378,7 +380,7 @@ class TestStepDiscipline:
         hp = opt.SplitHyperParams(h=0.05, k=2.0)
 
         def run():
-            state = opt.InertialState.at_rest(np.ones(4))
+            state = opt.State.start(np.ones(4), opt.SPLIT_FIELDS)
             for _ in range(25):
                 state = opt.ssa1_step(state, objective.gradient, hp, SCH_N3)
             return state.u
@@ -387,7 +389,7 @@ class TestStepDiscipline:
         assert np.array_equal(a, b)
 
     def test_counter_advances_by_one(self):
-        state = opt.InertialState.at_rest(np.ones(2), n=7)
+        state = opt.State.start(np.ones(2), opt.SPLIT_FIELDS, n=7)
         hp = opt.SplitHyperParams(h=0.1)
         out = opt.ssa2_step(state, lambda u: u, hp, SCH_N3)
         assert out.n == 8
@@ -425,7 +427,7 @@ def affine_gradients(draw, dim):
 @st.composite
 def inertial_cases(draw):
     dim = draw(st.integers(1, 6))
-    state = opt.InertialState(
+    state = opt.State(
         u=draw(vectors(dim)), v=draw(vectors(dim)), n=draw(st.integers(0, 50)),
         u_prev=draw(vectors(dim)),
     )
@@ -457,7 +459,7 @@ class TestPinnedSplittingFormulas:
         step = opt.ssa2_step if kind == "ssa2" else opt.ssa1_step
         out = step(state, grad_fn, hp, schedule)
         assert same_bytes(out.u, u_next) and same_bytes(out.v, v_next)
-        assert same_bytes(out.u_prev, state.u) and out.n == state.n + 1
+        assert out.n == state.n + 1
 
     @PROPERTY
     @given(case=inertial_cases(), form=st.sampled_from(opt.NESTEROV_FORMS))
@@ -486,9 +488,9 @@ class TestPinnedSplittingFormulas:
     def test_ssa1_ada_step(self, case, variant, data, h, gamma, eps, k):
         inertial, grad_fn, _, schedule = case
         dim = inertial.u.shape
-        state = ad.AdaptiveState(
+        state = opt.State(
             u=inertial.u, acc_grad_sq=data.draw(vectors(dim, 0.0, 10.0)),
-            acc_update_sq=data.draw(vectors(dim, 0.0, 10.0)), mom=np.zeros(dim),
+            acc_update_sq=data.draw(vectors(dim, 0.0, 10.0)),
             v=inertial.v, z=inertial.u_prev, n=inertial.n,
         )
         beta = opt.momentum_coefficient(state.n, schedule)
@@ -527,7 +529,7 @@ class TestNesterovProperties:
     def test_forms_keep_h_v_equal_to_step_and_agree(self, dim, data, h, schedule, steps):
         u0 = data.draw(vectors(dim))
         grad_fn = data.draw(affine_gradients(dim))
-        states = {form: opt.InertialState.at_rest(u0) for form in opt.NESTEROV_FORMS}
+        states = {form: opt.State.start(u0, opt.NESTEROV_FIELDS) for form in opt.NESTEROV_FORMS}
         for _ in range(steps):
             for form in opt.NESTEROV_FORMS:
                 s = opt.nesterov_step(states[form], grad_fn, h, schedule, form)
@@ -546,43 +548,46 @@ class TestNesterovProperties:
 
 
 def rule_steps(h, schedule, k):
-    """Every step rule and form, as step(state, grad_fn, **out)."""
+    """Every step rule and form, as name -> (its declared fields,
+    step(state, grad_fn, **out))."""
     split = opt.SplitHyperParams(h=h, k=k)
     hp = ad.AdaptiveHyperParams(h=h, k=k)
     steps = {
-        "sgd": lambda s, g, **o: opt.minibatch_sgd_step(s, g, h, **o),
-        "polyak": lambda s, g, **o: opt.polyak_step(s, g, h, SCH_N3, **o),
-        "ssa1": lambda s, g, **o: opt.ssa1_step(s, g, split, schedule, **o),
-        "ssa2": lambda s, g, **o: opt.ssa2_step(s, g, split, schedule, **o),
+        "sgd": (opt.SGD_FIELDS, lambda s, g, **o: opt.minibatch_sgd_step(s, g, h, **o)),
+        "polyak": (opt.POLYAK_FIELDS, lambda s, g, **o: opt.polyak_step(s, g, h, SCH_N3, **o)),
+        "ssa1": (opt.SPLIT_FIELDS, lambda s, g, **o: opt.ssa1_step(s, g, split, schedule, **o)),
+        "ssa2": (opt.SPLIT_FIELDS, lambda s, g, **o: opt.ssa2_step(s, g, split, schedule, **o)),
     }
     for form in opt.NESTEROV_FORMS:
-        steps[f"nesterov-{form}"] = (
+        steps[f"nesterov-{form}"] = (opt.NESTEROV_FIELDS, (
             lambda s, g, form=form, **o: opt.nesterov_step(s, g, h, schedule, form, **o)
-        )
+        ))
     for name in ("adagrad", "adadelta", "rmsprop", "adam"):
         rule = getattr(ad, name + "_step")
-        steps[name] = lambda s, g, rule=rule, **o: rule(s, g, hp, **o)
+        fields = getattr(ad, name.upper() + "_FIELDS")
+        steps[name] = (fields, lambda s, g, rule=rule, **o: rule(s, g, hp, **o))
     for variant in ad.SSA1_ADA_VARIANTS:
-        steps[f"ssa1-ada-{variant}"] = (
+        steps[f"ssa1-ada-{variant}"] = (ad.SSA1_ADA_FIELDS, (
             lambda s, g, variant=variant, **o: ad.ssa1_ada_step(s, g, hp, schedule, variant, **o)
-        )
+        ))
     return steps
 
 
 RULE_NAMES = sorted(rule_steps(0.1, SCH_N3, 2.0))
+ACCUMULATORS = ("acc_grad_sq", "acc_update_sq")
 
 
-def draw_state(data, name, dim):
-    n = data.draw(st.integers(0, 50))
-    if name in ("adagrad", "adadelta", "rmsprop", "adam") or name.startswith("ssa1-ada"):
-        return ad.AdaptiveState(
-            u=data.draw(vectors(dim)), acc_grad_sq=data.draw(vectors(dim, 0.0, 10.0)),
-            acc_update_sq=data.draw(vectors(dim, 0.0, 10.0)), mom=data.draw(vectors(dim)),
-            v=data.draw(vectors(dim)), z=data.draw(vectors(dim)), n=n,
-        )
-    return opt.InertialState(
-        u=data.draw(vectors(dim)), v=data.draw(vectors(dim)), n=n, u_prev=data.draw(vectors(dim))
-    )
+def draw_state(data, fields, dim):
+    """A state holding exactly fields, the accumulators nonnegative."""
+    return opt.State(n=data.draw(st.integers(0, 50)), **{
+        name: data.draw(vectors(dim, 0.0, 10.0) if name in ACCUMULATORS else vectors(dim))
+        for name in fields
+    })
+
+
+def arrays(state):
+    """The names and arrays a state holds."""
+    return {name: value for name, value in vars(state).items() if isinstance(value, np.ndarray)}
 
 
 def snapshot(state):
@@ -595,8 +600,7 @@ def poisoned(state):
     """A state of the same layout whose arrays hold NaN, so that an element
     a step leaves unwritten shows."""
     return replace(state, **{name: np.full_like(value, np.nan)
-                             for name, value in vars(state).items()
-                             if isinstance(value, np.ndarray)})
+                             for name, value in arrays(state).items()})
 
 
 class TestOutBuffers:
@@ -605,9 +609,9 @@ class TestOutBuffers:
     @given(dim=st.integers(1, 6), data=st.data(), h=STEP_SIZES, schedule=SCHEDULES,
            k=st.floats(0.0, 4.0), steps=st.integers(1, 8))
     def test_alternating_chain_equals_pure_chain(self, name, dim, data, h, schedule, k, steps):
-        step = rule_steps(h, schedule, k)[name]
+        fields, step = rule_steps(h, schedule, k)[name]
         grad_fn = data.draw(affine_gradients(dim))
-        pure = draw_state(data, name, dim)
+        pure = draw_state(data, fields, dim)
         state, spare = copy.deepcopy(pure), poisoned(pure)
         for _ in range(steps):
             before = snapshot(state)
@@ -617,5 +621,53 @@ class TestOutBuffers:
             state, spare = step(state, grad_fn, out=spare), state
             assert snapshot(spare) == before
             assert snapshot(state) == snapshot(pure)
-            if isinstance(state, ad.AdaptiveState):
-                assert np.all(state.acc_grad_sq >= 0.0) and np.all(state.acc_update_sq >= 0.0)
+            for acc in set(ACCUMULATORS) & set(fields):
+                assert np.all(getattr(state, acc) >= 0.0)
+
+
+class TestDeclaredFields:
+    @pytest.mark.parametrize("name", RULE_NAMES)
+    @PROPERTY
+    @given(dim=st.integers(1, 6), data=st.data(), h=STEP_SIZES, schedule=SCHEDULES,
+           k=st.floats(0.0, 4.0))
+    def test_a_step_allocates_and_writes_exactly_the_declared_fields(
+        self, name, dim, data, h, schedule, k
+    ):
+        fields, step = rule_steps(h, schedule, k)[name]
+        grad_fn = data.draw(affine_gradients(dim))
+        start = opt.State.start(data.draw(vectors(dim)), fields)
+        if "work" in fields:
+            start.work[...] = np.nan  # its contents mean nothing between steps
+        fresh = step(start, grad_fn)
+        assert set(arrays(fresh)) == set(fields)
+        assert not any(np.shares_memory(a, b) for a in arrays(fresh).values()
+                       for b in arrays(start).values())
+        written = step(start, grad_fn, out=poisoned(start))
+        for field in fields:
+            assert not np.any(np.isnan(getattr(written, field))), field
+        assert snapshot(written) == snapshot(fresh)
+
+
+STATE_ARRAYS = [f.name for f in dataclasses.fields(opt.State) if f.name not in ("u", "n")]
+
+
+class TestState:
+    @pytest.mark.parametrize("field", STATE_ARRAYS)
+    def test_rejects_a_misshaped_array_in_every_field(self, field):
+        with pytest.raises(ValueError, match=rf"{field} shape \(1,\) != iterate shape \(3,\)"):
+            opt.State(u=np.zeros(3), **{field: np.zeros(1)})
+        with pytest.raises(ValueError, match=rf"{field} shape \(3, 1\)"):
+            opt.State(u=np.zeros(3), **{field: np.zeros((3, 1))})
+
+    def test_rejects_a_negative_counter(self):
+        with pytest.raises(ValueError, match="iteration counter must be nonnegative"):
+            opt.State(u=np.zeros(2), n=-1)
+
+    def test_start_holds_exactly_the_given_fields(self):
+        u0 = np.array([1.0, -2.0])
+        state = opt.State.start(u0, tuple(["u"] + STATE_ARRAYS), n=3)
+        assert state.n == 3
+        for name, value in arrays(state).items():
+            expected = u0 if name in ("u", "u_prev", "z") else np.zeros(2)
+            assert same_bytes(value, expected) and not np.shares_memory(value, u0), name
+        assert set(arrays(opt.State.start(u0, opt.SPLIT_FIELDS))) == {"u", "v", "work"}
