@@ -2,10 +2,10 @@
 
 Adagrad, Adadelta, RMSProp, Adam, and the adaptive splitting optimizer
 (ssa1_ada_step) that combines the first splitting scheme with Adadelta-style
-running averages.  Accumulators are componentwise.  Every rule is
-rule(state, grad_fn, *params, out=None), calls the gradient oracle itself
-(at state.u, or ssa1_ada_step at its own points), and is pure: it returns
-a new state, or writes it into the buffers of out=.
+running averages.  Accumulators are componentwise.  Every rule keeps the
+optimizers module's contract, its field tuple checked before the oracle is
+called: it calls the gradient oracle itself (at state.u, or ssa1_ada_step
+at its own points) and is pure, returning a new state or filling out=.
 """
 
 from __future__ import annotations
@@ -82,8 +82,8 @@ def adagrad_step(
         G += g^2
         u -= h * g / (sqrt(G) + eps)
     """
+    out = _output("adagrad_step", state, out, ADAGRAD_FIELDS)
     grad = _checked_grad(grad_fn(state.u), state.u)
-    out = _output(state, out, ADAGRAD_FIELDS)
     acc, u = out.acc_grad_sq, out.u
     np.multiply(grad, grad, out=acc)
     np.add(state.acc_grad_sq, acc, out=acc)
@@ -116,8 +116,8 @@ def adadelta_step(
     The numerator uses E[d^2] from the previous step; h defaults to 1.0
     in benchmark configurations.
     """
+    out = _output("adadelta_step", state, out, ADADELTA_FIELDS)
     grad = _checked_grad(grad_fn(state.u), state.u)
-    out = _output(state, out, ADADELTA_FIELDS)
     acc_g, acc_d, u = out.acc_grad_sq, out.acc_update_sq, out.u
     _running_average(state.acc_grad_sq, grad, hp.gamma, acc_g, u)
     np.add(state.acc_update_sq, hp.eps, out=acc_d)
@@ -149,8 +149,8 @@ def rmsprop_step(
         E[g^2] <- gamma E[g^2] + (1-gamma) g^2
         u      -= h * g / sqrt(E[g^2] + eps)
     """
+    out = _output("rmsprop_step", state, out, RMSPROP_FIELDS)
     grad = _checked_grad(grad_fn(state.u), state.u)
-    out = _output(state, out, RMSPROP_FIELDS)
     acc_g, u = out.acc_grad_sq, out.u
     _running_average(state.acc_grad_sq, grad, hp.gamma, acc_g, u)
     denom = np.add(acc_g, hp.eps, out=out.work)
@@ -180,9 +180,9 @@ def adam_step(
 
     with t = n + 1 so the first correction divides by (1 - beta).
     """
+    out = _output("adam_step", state, out, ADAM_FIELDS)
     grad = _checked_grad(grad_fn(state.u), state.u)
     t = state.n + 1
-    out = _output(state, out, ADAM_FIELDS)
     mom, acc, u = out.mom, out.acc_grad_sq, out.u
     np.multiply(grad, 1.0 - hp.beta1, out=mom)
     np.multiply(state.mom, hp.beta1, out=u)
@@ -234,7 +234,8 @@ def ssa1_ada_step(
         raise ValueError(f"unknown variant {variant!r}")
     h, gamma, eps, k = hp.h, hp.gamma, hp.eps, hp.k
     beta = momentum_coefficient(state.n, schedule)
-    out = _output(state, out, SSA1_ADA_FIELDS)
+    unread = ("z",) if variant == "z-first" else ()
+    out = _output("ssa1_ada_step", state, out, SSA1_ADA_FIELDS, unread)
 
     if variant == "as-written":
         grad_acc = _checked_grad(grad_fn(state.z), state.u)
@@ -255,8 +256,8 @@ def ssa1_ada_step(
     u *= grad_acc  # dz
     _running_average(state.acc_update_sq, u, gamma, acc_d, v)
 
-    # the per-component factors beta*(1 - h_n*beta), then 1 - h_n*beta, are
-    # built in v's buffer; the velocity update consumes h_n last
+    # beta*(1 - h_n*beta), h_n^2 (in _split_position) and then 1 - h_n*beta
+    # are built in v's buffer; the velocity update consumes h_n last
     np.multiply(h_n, beta, out=v)
     np.subtract(1.0, v, out=v)
     v *= beta

@@ -124,12 +124,14 @@ class MlpModel:
     """
 
     def __init__(self, weights: List[np.ndarray], biases: List[np.ndarray]):
+        if not weights:
+            raise ValueError("need at least one layer")
         if len(weights) != len(biases):
             raise ValueError(f"layer {min(len(weights), len(biases))}: {len(weights)} weight "
                              f"matrices but {len(biases)} bias vectors")
         shapes = [np.shape(w) for w in weights]
         for layer, (shape, b) in enumerate(zip(shapes, biases)):
-            fan_in = shapes[layer - 1][-1] if layer else shape[0]
+            fan_in = shapes[layer - 1][-1] if layer else shape[0] if shape else 0
             if len(shape) != 2 or shape[0] != fan_in or np.shape(b) != shape[1:]:
                 raise ValueError(f"layer {layer}: weights {shape} and bias {np.shape(b)} do not "
                                  f"map {fan_in} inputs to one bias per output")
@@ -146,8 +148,8 @@ class MlpModel:
 
         sizes = (input_dim, hidden..., n_classes).
         """
-        if len(sizes) < 2:
-            raise ValueError("need at least input and output sizes")
+        if len(sizes) < 2 or min(sizes) < 1:
+            raise ValueError(f"need input and output sizes, all positive, got {tuple(sizes)}")
         rng = np.random.default_rng(seed)
         weights, biases = [], []
         for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):

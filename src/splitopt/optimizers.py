@@ -8,7 +8,8 @@ derived from the constant-damping dynamical system  u'' + u' = -grad f(u).
 Every rule is rule(state, grad_fn, *params, out=None) and pure: it returns
 a new state, calling the gradient oracle itself exactly once.  Given out=,
 it writes the new state into out's buffers instead of fresh ones; out must
-not be, or share arrays with, the input state.  All arithmetic is 64-bit.
+not be, or share arrays with, the input state.  Before the oracle is called,
+_output holds each rule to its *_FIELDS tuple.  All arithmetic is 64-bit.
 """
 
 from __future__ import annotations
@@ -43,9 +44,10 @@ class MomentumSchedule:
     def __post_init__(self):
         if self.kind not in _SCHEDULE_KINDS:
             raise ValueError(f"unknown schedule kind {self.kind!r}")
-        # the closed upper end admits the undamped limit beta = 1
-        if self.kind == CONSTANT and not 0.0 <= self.beta <= 1.0:
-            raise ValueError(f"constant beta must lie in [0, 1], got {self.beta}")
+        # a ratio kind takes no beta; a constant may reach the undamped limit 1
+        top = 1.0 if self.kind == CONSTANT else 0.0
+        if not 0.0 <= self.beta <= top:
+            raise ValueError(f"{self.kind} beta must lie in [0, {top:g}], got {self.beta}")
 
     @classmethod
     def ratio_n_over_n_plus_3(cls) -> "MomentumSchedule":
@@ -138,14 +140,19 @@ def _checked_grad(grad: np.ndarray, like: np.ndarray) -> np.ndarray:
     return grad
 
 
-def _output(state: State, out: Optional[State], fields: Tuple[str, ...]) -> State:
-    """out, which must not be state, or with out None a State of fresh
-    float64 buffers for exactly fields, shaped like the iterate."""
-    if out is None:
-        return State(**{name: np.empty(np.shape(state.u)) for name in fields})
+def _output(rule: str, state: State, out: Optional[State], fields: Tuple[str, ...],
+            unread: Tuple[str, ...] = ()) -> State:
+    """out, which must not be state, or with out None a State of fresh float64
+    buffers for exactly fields.  A ValueError naming rule and the field rejects
+    a state lacking any of fields but work and unread, or an out lacking any."""
     if out is state:
         raise ValueError("out must not be the input state")
-    return out
+    for name in fields:
+        if name != "work" and name not in unread and getattr(state, name) is None:
+            raise ValueError(f"{rule} reads {name}, which the input state lacks")
+        if out is not None and getattr(out, name) is None:
+            raise ValueError(f"{rule} writes {name}, which out lacks")
+    return State(**{name: np.empty(np.shape(state.u)) for name in fields}) if out is None else out
 
 
 def _look_ahead(u: np.ndarray, v: np.ndarray, grad_fn: GradFn, h: float, beta: float, out):
@@ -170,13 +177,14 @@ def _split_velocity(v, grad_y, h, damp, boost: float, out, scratch):
 def _split_position(u, y, grad_y, h, drift, out, scratch):
     """Scaled-drift position update of the first splitting scheme, written
     into out: u + beta*(1 - h*beta)*(y - u) - h^2 * grad(y), given
-    drift = beta*(1 - h*beta).  h and drift may be per-component.  drift, y
-    and grad_y may be scratch's buffer, which is written after their last
-    read."""
+    drift = beta*(1 - h*beta).  h and drift may be per-component.  drift may
+    be scratch's buffer, which is written after its last read, and so may y
+    and grad_y when h is a scalar; a per-component h is squared in scratch."""
     np.subtract(y, u, out=out)
     out *= drift
     out += u
-    np.multiply(grad_y, h * h, out=scratch)
+    h_sq = np.multiply(h, h, out=scratch) if np.ndim(h) else h * h
+    np.multiply(grad_y, h_sq, out=scratch)
     out -= scratch
 
 
@@ -197,8 +205,8 @@ def minibatch_sgd_step(
     """
     if not h >= 0:
         raise ValueError(f"step size must be nonnegative, got {h}")
+    out = _output("minibatch_sgd_step", state, out, SGD_FIELDS)
     grad = _checked_grad(grad_fn(state.u), state.u)
-    out = _output(state, out, SGD_FIELDS)
     np.multiply(grad, h, out=out.u)
     np.subtract(state.u, out.u, out=out.u)
     out.n = state.n + 1
@@ -224,15 +232,13 @@ def polyak_step(
     The gradient is evaluated at u, not at y, and alpha_n must lie in
     [0, 1).  Writes POLYAK_FIELDS.
     """
-    if state.u_prev is None:
-        raise ValueError("polyak_step requires u_prev to be populated")
     alpha = momentum_coefficient(state.n, schedule)
     if not 0.0 <= alpha < 1.0:
         raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
     if not h > 0:
         raise ValueError(f"step size must be positive, got {h}")
+    out = _output("polyak_step", state, out, POLYAK_FIELDS)
     grad = _checked_grad(grad_fn(state.u), state.u)
-    out = _output(state, out, POLYAK_FIELDS)
     np.subtract(state.u, state.u_prev, out=out.u)
     out.u *= alpha
     out.u += state.u
@@ -271,16 +277,11 @@ def nesterov_step(
     """
     if not h > 0:
         raise ValueError(f"step size must be positive, got {h}")
-    if form == "velocity":
-        if state.v is None:
-            raise ValueError("velocity form requires v to be populated")
-    elif form == "two-sequence":
-        if state.u_prev is None:
-            raise ValueError("two-sequence form requires u_prev to be populated")
-    else:
+    if form not in NESTEROV_FORMS:
         raise ValueError(f"unknown form {form!r}")
     beta = momentum_coefficient(state.n, schedule)
-    out = _output(state, out, NESTEROV_FIELDS)
+    unread = ("u_prev",) if form == "velocity" else ("v",)
+    out = _output("nesterov_step", state, out, NESTEROV_FIELDS, unread)
     # y lives in out.u_prev, which takes its own value after the last read
     # of grad(y): the gradient may be y's buffer itself
     if form == "velocity":
@@ -322,11 +323,9 @@ def ssa1_step(
         v_next = beta^k * ((1 - h*beta) * v - h * grad(y))
         u_next = u + beta * (1 - h*beta) * (y - u) - h^2 * grad(y)
     """
-    if state.v is None:
-        raise ValueError("ssa1_step requires v to be populated")
     h = hp.h
     beta = momentum_coefficient(state.n, schedule)
-    out = _output(state, out, SPLIT_FIELDS)
+    out = _output("ssa1_step", state, out, SPLIT_FIELDS)
     grad_y = _look_ahead(state.u, state.v, grad_fn, h, beta, out.work)
     damp = 1.0 - h * beta
     _split_velocity(state.v, grad_y, h, damp, beta**hp.k, out.v, out.u)
@@ -352,11 +351,9 @@ def ssa2_step(
     The parameter update is computed in the equivalent division-free form
     u + h * (1 - h*beta) * v, which is well defined at beta = 0.
     """
-    if state.v is None:
-        raise ValueError("ssa2_step requires v to be populated")
     h = hp.h
     beta = momentum_coefficient(state.n, schedule)
-    out = _output(state, out, SPLIT_FIELDS)
+    out = _output("ssa2_step", state, out, SPLIT_FIELDS)
     grad_y = _look_ahead(state.u, state.v, grad_fn, h, beta, out.work)
     damp = 1.0 - h * beta
     _split_velocity(state.v, grad_y, h, damp, beta**hp.k, out.v, out.u)

@@ -243,6 +243,18 @@ class TestMlpModel:
         with pytest.raises(ValueError, match=message):
             MlpModel(weights, biases)
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: MlpModel([], []), "need at least one layer"),
+        # a 0-d weight has no input dimension to index
+        (lambda: MlpModel([np.float64(1.0)], [np.zeros(1)]), r"layer 0: weights \(\) and bias"),
+        # a zero fan-in would divide by zero in the init bound
+        (lambda: MlpModel.init((3, 0, 2), 1), r"all positive, got \(3, 0, 2\)"),
+        (lambda: MlpModel.init((3,), 1), r"need input and output sizes"),
+    ], ids=["no-layers", "scalar-weight", "zero-width", "one-size"])
+    def test_rejects_layer_lists_it_cannot_build(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
+
     def test_input_width_check(self):
         model = MlpModel.init((5, 6, 4), seed=3)
         with pytest.raises(ValueError, match="features"):

@@ -2,6 +2,7 @@
 splitting updates that the adaptive splitting step shares with them, and
 the out= buffer contract of every step rule."""
 
+import collections
 import copy
 import dataclasses
 from dataclasses import replace
@@ -62,8 +63,11 @@ class TestMomentumSchedule:
     def test_invalid(self):
         with pytest.raises(ValueError):
             opt.MomentumSchedule("something-else")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"constant beta must lie in \[0, 1\], got 1.5"):
             opt.MomentumSchedule.constant(1.5)
+        # a ratio kind takes no beta, which it would otherwise ignore
+        with pytest.raises(ValueError, match=r"beta must lie in \[0, 0\], got 0.7"):
+            opt.MomentumSchedule(opt.RATIO_N_OVER_N3, 0.7)
         with pytest.raises(ValueError):
             opt.momentum_coefficient(-1, SCH_N3)
 
@@ -142,11 +146,6 @@ class TestPolyak:
         g = np.array([0.5, 0.5])
         out = opt.polyak_step(state, lambda _: g, 0.2, opt.MomentumSchedule.constant(0.7))
         np.testing.assert_array_equal(out.u, sgd(u0, g, 0.2))
-
-    def test_requires_u_prev(self):
-        state = opt.State(u=np.zeros(2), v=np.zeros(2), n=0, u_prev=None)
-        with pytest.raises(ValueError, match="u_prev"):
-            opt.polyak_step(state, lambda _: np.zeros(2), 0.1, HALF)
 
     @pytest.mark.parametrize("h", [0.0, NAN])
     def test_step_size_must_be_positive(self, h):
@@ -547,29 +546,42 @@ class TestNesterovProperties:
 # --- out= buffers ---------------------------------------------------------------
 
 
+RuleCase = collections.namedtuple("RuleCase", "rule fields reads step")
+
+
+def case(rule, fields, step, unread=()):
+    """A RuleCase whose call reads fields but work and unread."""
+    reads = tuple(f for f in fields if f != "work" and f not in unread)
+    return RuleCase(rule.__name__, fields, reads, step)
+
+
 def rule_steps(h, schedule, k):
-    """Every step rule and form, as name -> (its declared fields,
-    step(state, grad_fn, **out))."""
+    """Every step rule and form, as name -> RuleCase: the rule's name, its
+    declared fields, the fields the call reads, and step(state, grad_fn, **out)."""
     split = opt.SplitHyperParams(h=h, k=k)
     hp = ad.AdaptiveHyperParams(h=h, k=k)
     steps = {
-        "sgd": (opt.SGD_FIELDS, lambda s, g, **o: opt.minibatch_sgd_step(s, g, h, **o)),
-        "polyak": (opt.POLYAK_FIELDS, lambda s, g, **o: opt.polyak_step(s, g, h, SCH_N3, **o)),
-        "ssa1": (opt.SPLIT_FIELDS, lambda s, g, **o: opt.ssa1_step(s, g, split, schedule, **o)),
-        "ssa2": (opt.SPLIT_FIELDS, lambda s, g, **o: opt.ssa2_step(s, g, split, schedule, **o)),
+        "sgd": case(opt.minibatch_sgd_step, opt.SGD_FIELDS,
+                    lambda s, g, **o: opt.minibatch_sgd_step(s, g, h, **o)),
+        "polyak": case(opt.polyak_step, opt.POLYAK_FIELDS,
+                       lambda s, g, **o: opt.polyak_step(s, g, h, SCH_N3, **o)),
+        "ssa1": case(opt.ssa1_step, opt.SPLIT_FIELDS,
+                     lambda s, g, **o: opt.ssa1_step(s, g, split, schedule, **o)),
+        "ssa2": case(opt.ssa2_step, opt.SPLIT_FIELDS,
+                     lambda s, g, **o: opt.ssa2_step(s, g, split, schedule, **o)),
     }
-    for form in opt.NESTEROV_FORMS:
-        steps[f"nesterov-{form}"] = (opt.NESTEROV_FIELDS, (
+    for form, unread in zip(opt.NESTEROV_FORMS, [("u_prev",), ("v",)]):
+        steps[f"nesterov-{form}"] = case(opt.nesterov_step, opt.NESTEROV_FIELDS, (
             lambda s, g, form=form, **o: opt.nesterov_step(s, g, h, schedule, form, **o)
-        ))
+        ), unread)
     for name in ("adagrad", "adadelta", "rmsprop", "adam"):
         rule = getattr(ad, name + "_step")
         fields = getattr(ad, name.upper() + "_FIELDS")
-        steps[name] = (fields, lambda s, g, rule=rule, **o: rule(s, g, hp, **o))
-    for variant in ad.SSA1_ADA_VARIANTS:
-        steps[f"ssa1-ada-{variant}"] = (ad.SSA1_ADA_FIELDS, (
+        steps[name] = case(rule, fields, lambda s, g, rule=rule, **o: rule(s, g, hp, **o))
+    for variant, unread in zip(ad.SSA1_ADA_VARIANTS, [(), ("z",)]):
+        steps[f"ssa1-ada-{variant}"] = case(ad.ssa1_ada_step, ad.SSA1_ADA_FIELDS, (
             lambda s, g, variant=variant, **o: ad.ssa1_ada_step(s, g, hp, schedule, variant, **o)
-        ))
+        ), unread)
     return steps
 
 
@@ -609,7 +621,7 @@ class TestOutBuffers:
     @given(dim=st.integers(1, 6), data=st.data(), h=STEP_SIZES, schedule=SCHEDULES,
            k=st.floats(0.0, 4.0), steps=st.integers(1, 8))
     def test_alternating_chain_equals_pure_chain(self, name, dim, data, h, schedule, k, steps):
-        fields, step = rule_steps(h, schedule, k)[name]
+        _, fields, _, step = rule_steps(h, schedule, k)[name]
         grad_fn = data.draw(affine_gradients(dim))
         pure = draw_state(data, fields, dim)
         state, spare = copy.deepcopy(pure), poisoned(pure)
@@ -633,7 +645,7 @@ class TestDeclaredFields:
     def test_a_step_allocates_and_writes_exactly_the_declared_fields(
         self, name, dim, data, h, schedule, k
     ):
-        fields, step = rule_steps(h, schedule, k)[name]
+        _, fields, _, step = rule_steps(h, schedule, k)[name]
         grad_fn = data.draw(affine_gradients(dim))
         start = opt.State.start(data.draw(vectors(dim)), fields)
         if "work" in fields:
@@ -646,6 +658,37 @@ class TestDeclaredFields:
         for field in fields:
             assert not np.any(np.isnan(getattr(written, field))), field
         assert snapshot(written) == snapshot(fresh)
+
+
+def forbidden_oracle(_):
+    raise AssertionError("the oracle was called before the state contract was checked")
+
+
+CONTRACT_CASES = [(name, field) for name, entry in sorted(rule_steps(0.1, HALF, 2.0).items())
+                  for field in entry.fields]
+
+
+class TestStateContract:
+    """Each rule's declared fields are its whole contract, checked before
+    the oracle is first called."""
+
+    @pytest.mark.parametrize("name, field", CONTRACT_CASES)
+    def test_a_missing_field_is_named_before_the_oracle_runs(self, name, field):
+        rule, fields, reads, step = rule_steps(0.1, HALF, 2.0)[name]
+        rng = np.random.default_rng(0)
+        full = opt.State(n=3, **{f: rng.uniform(0.5, 2.0, 3) for f in fields})
+        # set after construction: State would reject a None u by the others' shapes
+        lacking, out = copy.deepcopy(full), opt.State.start(np.zeros(3), fields)
+        setattr(lacking, field, None)
+        setattr(out, field, None)
+        if field in reads:
+            with pytest.raises(ValueError, match=rf"^{rule} reads {field}, "):
+                step(lacking, forbidden_oracle)
+        else:
+            grad_fn = lambda y: 1.5 * y - 0.25
+            assert snapshot(step(lacking, grad_fn)) == snapshot(step(full, grad_fn))
+        with pytest.raises(ValueError, match=rf"^{rule} writes {field}, "):
+            step(full, forbidden_oracle, out=out)
 
 
 STATE_ARRAYS = [f.name for f in dataclasses.fields(opt.State) if f.name not in ("u", "n")]
