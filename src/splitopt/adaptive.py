@@ -92,7 +92,6 @@ def adagrad_step(
     np.multiply(grad, hp.h, out=u)
     u /= denom
     np.subtract(state.u, u, out=u)
-    out.n = state.n + 1
     return out
 
 
@@ -130,7 +129,6 @@ def adadelta_step(
     _running_average(state.acc_update_sq, delta, hp.gamma, acc_d, u)
     np.multiply(delta, hp.h, out=u)
     np.add(state.u, u, out=u)
-    out.n = state.n + 1
     return out
 
 
@@ -158,7 +156,6 @@ def rmsprop_step(
     np.multiply(grad, hp.h, out=u)
     u /= denom
     np.subtract(state.u, u, out=u)
-    out.n = state.n + 1
     return out
 
 
@@ -182,7 +179,7 @@ def adam_step(
     """
     out = _output("adam_step", state, out, ADAM_FIELDS)
     grad = _checked_grad(grad_fn(state.u), state.u)
-    t = state.n + 1
+    t = out.n
     mom, acc, u = out.mom, out.acc_grad_sq, out.u
     np.multiply(grad, 1.0 - hp.beta1, out=mom)
     np.multiply(state.mom, hp.beta1, out=u)
@@ -195,7 +192,6 @@ def adam_step(
     u *= hp.h
     u /= denom
     np.subtract(state.u, u, out=u)
-    out.n = t
     return out
 
 
@@ -265,5 +261,4 @@ def ssa1_ada_step(
     np.multiply(h_n, beta, out=v)
     np.subtract(1.0, v, out=v)
     _split_velocity(state.v, grad_upd, h_n, v, beta**k, v, h_n)
-    out.n = state.n + 1
     return out

@@ -21,6 +21,7 @@ from typing import List, Optional
 from .adaptive import SSA1_ADA_VARIANTS
 from .bench import (
     ExperimentConfig,
+    MOMENTUM_KINDS,
     OPTIMIZERS,
     SPLITTING_METHODS,
     TrainingDivergedError,
@@ -56,8 +57,7 @@ _RUN_OPTIONS = {
     "lr": dict(type=float, help="step size / learning rate h"),
     "k": dict(type=float, help="velocity boost exponent"),
     "momentum": dict(
-        help="constant coefficient (float) or schedule kind "
-        "(ratio-n-over-n-plus-3, ratio-n-minus-1-over-n-plus-2)"
+        help=f"constant coefficient (float) or schedule kind ({', '.join(MOMENTUM_KINDS)})"
     ),
     "gamma": dict(type=float, help="running-average decay rate"),
     "eps": dict(type=float, help="division guard"),

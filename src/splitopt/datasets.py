@@ -155,12 +155,9 @@ def synth_blobs(
         raise ValueError(f"separation must be positive and finite, got {separation}")
     rng = np.random.default_rng(seed)
     step = separation / np.sqrt(dim)
-    raw = np.empty((n_per_class * n_classes, dim))
-    labels = np.empty(n_per_class * n_classes, dtype=np.int64)
-    for c in range(n_classes):
-        block = slice(c * n_per_class, (c + 1) * n_per_class)
-        raw[block] = rng.standard_normal((n_per_class, dim)) + c * step
-        labels[block] = c
+    labels = np.repeat(np.arange(n_classes, dtype=np.int64), n_per_class)
+    raw = rng.standard_normal((n_per_class * n_classes, dim))
+    raw += (labels * step)[:, None]
     lo = -4.0
     hi = (n_classes - 1) * step + 4.0
     raw -= lo

@@ -12,7 +12,7 @@ into the optimizer step functions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -104,7 +104,7 @@ def rectify_in_place(pre: np.ndarray) -> np.ndarray:
     return mask
 
 
-def _layout(shapes: Sequence[Tuple[int, int]]) -> List[Tuple[slice, Tuple[int, int], slice]]:
+def _layout(shapes: Iterable[Tuple[int, int]]) -> List[Tuple[slice, Tuple[int, int], slice]]:
     """(weight slice, weight shape, bias slice) per layer of a flat vector:
     each layer's (fan_in, fan_out) weights row-major, then its biases."""
     layout = []
@@ -119,44 +119,30 @@ def _layout(shapes: Sequence[Tuple[int, int]]) -> List[Tuple[slice, Tuple[int, i
 class MlpModel:
     """Fully connected rectifier network ending in a log-softmax head.
 
-    The weight and bias arrays are views of one flat float64 buffer laid
-    out as param_vector returns it; the given arrays are copied in.
+    sizes = (input_dim, hidden..., n_classes).  The weight and bias arrays
+    are views of one flat float64 buffer laid out as param_vector returns
+    it, all zero until init draws them or set_param_vector fills them.
     """
 
-    def __init__(self, weights: List[np.ndarray], biases: List[np.ndarray]):
-        if not weights:
-            raise ValueError("need at least one layer")
-        if len(weights) != len(biases):
-            raise ValueError(f"layer {min(len(weights), len(biases))}: {len(weights)} weight "
-                             f"matrices but {len(biases)} bias vectors")
-        shapes = [np.shape(w) for w in weights]
-        for layer, (shape, b) in enumerate(zip(shapes, biases)):
-            fan_in = shapes[layer - 1][-1] if layer else shape[0] if shape else 0
-            if len(shape) != 2 or shape[0] != fan_in or np.shape(b) != shape[1:]:
-                raise ValueError(f"layer {layer}: weights {shape} and bias {np.shape(b)} do not "
-                                 f"map {fan_in} inputs to one bias per output")
-        self._layout = _layout(shapes)
-        self._flat = np.empty(self._layout[-1][2].stop)
+    def __init__(self, sizes: Sequence[int]):
+        if len(sizes) < 2 or min(sizes) < 1:
+            raise ValueError(f"need input and output sizes, all positive, got {tuple(sizes)}")
+        self._layout = _layout(zip(sizes[:-1], sizes[1:]))
+        self._flat = np.zeros(self._layout[-1][2].stop)
         self.weights = [self._flat[w].reshape(shape) for w, shape, _ in self._layout]
         self.biases = [self._flat[b] for _, _, b in self._layout]
-        for view, given in zip(self.weights + self.biases, [*weights, *biases]):
-            view[...] = given
 
     @classmethod
     def init(cls, sizes: Sequence[int], seed: int) -> "MlpModel":
-        """Seeded uniform initialization in +-1/sqrt(fan_in) per layer.
-
-        sizes = (input_dim, hidden..., n_classes).
-        """
-        if len(sizes) < 2 or min(sizes) < 1:
-            raise ValueError(f"need input and output sizes, all positive, got {tuple(sizes)}")
+        """Seeded uniform initialization in +-1/sqrt(fan_in) per layer,
+        each layer's weights drawn before its biases."""
+        model = cls(sizes)
         rng = np.random.default_rng(seed)
-        weights, biases = [], []
-        for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-            bound = 1.0 / np.sqrt(fan_in)
-            weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
-            biases.append(rng.uniform(-bound, bound, size=fan_out))
-        return cls(weights, biases)
+        for w, b in zip(model.weights, model.biases):
+            bound = 1.0 / np.sqrt(w.shape[0])
+            w[...] = rng.uniform(-bound, bound, size=w.shape)
+            b[...] = rng.uniform(-bound, bound, size=b.shape)
+        return model
 
     @property
     def n_params(self) -> int:

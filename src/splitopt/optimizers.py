@@ -140,19 +140,32 @@ def _checked_grad(grad: np.ndarray, like: np.ndarray) -> np.ndarray:
     return grad
 
 
+_FLOAT64 = np.dtype(np.float64)
+
+
 def _output(rule: str, state: State, out: Optional[State], fields: Tuple[str, ...],
             unread: Tuple[str, ...] = ()) -> State:
-    """out, which must not be state, or with out None a State of fresh float64
-    buffers for exactly fields.  A ValueError naming rule and the field rejects
-    a state lacking any of fields but work and unread, or an out lacking any."""
+    """out (not state), or with out None fresh float64 buffers for exactly fields,
+    with n = state.n + 1.  A ValueError naming rule and the field rejects a state
+    lacking any of fields but work and unread, or an out lacking any or holding
+    one that is not a float64 ndarray of the iterate's shape."""
     if out is state:
         raise ValueError("out must not be the input state")
+    shape = np.shape(state.u)
     for name in fields:
         if name != "work" and name not in unread and getattr(state, name) is None:
             raise ValueError(f"{rule} reads {name}, which the input state lacks")
-        if out is not None and getattr(out, name) is None:
-            raise ValueError(f"{rule} writes {name}, which out lacks")
-    return State(**{name: np.empty(np.shape(state.u)) for name in fields}) if out is None else out
+        if out is not None:
+            array = getattr(out, name)
+            if array is None:
+                raise ValueError(f"{rule} writes {name}, which out lacks")
+            if not isinstance(array, np.ndarray) or array.dtype != _FLOAT64 or array.shape != shape:
+                found = f"{getattr(array, 'dtype', type(array).__name__)} {np.shape(array)}"
+                raise ValueError(f"{rule} writes {name} as float64 {shape}, but out's is {found}")
+    if out is None:
+        out = State(**{name: np.empty(shape) for name in fields})
+    out.n = state.n + 1
+    return out
 
 
 def _look_ahead(u: np.ndarray, v: np.ndarray, grad_fn: GradFn, h: float, beta: float, out):
@@ -209,7 +222,6 @@ def minibatch_sgd_step(
     grad = _checked_grad(grad_fn(state.u), state.u)
     np.multiply(grad, h, out=out.u)
     np.subtract(state.u, out.u, out=out.u)
-    out.n = state.n + 1
     return out
 
 
@@ -245,7 +257,6 @@ def polyak_step(
     np.multiply(grad, h, out=out.u_prev)
     out.u -= out.u_prev
     np.copyto(out.u_prev, state.u)
-    out.n = state.n + 1
     return out
 
 
@@ -302,7 +313,6 @@ def nesterov_step(
         np.subtract(out.u, state.u, out=out.v)
         out.v /= h
     np.copyto(out.u_prev, state.u)
-    out.n = state.n + 1
     return out
 
 
@@ -330,7 +340,6 @@ def ssa1_step(
     damp = 1.0 - h * beta
     _split_velocity(state.v, grad_y, h, damp, beta**hp.k, out.v, out.u)
     _split_position(state.u, out.work, grad_y, h, beta * damp, out.u, out.work)
-    out.n = state.n + 1
     return out
 
 
@@ -359,7 +368,6 @@ def ssa2_step(
     _split_velocity(state.v, grad_y, h, damp, beta**hp.k, out.v, out.u)
     np.multiply(state.v, h * damp, out=out.u)
     out.u += state.u
-    out.n = state.n + 1
     return out
 
 

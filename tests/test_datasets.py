@@ -221,10 +221,12 @@ class TestSynthBlobs:
 
     @pytest.mark.parametrize("n_per_class, n_classes, dim, separation, seed", [
         (1, 1, 1, 6.0, 0), (40, 2, 2, 6.0, 1), (7, 10, 784, 3.0, 2), (25, 3, 5, 0.5, 3),
+        (3, 7, 1, 12.0, 4), (100, 4, 30, 2.0, 5),
     ])
     def test_maps_into_the_unit_box_as_the_out_of_place_formula(
         self, n_per_class, n_classes, dim, separation, seed
     ):
+        # the reference draws one block per class, in class order
         rng = np.random.default_rng(seed)
         step = separation / np.sqrt(dim)
         raw = np.concatenate(
@@ -232,8 +234,10 @@ class TestSynthBlobs:
         )
         lo, hi = -4.0, (n_classes - 1) * step + 4.0
         reference = np.clip((raw - lo) / (hi - lo), 0, 1)
+        labels = np.concatenate([np.full(n_per_class, c, dtype=np.int64) for c in range(n_classes)])
         ds = synth_blobs(n_per_class, n_classes, dim, separation, seed)
         assert ds.images.tobytes() == reference.tobytes()
+        assert ds.labels.dtype == np.int64 and ds.labels.tobytes() == labels.tobytes()
 
     def test_validation(self):
         with pytest.raises(ValueError):

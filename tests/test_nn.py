@@ -227,30 +227,38 @@ class TestMlpModel:
         out = model.forward(X)
         np.testing.assert_allclose(np.sum(np.exp(out), axis=1), 1.0, atol=1e-12)
 
-    @pytest.mark.parametrize("weights, biases, message", [
-        # a short bias list would leave the last bias uninitialized memory
-        ([np.ones((2, 3)), np.ones((3, 2))], [np.ones(3)], "layer 1: 2 weight matrices but 1"),
-        ([np.ones((2, 3))], [np.ones(3), np.ones(2)], "layer 1: 1 weight matrices but 2"),
-        # a length-1 bias would broadcast across the layer
-        ([np.ones((2, 3)), np.ones((3, 2))], [np.ones(3), np.ones(1)],
-         r"layer 1: weights \(3, 2\) and bias \(1,\)"),
-        # 2x3 then 4x2 would fail only inside matmul
-        ([np.ones((2, 3)), np.ones((4, 2))], [np.ones(3), np.ones(2)],
-         r"layer 1: weights \(4, 2\) and bias \(2,\) do not map 3 inputs"),
-        ([np.ones(3)], [np.ones(3)], r"layer 0: weights \(3,\)"),
-    ])
-    def test_rejects_layers_that_do_not_fit(self, weights, biases, message):
-        with pytest.raises(ValueError, match=message):
-            MlpModel(weights, biases)
+    @pytest.mark.parametrize("sizes", [(4, 3), (5, 6, 4), (3, 7, 5, 2)])
+    def test_init_draws_each_layers_weights_then_biases(self, sizes):
+        rng = np.random.default_rng(11)
+        reference = []
+        for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+            bound = 1.0 / np.sqrt(fan_in)
+            reference.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)).ravel())
+            reference.append(rng.uniform(-bound, bound, size=fan_out))
+        theta = MlpModel.init(sizes, seed=11).param_vector()
+        assert theta.tobytes() == np.concatenate(reference).tobytes()
+
+    @pytest.mark.parametrize("sizes", [(4, 3), (5, 6, 4), (3, 7, 5, 2)])
+    def test_sizes_alone_build_zeroed_views_in_param_vector_order(self, sizes):
+        model = MlpModel(sizes)
+        assert model.n_params == sum((a + 1) * b for a, b in zip(sizes[:-1], sizes[1:]))
+        assert not np.any(model.param_vector())
+        for w, b in zip(model.weights, model.biases):
+            w[...] = np.arange(w.size).reshape(w.shape)
+            b[...] = np.arange(b.size)
+        expected = []
+        for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+            expected += [np.arange(fan_in * fan_out), np.arange(fan_out)]
+        assert model.param_vector().tobytes() == np.concatenate(expected).astype(float).tobytes()
 
     @pytest.mark.parametrize("build, message", [
-        (lambda: MlpModel([], []), "need at least one layer"),
-        # a 0-d weight has no input dimension to index
-        (lambda: MlpModel([np.float64(1.0)], [np.zeros(1)]), r"layer 0: weights \(\) and bias"),
         # a zero fan-in would divide by zero in the init bound
         (lambda: MlpModel.init((3, 0, 2), 1), r"all positive, got \(3, 0, 2\)"),
         (lambda: MlpModel.init((3,), 1), r"need input and output sizes"),
-    ], ids=["no-layers", "scalar-weight", "zero-width", "one-size"])
+        (lambda: MlpModel((3, 0, 2)), r"^need input and output sizes, all positive, got \(3, 0"),
+        (lambda: MlpModel([3]), r"^need input and output sizes, all positive, got \(3,\)$"),
+        (lambda: MlpModel(()), r"^need input and output sizes, all positive, got \(\)$"),
+    ], ids=["zero-width", "one-size", "sizes-zero-width", "sizes-one-size", "sizes-none"])
     def test_rejects_layer_lists_it_cannot_build(self, build, message):
         with pytest.raises(ValueError, match=message):
             build()

@@ -5,6 +5,7 @@ the out= buffer contract of every step rule."""
 import collections
 import copy
 import dataclasses
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -689,6 +690,24 @@ class TestStateContract:
             assert snapshot(step(lacking, grad_fn)) == snapshot(step(full, grad_fn))
         with pytest.raises(ValueError, match=rf"^{rule} writes {field}, "):
             step(full, forbidden_oracle, out=out)
+
+    @pytest.mark.parametrize("name, field", CONTRACT_CASES)
+    def test_an_out_field_that_is_not_a_float64_iterate_is_named_before_the_oracle_runs(
+        self, name, field
+    ):
+        rule, fields, _, step = rule_steps(0.1, HALF, 2.0)[name]
+        state = opt.State.start(np.ones(3), fields, n=3)
+        misfits = {"float32 (3,)": np.zeros(3, np.float32), "int64 (3,)": np.zeros(3, np.int64),
+                   "float64 (2, 3)": np.zeros((2, 3)), "list (3,)": [0.0, 0.0, 0.0]}
+        for found, array in misfits.items():
+            out = opt.State.start(np.zeros(3), fields)
+            setattr(out, field, array)
+            message = rf"^{rule} writes {field} as float64 \(3,\), but out's is {re.escape(found)}$"
+            with pytest.raises(ValueError, match=message):
+                step(state, forbidden_oracle, out=out)
+        # an out of the wrong shape throughout would broadcast the iterate
+        with pytest.raises(ValueError, match=rf"^{rule} writes {fields[0]} as float64 \(3,\)"):
+            step(state, forbidden_oracle, out=opt.State.start(np.zeros((2, 3)), fields))
 
 
 STATE_ARRAYS = [f.name for f in dataclasses.fields(opt.State) if f.name not in ("u", "n")]
