@@ -10,6 +10,7 @@ splitting defect/order sweep backing the CLI subcommands.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -359,8 +360,8 @@ def emit_metrics(records: Sequence[MetricsRecord], path: Optional[str]) -> None:
 
 
 def read_timing_column(path: str) -> List[float]:
-    """epoch_time_s values from a metrics CSV produced by emit_metrics; each
-    must be finite and nonnegative."""
+    """epoch_time_s values from a metrics CSV produced by emit_metrics; there
+    must be at least one, and each must be a finite nonnegative number."""
     with open(path, newline="") as f:
         header = f.readline().strip().split(",")
         try:
@@ -368,11 +369,16 @@ def read_timing_column(path: str) -> List[float]:
         except ValueError:
             raise ValueError(f"{path}: no epoch_time_s column in header {header}")
         rows = [line.strip().split(",") for line in f if line.strip()]
+    if not rows:
+        raise ValueError(f"{path}: no rows below the header, so no epoch_time_s values")
     samples = []
     for row in rows:
         if col >= len(row):
             raise ValueError(f"{path}: row {','.join(row)!r} has no epoch_time_s value")
-        value = float(row[col])
+        try:
+            value = float(row[col])
+        except ValueError:
+            raise ValueError(f"{path}: epoch_time_s {row[col]!r} is not a number")
         # negated so that NaN fails it
         if not 0.0 <= value < math.inf:
             raise ValueError(f"{path}: epoch_time_s {value} is not a finite nonnegative time")
@@ -394,32 +400,54 @@ def splitting_study(
     """Defect and observed global order of a splitting over [0, 1].
 
     Integrates X' = (A+B)X for the canonical noncommuting 2x2 pair with N
-    steps of the chosen method, compares against the dense exponential at
-    T = 1, and reports (h, defect(h), observed order) per N.  The order
-    entry pairs each h with the next finer one; the last row has none.
+    steps of size h = 1/N of the chosen method, compares against the dense
+    exponential at T = 1, and reports (h, defect(h), observed order) per N.
+    The system is linear, so N steps are N applications of one propagator
+    S(h), the step applied to the identity: the study builds S(h) once per
+    h and multiplies the state by it N times, which differs from N
+    factor-by-factor steps by rounding alone.  step_counts must be a
+    non-empty sequence of integers >= 1 in strictly increasing order; the
+    order entry pairs each h with the next finer one, and the last row has
+    none.
     """
     if method not in SPLITTING_METHODS:
         raise ValueError(f"unknown method {method!r}")
+    counts = tuple(step_counts)
+    rule = (
+        "step counts must be a non-empty sequence of integers >= 1 "
+        "in strictly increasing order"
+    )
+    if not counts:
+        raise ValueError(f"{rule}, got {counts!r}")
+    # a count at or below the one before it (0 for the first) is rejected
+    for previous, n_steps in zip((0,) + counts, counts):
+        if (
+            isinstance(n_steps, bool)
+            or not isinstance(n_steps, numbers.Integral)
+            or n_steps <= previous
+        ):
+            raise ValueError(f"{rule}, got {n_steps!r} in {counts!r}")
     sys = LinearSplitSystem(STUDY_A, STUDY_B)
     x0 = np.array([1.0, 0.0])
     exact = matrix_exp(STUDY_A + STUDY_B) @ x0
     stepper = lie_split_step if method == "lie" else strang_split_step
 
-    # The defect at h is taken right after the integration at h, so its
-    # step reuses the flows that sys remembers for that h.
+    # Building S(h) computes the flows at h, which sys remembers; the defect
+    # at h builds S(h) again from them and computes only e^{(A+B)h} anew.
     errors, defects = [], []
-    for n_steps in step_counts:
+    for n_steps in counts:
         h = 1.0 / n_steps
-        x = x0.copy()
+        propagator = stepper(sys, np.eye(2), h)
+        x = x0
         for _ in range(n_steps):
-            x = stepper(sys, x, h)
+            x = propagator @ x
         errors.append(float(np.linalg.norm(x - exact)))
         defects.append(splitting_defect(sys, h, step=stepper))
 
     rows: List[Tuple[float, float, Optional[float]]] = []
-    for i, n_steps in enumerate(step_counts):
-        if i + 1 < len(step_counts) and errors[i + 1] > 0:
-            ratio = (1.0 / step_counts[i]) / (1.0 / step_counts[i + 1])
+    for i, n_steps in enumerate(counts):
+        if i + 1 < len(counts) and errors[i + 1] > 0:
+            ratio = (1.0 / counts[i]) / (1.0 / counts[i + 1])
             order = float(np.log(errors[i] / errors[i + 1]) / np.log(ratio))
         else:
             order = None

@@ -467,6 +467,30 @@ class TestRunExperiment:
         assert isinstance(info.value.records, list)
 
 
+def stepwise_study(step_counts, step):
+    """The study as n checked steps per step size: the state goes through
+    every flow of every step, and each defect is taken after its h."""
+    sys = splitting.LinearSplitSystem(bench.STUDY_A, bench.STUDY_B)
+    x0 = np.array([1.0, 0.0])
+    exact = splitting.matrix_exp(bench.STUDY_A + bench.STUDY_B) @ x0
+    errors, defects = [], []
+    for n in step_counts:
+        h = 1.0 / n
+        x = x0.copy()
+        for _ in range(n):
+            x = step(sys, x, h)
+        errors.append(float(np.linalg.norm(x - exact)))
+        defects.append(splitting.splitting_defect(sys, h, step=step))
+    orders = [
+        float(np.log(errors[i] / errors[i + 1]) / np.log((1.0 / a) / (1.0 / b)))
+        for i, (a, b) in enumerate(zip(step_counts, step_counts[1:]))
+    ]
+    return [(1.0 / n, d, o) for n, d, o in zip(step_counts, defects, orders + [None])]
+
+
+STUDY_STEPS = {"lie": splitting.lie_split_step, "strang": splitting.strang_split_step}
+
+
 class TestSplittingStudy:
     def test_lie_rows(self):
         rows = splitting_study(step_counts=(10, 20, 40, 80), method="lie")
@@ -499,6 +523,80 @@ class TestSplittingStudy:
         monkeypatch.setattr("splitopt.bench.matrix_exp", counting)
         splitting_study(method=method)
         assert len(calls) == 16
+
+    @pytest.mark.parametrize("method", ["lie", "strang"])
+    @pytest.mark.parametrize("step_counts", [(10, 20, 40, 80, 160), (7,), (3, 5, 9)])
+    def test_two_step_calls_per_step_size(self, monkeypatch, method, step_counts):
+        # one builds the propagator, the other is the defect's; 10 calls
+        # for the default sweep
+        calls, name = [], f"{method}_split_step"
+        real = getattr(splitting, name)
+
+        def counting(sys, X, h):
+            calls.append(h)
+            return real(sys, X, h)
+
+        monkeypatch.setattr(f"splitopt.bench.{name}", counting)
+        splitting_study(step_counts, method=method)
+        assert calls == [1.0 / n for n in step_counts for _ in range(2)]
+
+    @pytest.mark.parametrize("method", ["lie", "strang"])
+    def test_printed_rows_equal_the_stepwise_reference(self, capsys, method):
+        rows = splitting_study(method=method)
+        reference = stepwise_study((10, 20, 40, 80, 160), STUDY_STEPS[method])
+        # h and the defect are computed as before, bit for bit
+        assert [r[:2] for r in rows] == [r[:2] for r in reference]
+        assert main(["splitting-study", "--method", method]) == 0
+        expected = "h,defect,observed_order\n" + "".join(
+            f"{h:.6g},{d:.6g}," + (f"{o:.6g}" if o is not None else "") + "\n"
+            for h, d, o in reference
+        )
+        assert capsys.readouterr().out == expected
+
+    @pytest.mark.parametrize("method", ["lie", "strang"])
+    @pytest.mark.parametrize("n", [10, 20, 40, 80, 160])
+    def test_propagated_state_stays_within_rounding_of_the_stepped_one(self, method, n):
+        # A, B and x0 are entrywise nonnegative, so are the computed flows
+        # (Taylor terms and squarings of a nonnegative matrix), every
+        # product and every state: no sum cancels.  Each rounded 2x2
+        # product then moves each entry by a factor within (1 +- u)^2, so
+        # after K rounded products an entry lies within gamma_K =
+        # K u / (1 - K u) of the same product taken exactly.  A step of m
+        # factors is m rounded products, 2 m n factors over n steps.  The
+        # propagator takes at most m products once, and each step applies
+        # it once more, so x = P^n x0 carries at most 2 (m + 1) n.  Both
+        # lie within their gamma of the exact e, and e <= x_step / (1 -
+        # gamma_step), which bounds their distance by ||x_step||.
+        assert (bench.STUDY_A >= 0).all() and (bench.STUDY_B >= 0).all()
+        step = STUDY_STEPS[method]
+        m = {"lie": 2, "strang": 3}[method]
+        sys = splitting.LinearSplitSystem(bench.STUDY_A, bench.STUDY_B)
+        h, x0 = 1.0 / n, np.array([1.0, 0.0])
+        propagator = step(sys, np.eye(2), h)
+        stepped, propagated = x0, x0
+        for _ in range(n):
+            stepped = step(sys, stepped, h)
+            propagated = propagator @ propagated
+        u = 2.0**-53
+
+        def gamma(k):
+            return k * u / (1 - k * u)
+
+        bound = (gamma(2 * m * n) + gamma(2 * (m + 1) * n)) / (1 - gamma(2 * m * n))
+        gap = np.max(np.abs(propagated - stepped))
+        assert gap <= bound * np.max(np.abs(stepped)), (gap, bound)
+
+    @pytest.mark.parametrize("step_counts, shown", [
+        ((0,), "got 0 in (0,)"), ((10, 10), "got 10 in (10, 10)"),
+        ((10, -5), "got -5 in (10, -5)"), ((10.5, 20), "got 10.5 in (10.5, 20)"),
+        ((), "got ()"), ((True, 2), "got True in (True, 2)"),
+    ])
+    def test_rejects_a_sweep_that_is_not_increasing_positive_integers(
+        self, step_counts, shown
+    ):
+        with pytest.raises(ValueError, match="strictly increasing order") as exc:
+            splitting_study(step_counts)
+        assert str(exc.value).endswith(shown)
 
     def test_strang_defect_is_strangs_own(self):
         lie = splitting_study(method="lie")
@@ -637,6 +735,7 @@ class TestCli:
     @pytest.mark.parametrize("row, shown", [
         ("1,0.5,0.9,0.5,0.9,nan", "nan"), ("1,0.5,0.9,0.5,0.9,-3", "-3.0"),
         ("1,0.5,0.9,0.5,0.9,inf", "inf"), ("1,0.5", "'1,0.5'"),
+        ("1,0.5,0.9,0.5,0.9,abc", "'abc' is not a number"),
     ])
     def test_timing_rejects_invalid_times(self, tmp_path, capsys, row, shown):
         metrics = tmp_path / "metrics.csv"
@@ -647,6 +746,13 @@ class TestCli:
         assert main(["timing", "--in", str(metrics)]) == 2
         err = capsys.readouterr().err
         assert str(metrics) in err and shown in err
+
+    def test_timing_of_a_header_only_file_names_it(self, tmp_path, capsys):
+        metrics = tmp_path / "metrics.csv"
+        emit_metrics([], str(metrics))
+        assert main(["timing", "--in", str(metrics)]) == 2
+        err = capsys.readouterr().err
+        assert str(metrics) in err and "no epoch_time_s values" in err
 
     def test_divergence_exits_3_and_flushes(self, tmp_path, capsys):
         out = tmp_path / "partial.csv"
