@@ -511,8 +511,9 @@ class TestSplittingStudy:
 
     @pytest.mark.parametrize("method", ["lie", "strang"])
     def test_one_exponential_per_operator_and_step_size(self, monkeypatch, method):
-        # per h: two flows and the defect's exact exponential; plus the
-        # exact solution at T = 1, for 5 * 3 + 1 calls
+        # the exact solution at T = 1, then one stacked call each for the
+        # A flows, the B flows and the defect's exact exponentials, each
+        # holding every step size of the sweep
         calls, real = [], splitting.matrix_exp
 
         def counting(M):
@@ -522,23 +523,46 @@ class TestSplittingStudy:
         monkeypatch.setattr("splitopt.splitting.matrix_exp", counting)
         monkeypatch.setattr("splitopt.bench.matrix_exp", counting)
         splitting_study(method=method)
-        assert len(calls) == 16
+        assert calls == [(2, 2)] + [(5, 2, 2)] * 3
 
     @pytest.mark.parametrize("method", ["lie", "strang"])
     @pytest.mark.parametrize("step_counts", [(10, 20, 40, 80, 160), (7,), (3, 5, 9)])
-    def test_two_step_calls_per_step_size(self, monkeypatch, method, step_counts):
-        # one builds the propagator, the other is the defect's; 10 calls
-        # for the default sweep
+    def test_two_step_calls_per_study(self, monkeypatch, method, step_counts):
+        # one builds every propagator, the other is the defect's; each
+        # takes the whole array of step sizes
         calls, name = [], f"{method}_split_step"
         real = getattr(splitting, name)
 
         def counting(sys, X, h):
-            calls.append(h)
+            calls.append(np.array(h))
             return real(sys, X, h)
 
         monkeypatch.setattr(f"splitopt.bench.{name}", counting)
         splitting_study(step_counts, method=method)
-        assert calls == [1.0 / n for n in step_counts for _ in range(2)]
+        expected = [1.0 / n for n in step_counts]
+        assert [h.tolist() for h in calls] == [expected, expected]
+
+    def test_spectral_norm_runs_once_per_study(self, monkeypatch):
+        calls, real = [], splitting.spectral_norm
+
+        def counting(M):
+            calls.append(np.shape(M))
+            return real(M)
+
+        monkeypatch.setattr("splitopt.splitting.spectral_norm", counting)
+        splitting_study(method="strang")
+        assert calls == [(5, 2, 2)]
+
+    @pytest.mark.parametrize("method, defect_80, order_80", [
+        ("lie", 7.812669543404026e-05, 1.0007313366154795),
+        ("strang", 3.2552549576281606e-07, 1.9999654945137806),
+    ])
+    def test_returned_floats_are_pinned(self, method, defect_80, order_80):
+        # the values from one step-size-at-a-time calls; the stacked calls
+        # must reproduce them bit for bit
+        rows = splitting_study(method=method)
+        assert rows[3] == (0.0125, defect_80, order_80)
+        assert all(type(v) is float for row in rows for v in row[:2])
 
     @pytest.mark.parametrize("method", ["lie", "strang"])
     def test_printed_rows_equal_the_stepwise_reference(self, capsys, method):

@@ -3,6 +3,9 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from splitopt.splitting import (
     DampingSchedule,
@@ -144,6 +147,9 @@ class TestLieSplit:
         for state in (np.zeros(3), 1.0):
             with pytest.raises(ValueError, match="dimension mismatch"):
                 step(sys_, state, 0.1)
+        # matmul would read a third axis as a stack of matrices
+        with pytest.raises(ValueError, match=r"vector or a matrix, got shape \(2, 2, 2\)"):
+            step(sys_, np.zeros((2, 2, 2)), 0.1)
         for h in (-0.1, float("nan")):
             with pytest.raises(ValueError, match="time step must be nonnegative"):
                 step(sys_, np.zeros(2), h)
@@ -197,6 +203,150 @@ class TestSplittingDefect:
             errors.append(np.linalg.norm(x - exact))
         orders = [np.log2(a / b) for a, b in zip(errors, errors[1:])]
         assert all(1.8 <= p <= 2.2 for p in orders)
+
+
+class TestNonFiniteInputs:
+    # pytest's configuration raises warnings as errors, so a check that let
+    # arithmetic run on inf or nan first would fail here with a warning
+    @pytest.mark.parametrize("step", [lie_split_step, strang_split_step])
+    @pytest.mark.parametrize("h, shown", [
+        (np.inf, "got inf"), (-np.inf, "got -inf"), (np.nan, "got nan"),
+        ([0.1, np.inf], "got inf at index 1"), ([np.nan, 0.2], "got nan at index 0"),
+        ([0.1, -0.2], "got -0.2 at index 1"),
+    ])
+    def test_steps_and_defect_name_the_bad_step(self, step, h, shown):
+        sys_ = LinearSplitSystem(NILPOTENT_A, NILPOTENT_B)
+        for call in (lambda: step(sys_, np.eye(2), h),
+                     lambda: splitting_defect(sys_, h, step=step)):
+            with pytest.raises(ValueError, match="time step must be nonnegative") as exc:
+                call()
+            assert str(exc.value).endswith(shown)
+
+    @pytest.mark.parametrize("t, shown", [
+        (np.inf, "got inf"), (-np.inf, "got -inf"), (np.nan, "got nan"),
+        ([0.1, -np.inf, 0.3], "got -inf at index 1"),
+    ])
+    def test_flow_names_the_bad_time(self, t, shown):
+        sys_ = LinearSplitSystem(NILPOTENT_A, NILPOTENT_B)
+        with pytest.raises(ValueError, match="flow time must be finite") as exc:
+            sys_.flow("A", t)
+        assert str(exc.value).endswith(shown)
+        # a negative time is a valid flow, though not a valid step
+        assert sys_.flow("A", -0.5).tobytes() == matrix_exp(NILPOTENT_A * -0.5).tobytes()
+
+    def test_times_must_be_scalar_or_one_dimensional(self):
+        sys_ = LinearSplitSystem(NILPOTENT_A, NILPOTENT_B)
+        with pytest.raises(ValueError, match=r"got shape \(1, 1\)"):
+            sys_.flow("B", [[0.1]])
+        with pytest.raises(ValueError, match=r"got shape \(1, 1\)"):
+            lie_split_step(sys_, np.eye(2), [[0.1]])
+
+    @pytest.mark.parametrize("A, B, shown", [
+        ([[np.nan]], [[0.0]], "A entries must be finite, got nan at (0, 0)"),
+        (np.eye(2), [[0.0, np.inf], [0.0, 0.0]], "B entries must be finite, got inf at (0, 1)"),
+    ])
+    def test_system_rejects_non_finite_operators(self, A, B, shown):
+        with pytest.raises(ValueError) as exc:
+            LinearSplitSystem(A, B)
+        assert str(exc.value) == shown
+
+
+class TestMatrixExpRange:
+    @pytest.mark.parametrize("M, shown", [
+        ([[1e308]], "1-norm 1e+308 exceeds 2^1022"),
+        ([[1e308, 0.0], [1e308, 0.0]], "1-norm inf exceeds 2^1022"),
+        ([[800.0]], "e^M is not representable in float64: 1-norm 800.0"),
+        ([[[0.1]], [[800.0]]],
+         "e^M is not representable in float64: 1-norm 800.0 at stack index 1"),
+        ([[[[0.1]], [[0.2]]], [[[0.3]], [[-1e308]]]], "1-norm 1e+308 at stack index (1, 1)"),
+    ])
+    def test_names_the_norm_and_index_of_an_unrepresentable_exponential(self, M, shown):
+        with pytest.raises(ValueError) as exc:
+            matrix_exp(M)
+        assert shown in str(exc.value)
+
+    def test_stack_of_mixed_squaring_counts_squares_each_its_own(self):
+        # 0, 1 and 10 squarings in one stack; the largest result is finite
+        stack = np.array([[[0.25]], [[0.75]], [[700.0]]])
+        E = matrix_exp(stack)
+        for M, e in zip(stack, E):
+            assert e.tobytes() == matrix_exp(M).tobytes()
+        assert matrix_exp([[-800.0]]) == 0.0  # e^-800 underflows to zero, in range
+
+    def test_stack_index_of_a_non_finite_entry(self):
+        with pytest.raises(ValueError, match="finite at stack index 2"):
+            matrix_exp(np.array([np.eye(2), np.eye(2), [[0.0, np.nan], [0.0, 0.0]]]))
+
+
+@st.composite
+def matrix_stacks(draw, n, min_k=1):
+    """k <= 8 n x n matrices with 1-norms from 0 to about 20, zero matrices
+    and matrices whose 1-norm is exactly 0.5 among them."""
+    k = draw(st.integers(min_k, 8))
+    base = draw(hnp.arrays(float, (k, n, n), elements=st.floats(-1.0, 1.0, width=64)))
+    norms = np.linalg.norm(base, 1, axis=(1, 2))
+    kinds = draw(st.lists(st.sampled_from(["scaled", "zero", "half"]), min_size=k, max_size=k))
+    targets = draw(st.lists(st.floats(0.0, 20.0), min_size=k, max_size=k))
+    stack = np.empty((k, n, n))
+    for i, (kind, target) in enumerate(zip(kinds, targets)):
+        if kind == "zero" or norms[i] < 1e-6:
+            stack[i] = 0.0
+        elif kind == "half":
+            stack[i] = 0.0
+            stack[i].flat[draw(st.integers(0, n * n - 1))] = draw(st.sampled_from([0.5, -0.5]))
+        else:
+            stack[i] = base[i] * (target / norms[i])
+    return stack
+
+
+STACKED = settings(derandomize=True, deadline=None, database=None, max_examples=60)
+
+
+class TestStackedCalls:
+    @STACKED
+    @given(data=st.data(), n=st.integers(1, 5))
+    def test_stack_equals_single_calls(self, data, n):
+        stack = data.draw(matrix_stacks(n))
+        exps, norms = matrix_exp(stack), spectral_norm(stack)
+        for i, M in enumerate(stack):
+            assert exps[i].tobytes() == matrix_exp(M).tobytes()
+            single = spectral_norm(M)
+            assert type(single) is float and norms[i].tobytes() == np.float64(single).tobytes()
+
+    @STACKED
+    @given(data=st.data(), n=st.integers(1, 5))
+    def test_steps_flows_and_defects_over_an_array_of_h(self, data, n):
+        A, B = data.draw(matrix_stacks(n, min_k=2))[:2]
+        hs = np.array(data.draw(st.lists(
+            st.one_of(st.just(0.0), st.floats(0.0, 2.0)), min_size=1, max_size=8)))
+        X = data.draw(st.sampled_from([np.ones(n), np.eye(n), np.arange(2.0 * n).reshape(n, 2)]))
+        stacked, single = LinearSplitSystem(A, B), LinearSplitSystem(A, B)
+        for op in ("A", "B"):
+            flows = stacked.flow(op, hs)
+            assert flows.shape == (len(hs), n, n)
+            for h, F in zip(hs, flows):
+                assert F.tobytes() == single.flow(op, h).tobytes()
+        for step in (lie_split_step, strang_split_step):
+            states, defects = step(stacked, X, hs), splitting_defect(stacked, hs, step=step)
+            assert states.shape == (len(hs),) + X.shape and defects.shape == hs.shape
+            for h, x, d in zip(hs, states, defects):
+                assert x.tobytes() == step(single, X, float(h)).tobytes()
+                scalar = splitting_defect(single, float(h), step=step)
+                assert d.tobytes() == np.float64(scalar).tobytes()
+
+    def test_scalar_and_length_one_times_are_remembered_apart(self):
+        sys_ = LinearSplitSystem(NILPOTENT_A, NILPOTENT_B)
+        scalar, stacked = sys_.flow("A", 0.1), sys_.flow("A", [0.1])
+        assert scalar.shape == (2, 2) and stacked.shape == (1, 2, 2)
+        assert sys_.flow("A", 0.1) is scalar and sys_.flow("A", np.array([0.1])) is stacked
+        assert stacked[0].tobytes() == scalar.tobytes()
+
+    def test_a_reused_time_array_changed_in_place_is_not_stale(self):
+        sys_ = LinearSplitSystem(NILPOTENT_A, NILPOTENT_B)
+        t = np.array([0.1, 0.2])
+        sys_.flow("B", t)
+        t[0] = 0.3
+        assert sys_.flow("B", t)[0].tobytes() == matrix_exp(NILPOTENT_B * 0.3).tobytes()
 
 
 class TestIntegrateSecondOrder:
