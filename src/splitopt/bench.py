@@ -291,7 +291,7 @@ def run_experiment(config: ExperimentConfig) -> List[MetricsRecord]:
 
                 def grad_fn(point: np.ndarray) -> np.ndarray:
                     model.set_param_vector(point)
-                    return forward_backward(model, batch)[1]
+                    return forward_backward(model, batch)
 
                 theta = stepper(grad_fn)
             elapsed = time.perf_counter() - tic

@@ -20,6 +20,7 @@ from .datasets import class_indices
 
 NORMALIZE_MEAN = 0.1307
 NORMALIZE_STD = 0.3081
+CLASS_RANGE_ERROR = "target out of range for the model's class count"
 
 
 def normalize(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -45,30 +46,26 @@ def nll_loss(log_probs: np.ndarray, targets: np.ndarray) -> float:
     targets = class_indices(targets, "targets")
     if targets.shape[0] != log_probs.shape[0]:
         raise ValueError("one target per row required")
-    if np.any(targets >= log_probs.shape[1]):
-        raise ValueError(
-            f"target out of range [0, {log_probs.shape[1]}): {targets}"
-        )
     return mean_target_nll(log_probs, targets)
 
 
-def mean_target_nll(
-    log_probs: np.ndarray, targets: np.ndarray, rows: Optional[np.ndarray] = None
-) -> float:
+def mean_target_nll(log_probs: np.ndarray, targets: np.ndarray) -> float:
     """The one loss of training, evaluation and nll_loss: -np.mean of each
-    row's target log-probability.  rows, if given, is np.arange(m).  A
-    target at or above the class count fails the pick with a ValueError."""
+    row's target log-probability; a batch's loss is this of model.forward.
+    A target at or above the class count fails the pick with a ValueError."""
     m = log_probs.shape[0]
     try:
-        picked = log_probs[np.arange(m) if rows is None else rows, targets]
+        picked = log_probs[np.arange(m), targets]
     except IndexError:
-        raise ValueError("target out of range for the model's class count") from None
+        raise ValueError(CLASS_RANGE_ERROR) from None
     return float(-(np.add.reduce(picked) / m))
 
 
 @dataclass
 class Batch:
-    """A block of inputs with one class index per row."""
+    """A block of inputs with one nonnegative class index per row, checked
+    once when built.  class_bound, one more than the largest target (0 if
+    none), is what forward_backward checks a model's class count against."""
 
     inputs: np.ndarray
     targets: np.ndarray
@@ -81,15 +78,18 @@ class Batch:
                 f"{self.inputs.shape[0]} input rows vs "
                 f"{self.targets.shape[0]} targets"
             )
+        self.class_bound = int(self.targets.max()) + 1 if self.targets.size else 0
 
     def __len__(self) -> int:
         return self.inputs.shape[0]
 
     def rows(self, idx: np.ndarray) -> "Batch":
         """The rows at the integer indices idx, copied, as a batch that
-        skips the checks this one passed."""
+        skips the checks this one passed and keeps its class_bound."""
         subset = Batch.__new__(Batch)
-        subset.inputs, subset.targets = self.inputs[idx], self.targets[idx]
+        subset.inputs = self.inputs.take(idx, axis=0)
+        subset.targets = self.targets.take(idx, axis=0)
+        subset.class_bound = self.class_bound
         return subset
 
 
@@ -163,8 +163,8 @@ class MlpModel:
         self._flat[...] = theta.ravel()
 
     def _forward_trace(self, X: np.ndarray):
-        """Logits plus the per-layer activations and rectifier masks."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
+        """Logits plus the per-layer activations and rectifier masks of a
+        2-D float64 X, such as a Batch's inputs."""
         if X.shape[1] != self.weights[0].shape[0]:
             raise ValueError(
                 f"input has {X.shape[1]} features, model expects "
@@ -184,31 +184,27 @@ class MlpModel:
 
     def forward(self, X: np.ndarray) -> np.ndarray:
         """Log-probabilities for a batch of inputs."""
-        logits, _, _ = self._forward_trace(X)
+        logits, _, _ = self._forward_trace(np.atleast_2d(np.asarray(X, dtype=float)))
         return log_softmax(logits)
 
 
-def forward_backward(model: MlpModel, batch: Batch) -> Tuple[float, np.ndarray]:
-    """Loss and gradient with respect to the flattened parameters.
-
-    The loss is the negative log likelihood of the log-softmax output,
-    which is also the cross entropy of the raw logits; it and the gradient
-    come from one log-softmax.  Batch checks the row count and that the
-    targets are nonnegative integers, _forward_trace the input width, and
-    this function the empty batch; a target at or above the class count
-    fails mean_target_nll's pick with a ValueError.
-    """
+def forward_backward(model: MlpModel, batch: Batch) -> np.ndarray:
+    """Gradient, in the flat parameter layout, of the batch's loss: the
+    mean_target_nll of model.forward(batch.inputs), which is not computed
+    here.  Batch checks the targets, _forward_trace the input width, and
+    this function the empty batch and, before any flat index is formed,
+    the batch's class_bound against the model's class count."""
     m = len(batch)
     if m == 0:
         raise ValueError("batch must be nonempty")
+    classes = model.biases[-1].shape[0]
+    if batch.class_bound > classes:
+        raise ValueError(CLASS_RANGE_ERROR)
     logits, activations, masks = model._forward_trace(batch.inputs)
-    targets = batch.targets
-    log_probs = log_softmax(logits)
-    rows = np.arange(m)
-    value = mean_target_nll(log_probs, targets, rows)
-
-    delta = np.exp(log_probs, out=log_probs)
-    delta[rows, targets] -= 1.0
+    delta = log_softmax(logits)
+    np.exp(delta, out=delta)
+    # each row's target entry, as a flat index into the (m, classes) delta
+    delta.ravel()[np.arange(0, m * classes, classes) + batch.targets] -= 1.0
     delta /= m
 
     grad = np.empty(model.n_params)
@@ -219,7 +215,7 @@ def forward_backward(model: MlpModel, batch: Batch) -> Tuple[float, np.ndarray]:
         if layer > 0:
             delta = delta @ model.weights[layer].T
             delta *= masks[layer - 1]
-    return value, grad
+    return grad
 
 
 def epoch_batches(n_samples: int, batch_size: int, seed: int) -> List[np.ndarray]:

@@ -14,7 +14,7 @@ import pytest
 import splitopt.adaptive as ada
 import splitopt.optimizers as opt
 from splitopt.bench import ExperimentConfig, format_metrics, run_experiment, timing_stats
-from splitopt.nn import Batch, MlpModel, forward_backward
+from splitopt.nn import Batch, MlpModel, forward_backward, mean_target_nll
 from splitopt.objectives import fd_gradient, quadratic, rosenbrock
 from splitopt.splitting import (
     LinearSplitSystem,
@@ -214,12 +214,12 @@ def test_criterion_06_gradient_checks():
         m = int(rng.integers(1, 9))
         model = MlpModel.init((d, hidden, classes), seed=int(rng.integers(1_000_000)))
         batch = Batch(rng.standard_normal((m, d)), rng.integers(0, classes, size=m))
-        _, grad = forward_backward(model, batch)
+        grad = forward_backward(model, batch)
         theta = model.param_vector()
 
         def loss_at(t, model=model, batch=batch):
             model.set_param_vector(t)
-            return forward_backward(model, batch)[0]
+            return mean_target_nll(model.forward(batch.inputs), batch.targets)
 
         fd = fd_gradient(loss_at, theta, 1e-5)
         model.set_param_vector(theta)

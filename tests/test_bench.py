@@ -32,7 +32,7 @@ from splitopt import optimizers as opt
 from splitopt import splitting
 from splitopt.cli import _build_parser, _load_config_file, main
 from splitopt.datasets import dataset_to_idx, synth_blobs
-from splitopt.nn import Batch, MlpModel, nll_loss
+from splitopt.nn import Batch, MlpModel, forward_backward, nll_loss
 
 TINY = "synth:per_class=40,classes=2,dim=2,sep=6"
 OPTIMIZER_DEFAULT_LR = {name: row[0] for name, row in OPTIMIZERS.items()}
@@ -432,6 +432,23 @@ class TestRunExperiment:
         monkeypatch.setattr(bench, "Batch", counting_batch)
         run_experiment(ExperimentConfig(optimizer="sgd", epochs=2, batch_size=8, dataset=TINY))
         assert built == [80, 16]
+
+    @pytest.mark.parametrize("name", sorted(OPTIMIZERS))
+    def test_gradient_oracle_is_called_once_per_step(self, monkeypatch, name):
+        # a wrapper of bench.forward_backward, as a tracer installs, sees
+        # every gradient of the run with the model and batch leading
+        seen = []
+
+        def counting(*args):
+            seen.append(args[:2])
+            return forward_backward(*args)
+
+        monkeypatch.setattr(bench, "forward_backward", counting)
+        run_experiment(ExperimentConfig(optimizer=name, epochs=2, batch_size=8, dataset=TINY))
+        steps = 2 * math.ceil(80 / 8)
+        # as-written ssa1-ada evaluates the gradient twice per step
+        assert len(seen) == steps * (2 if name == "ssa1-ada" else 1)
+        assert all(type(m) is MlpModel and type(b) is Batch for m, b in seen)
 
     @pytest.mark.parametrize("normalize", [True, False])
     def test_run_normalizes_the_loaded_sets_in_place(self, monkeypatch, normalize):

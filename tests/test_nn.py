@@ -97,13 +97,8 @@ class TestLosses:
         for m in range(1, 258):
             log_probs = log_softmax(rng.standard_normal((m, 3)) * 4)
             targets = rng.integers(0, 3, size=m)
-            rows = np.arange(m)
-            want = np.float64(-np.mean(log_probs[rows, targets])).tobytes()
-            for got in (
-                mean_target_nll(log_probs, targets),
-                mean_target_nll(log_probs, targets, rows),
-                nll_loss(log_probs, targets),
-            ):
+            want = np.float64(-np.mean(log_probs[np.arange(m), targets])).tobytes()
+            for got in (mean_target_nll(log_probs, targets), nll_loss(log_probs, targets)):
                 assert np.float64(got).tobytes() == want
 
 
@@ -300,8 +295,8 @@ def reference_forward_backward(model, batch, loss):
     second log-softmax, and per-layer arrays concatenated at the end.
     loss="nll" takes the value as the mean NLL of this function's own
     log-softmax, loss="xent" as that of the library's log_softmax, the
-    cross entropy of the logits; forward_backward's one loss must equal
-    both."""
+    cross entropy of the logits; the batch loss taken through forward
+    must equal both."""
     logits, activations, masks = reference_forward(model, batch.inputs)
     if loss == "nll":
         value = ref_nll(ref_log_softmax(logits), batch.targets)
@@ -339,7 +334,8 @@ class TestForwardBackward:
     @pytest.mark.parametrize("sizes", SIZES)
     def test_bit_identical_to_reference_composition(self, sizes, loss):
         for model, batch in draw_batches(sizes):
-            value, grad = forward_backward(model, batch)
+            grad = forward_backward(model, batch)
+            value = mean_target_nll(model.forward(batch.inputs), batch.targets)
             ref_value, ref_grad = reference_forward_backward(model, batch, loss)
             assert np.float64(value).tobytes() == np.float64(ref_value).tobytes()
             assert grad.dtype == ref_grad.dtype and grad.shape == ref_grad.shape
@@ -359,7 +355,8 @@ class TestForwardBackward:
         model.set_param_vector(np.zeros(model.n_params))
         rng = np.random.default_rng(5)
         batch = Batch(rng.standard_normal((8, 3)), rng.integers(0, 5, size=8))
-        loss, grad = forward_backward(model, batch)
+        grad = forward_backward(model, batch)
+        loss = mean_target_nll(model.forward(batch.inputs), batch.targets)
         assert loss == pytest.approx(math.log(5), rel=1e-12)
         # output-layer bias gradient: mean of (softmax - onehot) rows
         counts = np.bincount(batch.targets, minlength=5)
@@ -372,7 +369,8 @@ class TestForwardBackward:
         model.weights[0][...] = np.eye(2)
         model.biases[0][...] = 0.0
         batch = Batch(np.array([[1.0, 2.0]]), np.array([0]))
-        loss, grad = forward_backward(model, batch)
+        grad = forward_backward(model, batch)
+        loss = mean_target_nll(model.forward(batch.inputs), batch.targets)
         p1 = 1.0 / (1.0 + math.exp(-1.0))  # softmax of logits (1, 2), class 1
         p0 = 1.0 - p1
         assert loss == pytest.approx(-math.log(p0), rel=1e-12)
@@ -384,12 +382,12 @@ class TestForwardBackward:
         model = MlpModel.init((4, 6, 3), seed=7)
         rng = np.random.default_rng(8)
         batch = Batch(rng.standard_normal((5, 4)), rng.integers(0, 3, size=5))
-        _, grad = forward_backward(model, batch)
+        grad = forward_backward(model, batch)
         theta = model.param_vector()
 
         def loss_at(t):
             model.set_param_vector(t)
-            return forward_backward(model, batch)[0]
+            return mean_target_nll(model.forward(batch.inputs), batch.targets)
 
         fd = fd_gradient(loss_at, theta, 1e-5)
         model.set_param_vector(theta)
@@ -413,8 +411,12 @@ class TestTargetRange:
         data=st.data(),
     )
     def test_out_of_range_target_is_a_value_error(self, sizes, rows, excess, data):
-        # exactly the class count, or far above it, in one drawn row: the
-        # pick's IndexError must surface as the class-count ValueError
+        """Exactly the class count, or far above it (up to 2**62 more), in
+        one drawn row: forward_backward raises the class-count ValueError
+        from the batch's class_bound, before it forms any flat index
+        rows * C + t, so no IndexError is being handled when it raises.  A
+        rows() subset skips the parent's checks and inherits its
+        class_bound, so a subset holding the bad row fails the same way."""
         classes = sizes[-1]
         rng = np.random.default_rng(rows)
         targets = rng.integers(0, classes, size=rows)
@@ -422,8 +424,13 @@ class TestTargetRange:
         targets[bad_row] = classes + excess
         batch = Batch(rng.standard_normal((rows, sizes[0])), targets)
         model = MlpModel.init(sizes, seed=rows)
-        with pytest.raises(ValueError, match="class count"):
-            forward_backward(model, batch)
+        keep = data.draw(st.lists(st.integers(0, rows - 1), max_size=rows))
+        subset = batch.rows(np.array(keep + [bad_row]))
+        assert subset.class_bound == batch.class_bound == classes + excess + 1
+        for checked in (batch, subset):
+            with pytest.raises(ValueError, match="class count") as info:
+                forward_backward(model, checked)
+            assert info.value.__context__ is None
         # a negative target fails in Batch, before any model sees it
         targets[bad_row] = -1 - excess
         with pytest.raises(ValueError, match="nonnegative"):
