@@ -2,7 +2,6 @@
 a desk-scale training benchmark."""
 
 from .adaptive import (
-    AdaptiveHyperParams,
     adagrad_step,
     adadelta_step,
     adam_step,
@@ -12,7 +11,6 @@ from .adaptive import (
 from .objectives import Objective, fd_gradient, quadratic, rosenbrock
 from .optimizers import (
     MomentumSchedule,
-    SplitHyperParams,
     State,
     minibatch_sgd_step,
     momentum_coefficient,

@@ -6,49 +6,22 @@ running averages.  Accumulators are componentwise.  Every rule keeps the
 optimizers module's contract, its field tuple checked before the oracle is
 called: it calls the gradient oracle itself (at state.u, or ssa1_ada_step
 at its own points) and is pure, returning a new state or filling out=.
+Each rule takes the base learning rate h and, as keywords, exactly the
+hyper-parameters it reads: the running-average decay rate gamma (rho), the
+division guard eps, Adam's moment decays beta1 and beta2, and ssa1_ada_step's
+velocity-boost exponent k.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .optimizers import (
-    GradFn, MomentumSchedule, State, _checked_grad, _look_ahead, _output, _split_position,
-    _split_velocity, momentum_coefficient,
+    GradFn, MomentumSchedule, State, _check_hyper, _checked_grad, _look_ahead, _output,
+    _split_position, _split_velocity, momentum_coefficient,
 )
-
-
-@dataclass(frozen=True)
-class AdaptiveHyperParams:
-    """Shared hyper-parameter record for the adaptive family.
-
-    h is the base learning rate; gamma the running-average decay rate
-    (rho); eps the division guard; beta1/beta2 the Adam moment decays;
-    k the velocity-boost exponent of the adaptive splitting step.
-    """
-
-    h: float
-    gamma: float = 0.9
-    eps: float = 1e-8
-    beta1: float = 0.9
-    beta2: float = 0.999
-    k: float = 2.0
-
-    def __post_init__(self):
-        # each range check is negated so that NaN fails it
-        if not self.h > 0:
-            raise ValueError(f"learning rate must be positive, got {self.h}")
-        if not 0.0 < self.gamma < 1.0:
-            raise ValueError(f"decay rate must lie in (0, 1), got {self.gamma}")
-        if not self.eps > 0:
-            raise ValueError(f"eps must be positive, got {self.eps}")
-        if not 0.0 < self.beta1 < 1.0 or not 0.0 < self.beta2 < 1.0:
-            raise ValueError("Adam decay rates must lie in (0, 1)")
-        if not self.k >= 0:
-            raise ValueError(f"velocity exponent must be nonnegative, got {self.k}")
 
 
 # Conventional division guards: the Adadelta family uses 1e-6, the rest 1e-8.
@@ -73,8 +46,9 @@ ADAGRAD_FIELDS = ("u", "acc_grad_sq", "work")
 def adagrad_step(
     state: State,
     grad_fn: GradFn,
-    hp: AdaptiveHyperParams,
+    h: float,
     *,
+    eps: float = DEFAULT_EPS,
     out: Optional[State] = None,
 ) -> State:
     """Accumulated-squared-gradient step; writes ADAGRAD_FIELDS.
@@ -82,14 +56,15 @@ def adagrad_step(
         G += g^2
         u -= h * g / (sqrt(G) + eps)
     """
+    _check_hyper(h, eps=eps)
     out = _output("adagrad_step", state, out, ADAGRAD_FIELDS)
     grad = _checked_grad(grad_fn(state.u), state.u)
     acc, u = out.acc_grad_sq, out.u
     np.multiply(grad, grad, out=acc)
     np.add(state.acc_grad_sq, acc, out=acc)
     denom = np.sqrt(acc, out=out.work)
-    denom += hp.eps
-    np.multiply(grad, hp.h, out=u)
+    denom += eps
+    np.multiply(grad, h, out=u)
     u /= denom
     np.subtract(state.u, u, out=u)
     return out
@@ -101,8 +76,10 @@ ADADELTA_FIELDS = ("u", "acc_grad_sq", "acc_update_sq", "work")
 def adadelta_step(
     state: State,
     grad_fn: GradFn,
-    hp: AdaptiveHyperParams,
+    h: float,
     *,
+    gamma: float = 0.9,
+    eps: float = DEFAULT_EPS,
     out: Optional[State] = None,
 ) -> State:
     """Running-average step with a unitless update ratio; writes ADADELTA_FIELDS.
@@ -115,19 +92,20 @@ def adadelta_step(
     The numerator uses E[d^2] from the previous step; h defaults to 1.0
     in benchmark configurations.
     """
+    _check_hyper(h, gamma=gamma, eps=eps)
     out = _output("adadelta_step", state, out, ADADELTA_FIELDS)
     grad = _checked_grad(grad_fn(state.u), state.u)
     acc_g, acc_d, u = out.acc_grad_sq, out.acc_update_sq, out.u
-    _running_average(state.acc_grad_sq, grad, hp.gamma, acc_g, u)
-    np.add(state.acc_update_sq, hp.eps, out=acc_d)
+    _running_average(state.acc_grad_sq, grad, gamma, acc_g, u)
+    np.add(state.acc_update_sq, eps, out=acc_d)
     np.sqrt(acc_d, out=acc_d)
-    np.add(acc_g, hp.eps, out=u)
+    np.add(acc_g, eps, out=u)
     np.sqrt(u, out=u)
     delta = np.divide(acc_d, u, out=out.work)
     np.negative(delta, out=delta)
     delta *= grad
-    _running_average(state.acc_update_sq, delta, hp.gamma, acc_d, u)
-    np.multiply(delta, hp.h, out=u)
+    _running_average(state.acc_update_sq, delta, gamma, acc_d, u)
+    np.multiply(delta, h, out=u)
     np.add(state.u, u, out=u)
     return out
 
@@ -138,8 +116,10 @@ RMSPROP_FIELDS = ("u", "acc_grad_sq", "work")
 def rmsprop_step(
     state: State,
     grad_fn: GradFn,
-    hp: AdaptiveHyperParams,
+    h: float,
     *,
+    gamma: float = 0.9,
+    eps: float = DEFAULT_EPS,
     out: Optional[State] = None,
 ) -> State:
     """Running-average step with a fixed-rate numerator; writes RMSPROP_FIELDS.
@@ -147,13 +127,14 @@ def rmsprop_step(
         E[g^2] <- gamma E[g^2] + (1-gamma) g^2
         u      -= h * g / sqrt(E[g^2] + eps)
     """
+    _check_hyper(h, gamma=gamma, eps=eps)
     out = _output("rmsprop_step", state, out, RMSPROP_FIELDS)
     grad = _checked_grad(grad_fn(state.u), state.u)
     acc_g, u = out.acc_grad_sq, out.u
-    _running_average(state.acc_grad_sq, grad, hp.gamma, acc_g, u)
-    denom = np.add(acc_g, hp.eps, out=out.work)
+    _running_average(state.acc_grad_sq, grad, gamma, acc_g, u)
+    denom = np.add(acc_g, eps, out=out.work)
     np.sqrt(denom, out=denom)
-    np.multiply(grad, hp.h, out=u)
+    np.multiply(grad, h, out=u)
     u /= denom
     np.subtract(state.u, u, out=u)
     return out
@@ -165,8 +146,11 @@ ADAM_FIELDS = ("u", "mom", "acc_grad_sq", "work")
 def adam_step(
     state: State,
     grad_fn: GradFn,
-    hp: AdaptiveHyperParams,
+    h: float,
     *,
+    eps: float = DEFAULT_EPS,
+    beta1: float = 0.9,
+    beta2: float = 0.999,
     out: Optional[State] = None,
 ) -> State:
     """Bias-corrected two-moment step; writes ADAM_FIELDS.
@@ -177,19 +161,22 @@ def adam_step(
 
     with t = n + 1 so the first correction divides by (1 - beta).
     """
+    _check_hyper(h, eps=eps)
+    if not 0.0 < beta1 < 1.0 or not 0.0 < beta2 < 1.0:
+        raise ValueError("Adam decay rates must lie in (0, 1)")
     out = _output("adam_step", state, out, ADAM_FIELDS)
     grad = _checked_grad(grad_fn(state.u), state.u)
     t = out.n
     mom, acc, u = out.mom, out.acc_grad_sq, out.u
-    np.multiply(grad, 1.0 - hp.beta1, out=mom)
-    np.multiply(state.mom, hp.beta1, out=u)
+    np.multiply(grad, 1.0 - beta1, out=mom)
+    np.multiply(state.mom, beta1, out=u)
     np.add(u, mom, out=mom)
-    _running_average(state.acc_grad_sq, grad, hp.beta2, acc, u)
-    denom = np.divide(acc, 1.0 - hp.beta2**t, out=out.work)
+    _running_average(state.acc_grad_sq, grad, beta2, acc, u)
+    denom = np.divide(acc, 1.0 - beta2**t, out=out.work)
     np.sqrt(denom, out=denom)
-    denom += hp.eps
-    np.divide(mom, 1.0 - hp.beta1**t, out=u)
-    u *= hp.h
+    denom += eps
+    np.divide(mom, 1.0 - beta1**t, out=u)
+    u *= h
     u /= denom
     np.subtract(state.u, u, out=u)
     return out
@@ -201,10 +188,13 @@ SSA1_ADA_FIELDS = ("u", "acc_grad_sq", "acc_update_sq", "v", "z", "work")
 def ssa1_ada_step(
     state: State,
     grad_fn: GradFn,
-    hp: AdaptiveHyperParams,
+    h: float,
     schedule: MomentumSchedule,
     variant: str = "as-written",
     *,
+    k: float = 2.0,
+    gamma: float = 0.9,
+    eps: float = DEFAULT_EPS,
     out: Optional[State] = None,
 ) -> State:
     """Adaptive splitting step: Adadelta-style step sizes inside ssa1.
@@ -226,9 +216,9 @@ def ssa1_ada_step(
     "z-first" computes z_next first and uses grad(z_next) everywhere
     (one evaluation).  Writes SSA1_ADA_FIELDS, h_n in work.
     """
+    _check_hyper(h, gamma=gamma, eps=eps, k=k)
     if variant not in SSA1_ADA_VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
-    h, gamma, eps, k = hp.h, hp.gamma, hp.eps, hp.k
     beta = momentum_coefficient(state.n, schedule)
     unread = ("z",) if variant == "z-first" else ()
     out = _output("ssa1_ada_step", state, out, SSA1_ADA_FIELDS, unread)

@@ -124,31 +124,28 @@ class TimingStats:
 # --- optimizer registry ------------------------------------------------------
 
 # name -> (default lr, {option: default} for each run option its step rule
-# reads, the rule's module and its name there, the record that carries h
-# with the k, gamma and eps options, or None when the rule takes h bare,
-# and the fields of the rule's state).
+# reads, the rule's module and its name there, and the fields of the rule's
+# state).  The k, gamma and eps options go to the rule as keywords.
 # The learning rates mirror the benchmark protocol: 1.0 for the
 # Adadelta-style adaptive pair, 1e-3 elsewhere (1e-2 for heavy ball).
-_RATIO, _SPLIT, _ADA = opt.RATIO_N_OVER_N3, opt.SplitHyperParams, ad.AdaptiveHyperParams
+_RATIO = opt.RATIO_N_OVER_N3
 OPTIMIZERS = {
-    "sgd": (1e-3, {}, opt, "minibatch_sgd_step", None, opt.SGD_FIELDS),
-    "polyak": (1e-2, {"momentum": "0.5"}, opt, "polyak_step", None, opt.POLYAK_FIELDS),
+    "sgd": (1e-3, {}, opt, "minibatch_sgd_step", opt.SGD_FIELDS),
+    "polyak": (1e-2, {"momentum": "0.5"}, opt, "polyak_step", opt.POLYAK_FIELDS),
     "nesterov": (1e-3, {"momentum": "0.5", "nesterov_form": "velocity"}, opt,
-                 "nesterov_step", None, opt.NESTEROV_FIELDS),
-    "ssa1": (1e-3, {"momentum": _RATIO, "k": 2.0}, opt, "ssa1_step", _SPLIT, opt.SPLIT_FIELDS),
-    "ssa2": (1e-3, {"momentum": _RATIO, "k": 2.0}, opt, "ssa2_step", _SPLIT, opt.SPLIT_FIELDS),
-    "ssa1-const": (1e-3, {"momentum": "0.5", "k": 2.0}, opt, "ssa1_step", _SPLIT,
-                   opt.SPLIT_FIELDS),
-    "ssa2-const": (1e-3, {"momentum": "0.5", "k": 2.0}, opt, "ssa2_step", _SPLIT,
-                   opt.SPLIT_FIELDS),
-    "adagrad": (1e-3, {"eps": ad.DEFAULT_EPS}, ad, "adagrad_step", _ADA, ad.ADAGRAD_FIELDS),
-    "adadelta": (1.0, {"gamma": 0.9, "eps": ad.ADADELTA_EPS}, ad, "adadelta_step", _ADA,
+                 "nesterov_step", opt.NESTEROV_FIELDS),
+    "ssa1": (1e-3, {"momentum": _RATIO, "k": 2.0}, opt, "ssa1_step", opt.SPLIT_FIELDS),
+    "ssa2": (1e-3, {"momentum": _RATIO, "k": 2.0}, opt, "ssa2_step", opt.SPLIT_FIELDS),
+    "ssa1-const": (1e-3, {"momentum": "0.5", "k": 2.0}, opt, "ssa1_step", opt.SPLIT_FIELDS),
+    "ssa2-const": (1e-3, {"momentum": "0.5", "k": 2.0}, opt, "ssa2_step", opt.SPLIT_FIELDS),
+    "adagrad": (1e-3, {"eps": ad.DEFAULT_EPS}, ad, "adagrad_step", ad.ADAGRAD_FIELDS),
+    "adadelta": (1.0, {"gamma": 0.9, "eps": ad.ADADELTA_EPS}, ad, "adadelta_step",
                  ad.ADADELTA_FIELDS),
-    "rmsprop": (1e-3, {"gamma": 0.9, "eps": ad.DEFAULT_EPS}, ad, "rmsprop_step", _ADA,
+    "rmsprop": (1e-3, {"gamma": 0.9, "eps": ad.DEFAULT_EPS}, ad, "rmsprop_step",
                 ad.RMSPROP_FIELDS),
-    "adam": (1e-3, {"eps": ad.DEFAULT_EPS}, ad, "adam_step", _ADA, ad.ADAM_FIELDS),
+    "adam": (1e-3, {"eps": ad.DEFAULT_EPS}, ad, "adam_step", ad.ADAM_FIELDS),
     "ssa1-ada": (1.0, {"momentum": _RATIO, "k": 2.0, "gamma": 0.9, "eps": ad.ADADELTA_EPS,
-                       "variant": "as-written"}, ad, "ssa1_ada_step", _ADA, ad.SSA1_ADA_FIELDS),
+                       "variant": "as-written"}, ad, "ssa1_ada_step", ad.SSA1_ADA_FIELDS),
 }
 OPTION_FIELDS = ("k", "momentum", "gamma", "eps", "variant", "nesterov_form")
 
@@ -180,20 +177,21 @@ def make_stepper(config: ExperimentConfig, theta0: np.ndarray) -> Stepper:
     since the stepper keeps two states and has each step write the next
     into the other's buffers (the rules' out=).  The rule is looked up by
     name in its module here, when the stepper is built, and called as
-    rule(state, grad_fn, h or record, [schedule], [form or variant]).
+    rule(state, grad_fn, h, [schedule], [form or variant], **hyper), hyper
+    holding the k, gamma and eps options the rule reads.
     """
-    _, options, module, rule, record, fields = OPTIMIZERS[config.optimizer]
-    advance, h = getattr(module, rule), config.resolved_lr
-    hyper = {key: getattr(config, key) for key in ("k", "gamma", "eps") if key in options}
-    params = [h if record is None else record(h=h, **hyper)]
+    _, options, module, rule, fields = OPTIMIZERS[config.optimizer]
+    advance = getattr(module, rule)
+    params = [config.resolved_lr]
     if "momentum" in options:
         params.append(parse_momentum(config.momentum))
     params += [getattr(config, key) for key in ("nesterov_form", "variant") if key in options]
+    hyper = {key: getattr(config, key) for key in ("k", "gamma", "eps") if key in options}
     state, spare = opt.State.start(theta0, fields), opt.State.start(theta0, fields)
 
     def step(grad_fn: opt.GradFn) -> np.ndarray:
         nonlocal state, spare
-        state, spare = advance(state, grad_fn, *params, out=spare), state
+        state, spare = advance(state, grad_fn, *params, out=spare, **hyper), state
         return state.u
 
     return step

@@ -93,15 +93,14 @@ class Batch:
         return subset
 
 
-def rectify_in_place(pre: np.ndarray) -> np.ndarray:
-    """Rectify pre in its own buffer; return the mask pre > 0 (the
-    derivative taken as 0 at 0).  fmax(pre, 0) + 0 is np.where(pre > 0,
+def rectify_in_place(pre: np.ndarray) -> None:
+    """Rectify pre in its own buffer.  fmax(pre, 0) + 0 is np.where(pre > 0,
     pre, 0.0) bit for bit on every float64, NaN, +-inf, +-0 and subnormals
-    included (the + 0 turns fmax's -0.0 into +0.0), with no new array."""
-    mask = pre > 0
+    included (the + 0 turns fmax's -0.0 into +0.0), with no new array; so
+    the result is > 0 exactly where pre was, the derivative's mask (taken
+    as 0 at 0)."""
     np.fmax(pre, 0.0, out=pre)
     pre += 0.0
-    return mask
 
 
 def _layout(shapes: Iterable[Tuple[int, int]]) -> List[Tuple[slice, Tuple[int, int], slice]]:
@@ -163,28 +162,27 @@ class MlpModel:
         self._flat[...] = theta.ravel()
 
     def _forward_trace(self, X: np.ndarray):
-        """Logits plus the per-layer activations and rectifier masks of a
-        2-D float64 X, such as a Batch's inputs."""
+        """Logits plus the per-layer activations of a 2-D float64 X, such as
+        a Batch's inputs."""
         if X.shape[1] != self.weights[0].shape[0]:
             raise ValueError(
                 f"input has {X.shape[1]} features, model expects "
                 f"{self.weights[0].shape[0]}"
             )
         activations = [X]
-        masks = []
         h = X
         for w, b in zip(self.weights[:-1], self.biases[:-1]):
             h = h @ w
             h += b
-            masks.append(rectify_in_place(h))
+            rectify_in_place(h)
             activations.append(h)
         logits = h @ self.weights[-1]
         logits += self.biases[-1]
-        return logits, activations, masks
+        return logits, activations
 
     def forward(self, X: np.ndarray) -> np.ndarray:
         """Log-probabilities for a batch of inputs."""
-        logits, _, _ = self._forward_trace(np.atleast_2d(np.asarray(X, dtype=float)))
+        logits, _ = self._forward_trace(np.atleast_2d(np.asarray(X, dtype=float)))
         return log_softmax(logits)
 
 
@@ -200,7 +198,7 @@ def forward_backward(model: MlpModel, batch: Batch) -> np.ndarray:
     classes = model.biases[-1].shape[0]
     if batch.class_bound > classes:
         raise ValueError(CLASS_RANGE_ERROR)
-    logits, activations, masks = model._forward_trace(batch.inputs)
+    logits, activations = model._forward_trace(batch.inputs)
     delta = log_softmax(logits)
     np.exp(delta, out=delta)
     # each row's target entry, as a flat index into the (m, classes) delta
@@ -214,7 +212,7 @@ def forward_backward(model: MlpModel, batch: Batch) -> np.ndarray:
         np.add.reduce(delta, axis=0, out=grad[b])
         if layer > 0:
             delta = delta @ model.weights[layer].T
-            delta *= masks[layer - 1]
+            delta *= activations[layer] > 0
     return grad
 
 

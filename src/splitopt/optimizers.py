@@ -5,11 +5,13 @@ heavy-ball method, Nesterov's accelerated gradient in its two-sequence and
 velocity forms, and the two sequential-splitting optimizers (SSA1, SSA2)
 derived from the constant-damping dynamical system  u'' + u' = -grad f(u).
 
-Every rule is rule(state, grad_fn, *params, out=None) and pure: it returns
-a new state, calling the gradient oracle itself exactly once.  Given out=,
-it writes the new state into out's buffers instead of fresh ones; out must
-not be, or share arrays with, the input state.  Before the oracle is called,
-_output holds each rule to its *_FIELDS tuple.  All arithmetic is 64-bit.
+Every rule is rule(state, grad_fn, h, [schedule, [form | variant]], *,
+<the hyper-parameters it reads>, out=None) and pure: it returns a new state,
+calling the gradient oracle itself exactly once.  Given out=, it writes the
+new state into out's buffers instead of fresh ones; out must not be, or
+share arrays with, the input state.  Before the oracle is called, each rule
+checks the values it reads and _output holds it to its *_FIELDS tuple.
+All arithmetic is 64-bit.
 """
 
 from __future__ import annotations
@@ -73,23 +75,19 @@ def momentum_coefficient(n: int, schedule: MomentumSchedule) -> float:
     return schedule.beta
 
 
-@dataclass(frozen=True)
-class SplitHyperParams:
-    """Step size and velocity-boost exponent for the splitting optimizers.
-
-    The boost multiplies the velocity update by beta_n**k; k defaults
-    to 2.0.
-    """
-
-    h: float
-    k: float = 2.0
-
-    def __post_init__(self):
-        # each range check is negated so that NaN fails it
-        if not self.h > 0:
-            raise ValueError(f"step size must be positive, got {self.h}")
-        if not self.k >= 0:
-            raise ValueError(f"velocity exponent must be nonnegative, got {self.k}")
+def _check_hyper(h: float, *, gamma: Optional[float] = None, eps: Optional[float] = None,
+                 k: Optional[float] = None) -> None:
+    """Raises the ValueError of the first of the step size h, decay rate gamma,
+    division guard eps and velocity exponent k that is out of range, skipping
+    any not given.  Each check is negated so that NaN fails it."""
+    if not h > 0:
+        raise ValueError(f"step size must be positive, got {h}")
+    if gamma is not None and not 0.0 < gamma < 1.0:
+        raise ValueError(f"decay rate must lie in (0, 1), got {gamma}")
+    if eps is not None and not eps > 0:
+        raise ValueError(f"eps must be positive, got {eps}")
+    if k is not None and not k >= 0:
+        raise ValueError(f"velocity exponent must be nonnegative, got {k}")
 
 
 @dataclass
@@ -247,8 +245,7 @@ def polyak_step(
     alpha = momentum_coefficient(state.n, schedule)
     if not 0.0 <= alpha < 1.0:
         raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
-    if not h > 0:
-        raise ValueError(f"step size must be positive, got {h}")
+    _check_hyper(h)
     out = _output("polyak_step", state, out, POLYAK_FIELDS)
     grad = _checked_grad(grad_fn(state.u), state.u)
     np.subtract(state.u, state.u_prev, out=out.u)
@@ -286,8 +283,7 @@ def nesterov_step(
     With v_0 = (u_0 - u_{-1}) / h the two produce identical iterates.
     Both forms write NESTEROV_FIELDS and keep h * v = u - u_prev (to rounding).
     """
-    if not h > 0:
-        raise ValueError(f"step size must be positive, got {h}")
+    _check_hyper(h)
     if form not in NESTEROV_FORMS:
         raise ValueError(f"unknown form {form!r}")
     beta = momentum_coefficient(state.n, schedule)
@@ -322,9 +318,10 @@ SPLIT_FIELDS = ("u", "v", "work")
 def ssa1_step(
     state: State,
     grad_fn: GradFn,
-    hp: SplitHyperParams,
+    h: float,
     schedule: MomentumSchedule,
     *,
+    k: float = 2.0,
     out: Optional[State] = None,
 ) -> State:
     """First sequential-splitting step; writes SPLIT_FIELDS, the look-ahead y in work.
@@ -333,12 +330,12 @@ def ssa1_step(
         v_next = beta^k * ((1 - h*beta) * v - h * grad(y))
         u_next = u + beta * (1 - h*beta) * (y - u) - h^2 * grad(y)
     """
-    h = hp.h
+    _check_hyper(h, k=k)
     beta = momentum_coefficient(state.n, schedule)
     out = _output("ssa1_step", state, out, SPLIT_FIELDS)
     grad_y = _look_ahead(state.u, state.v, grad_fn, h, beta, out.work)
     damp = 1.0 - h * beta
-    _split_velocity(state.v, grad_y, h, damp, beta**hp.k, out.v, out.u)
+    _split_velocity(state.v, grad_y, h, damp, beta**k, out.v, out.u)
     _split_position(state.u, out.work, grad_y, h, beta * damp, out.u, out.work)
     return out
 
@@ -346,9 +343,10 @@ def ssa1_step(
 def ssa2_step(
     state: State,
     grad_fn: GradFn,
-    hp: SplitHyperParams,
+    h: float,
     schedule: MomentumSchedule,
     *,
+    k: float = 2.0,
     out: Optional[State] = None,
 ) -> State:
     """Second sequential-splitting step; writes SPLIT_FIELDS, y in work.
@@ -360,12 +358,12 @@ def ssa2_step(
     The parameter update is computed in the equivalent division-free form
     u + h * (1 - h*beta) * v, which is well defined at beta = 0.
     """
-    h = hp.h
+    _check_hyper(h, k=k)
     beta = momentum_coefficient(state.n, schedule)
     out = _output("ssa2_step", state, out, SPLIT_FIELDS)
     grad_y = _look_ahead(state.u, state.v, grad_fn, h, beta, out.work)
     damp = 1.0 - h * beta
-    _split_velocity(state.v, grad_y, h, damp, beta**hp.k, out.v, out.u)
+    _split_velocity(state.v, grad_y, h, damp, beta**k, out.v, out.u)
     np.multiply(state.v, h * damp, out=out.u)
     out.u += state.u
     return out

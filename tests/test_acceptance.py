@@ -124,7 +124,6 @@ def test_criterion_03_multistep_identities():
     h = 0.1
     worst = 0.0
     for k in (0.0, 2.0):
-        hp = opt.SplitHyperParams(h=h, k=k)
         for which, step_fn, seed in (("ssa1", opt.ssa1_step, 3), ("ssa2", opt.ssa2_step, 4)):
             objective = make_quadratic(5, 1.0, 10.0, seed=seed)
             state = opt.State.start(
@@ -135,7 +134,7 @@ def test_criterion_03_multistep_identities():
                 beta = opt.momentum_coefficient(state.n, SCH_N3)
                 y = state.u + h * beta * state.v
                 hist.append((beta, state.u.copy(), y, objective.gradient(y)))
-                state = step_fn(state, objective.gradient, hp, SCH_N3)
+                state = step_fn(state, objective.gradient, h, SCH_N3, k=k)
             for (bp, u_prev, y_prev, g_prev), (bn, u_cur, y_cur, _) in zip(hist, hist[1:]):
                 if which == "ssa1":
                     rhs = (
@@ -155,7 +154,6 @@ def test_criterion_04_splitting_composition():
     tic = time.perf_counter()
     objective = make_quadratic(3, 1.0, 5.0, seed=11)
     h = 0.1
-    hp = opt.SplitHyperParams(h=h, k=0.0)
     u = np.random.default_rng(12).standard_normal(3)
     v = np.random.default_rng(13).standard_normal(3)
     direct = opt.State(u=u.copy(), v=v.copy(), n=1)
@@ -167,7 +165,7 @@ def test_criterion_04_splitting_composition():
         u_half, v_half = opt.damping_substep(u, v, h, beta)
         u, v = opt.gradient_substep_perturbed(u_half, v_half, grad_y, h, beta)
         n += 1
-        direct = opt.ssa1_step(direct, objective.gradient, hp, SCH_N3)
+        direct = opt.ssa1_step(direct, objective.gradient, h, SCH_N3, k=0.0)
         worst = max(
             worst,
             float(np.max(np.abs(u - direct.u))),
@@ -268,11 +266,10 @@ def test_criterion_07_convex_convergence():
         state = opt.nesterov_step(state, objective.gradient, h, SCH_NM1)
     gaps["nesterov"] = objective.value(state.u) - f_star
 
-    hp = opt.SplitHyperParams(h=h, k=2.0)
     for name, step_fn in (("ssa1", opt.ssa1_step), ("ssa2", opt.ssa2_step)):
         state = opt.State.start(np.zeros(10), opt.SPLIT_FIELDS)
         for _ in range(5000):
-            state = step_fn(state, objective.gradient, hp, SCH_N3)
+            state = step_fn(state, objective.gradient, h, SCH_N3, k=2.0)
         gaps[name] = objective.value(state.u) - f_star
 
     elapsed = time.perf_counter() - tic
@@ -311,8 +308,9 @@ def test_criterion_09_hand_oracle_single_steps():
     out = opt.ssa1_step(
         opt.State(u=np.array([1.0]), v=np.array([0.0]), n=1),
         lambda u: u,
-        opt.SplitHyperParams(h=0.1, k=2.0),
+        0.1,
         SCH_N3,
+        k=2.0,
     )
     checks.append(abs(out.v[0] - 0.25**2 * (-0.1)) <= 1e-9)          # -0.00625
     checks.append(abs(out.u[0] - (1.0 - 0.01)) <= 1e-9)              # 0.99
@@ -321,8 +319,9 @@ def test_criterion_09_hand_oracle_single_steps():
     out = opt.ssa2_step(
         opt.State(u=np.array([1.0]), v=np.array([1.0]), n=0),
         lambda u: u,
-        opt.SplitHyperParams(h=0.1, k=2.0),
+        0.1,
         opt.MomentumSchedule.constant(0.25),
+        k=2.0,
     )
     v_expected = 0.0625 * (0.975 * 1.0 - 0.1 * 1.025)
     checks.append(abs(out.v[0] - v_expected) <= 1e-9)
@@ -332,7 +331,8 @@ def test_criterion_09_hand_oracle_single_steps():
     out = ada.adam_step(
         opt.State.start(np.zeros(1), ada.ADAM_FIELDS),
         lambda _: np.array([1.0]),
-        ada.AdaptiveHyperParams(h=0.001, eps=1e-8),
+        0.001,
+        eps=1e-8,
     )
     checks.append(abs(out.u[0] - (-0.001 / (1.0 + 1e-8))) <= 1e-9)
 
@@ -340,7 +340,9 @@ def test_criterion_09_hand_oracle_single_steps():
     out = ada.adadelta_step(
         opt.State.start(np.zeros(1), ada.ADADELTA_FIELDS),
         lambda _: np.array([1.0]),
-        ada.AdaptiveHyperParams(h=1.0, gamma=0.9, eps=1e-6),
+        1.0,
+        gamma=0.9,
+        eps=1e-6,
     )
     delta = -math.sqrt(1e-6) / math.sqrt(0.1 + 1e-6)
     checks.append(abs(out.u[0] - delta) <= 1e-9)
@@ -350,17 +352,19 @@ def test_criterion_09_hand_oracle_single_steps():
     out = ada.rmsprop_step(
         opt.State.start(np.zeros(1), ada.RMSPROP_FIELDS),
         lambda _: np.array([1.0]),
-        ada.AdaptiveHyperParams(h=0.001, gamma=0.9, eps=1e-8),
+        0.001,
+        gamma=0.9,
+        eps=1e-8,
     )
     checks.append(abs(out.u[0] - (-0.001 / math.sqrt(0.1 + 1e-8))) <= 1e-9)
 
     # adagrad: two steps with g=1, h=0.1, eps=1e-8
     state = opt.State.start(np.zeros(1), ada.ADAGRAD_FIELDS)
-    hp = ada.AdaptiveHyperParams(h=0.1, eps=1e-8)
-    state = ada.adagrad_step(state, lambda _: np.array([1.0]), hp)
+    hp = dict(h=0.1, eps=1e-8)
+    state = ada.adagrad_step(state, lambda _: np.array([1.0]), **hp)
     checks.append(abs(state.u[0] - (-0.1 / (1.0 + 1e-8))) <= 1e-9)
     first_u = state.u[0]
-    state = ada.adagrad_step(state, lambda _: np.array([1.0]), hp)
+    state = ada.adagrad_step(state, lambda _: np.array([1.0]), **hp)
     checks.append(
         abs((state.u[0] - first_u) - (-0.1 / (math.sqrt(2.0) + 1e-8))) <= 1e-9
     )
@@ -371,9 +375,12 @@ def test_criterion_09_hand_oracle_single_steps():
     out = ada.ssa1_ada_step(
         st,
         lambda u: u,
-        ada.AdaptiveHyperParams(h=1.0, gamma=0.9, eps=1e-6, k=2.0),
+        1.0,
         SCH_N3,
         variant="as-written",
+        k=2.0,
+        gamma=0.9,
+        eps=1e-6,
     )
     h_n = math.sqrt(1e-6) / math.sqrt(0.1 + 1e-6)
     checks.append(abs(out.v[0] - (0.0625 * -h_n)) <= 1e-9)
@@ -426,12 +433,11 @@ def test_criterion_11_ode_tracking():
     schedule = opt.MomentumSchedule.constant(1.0)
     errors = []
     for h in (0.05, 0.025, 0.0125):
-        hp = opt.SplitHyperParams(h=h, k=0.0)
         state = opt.State(u=np.array([1.0]), v=np.array([0.0]), n=0)
         stride = round(h / h_ref)
         sup = 0.0
         for n in range(1, round(5.0 / h) + 1):
-            state = opt.ssa2_step(state, lambda u: u, hp, schedule)
+            state = opt.ssa2_step(state, lambda u: u, h, schedule, k=0.0)
             sup = max(sup, abs(state.u[0] - us_ref[n * stride, 0]))
         errors.append(sup)
     orders = [math.log2(a / b) for a, b in zip(errors, errors[1:])]

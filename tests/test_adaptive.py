@@ -16,7 +16,6 @@ from splitopt.adaptive import (
     ADAM_FIELDS,
     RMSPROP_FIELDS,
     SSA1_ADA_FIELDS,
-    AdaptiveHyperParams,
     adadelta_step,
     adagrad_step,
     adam_step,
@@ -26,27 +25,45 @@ from splitopt.adaptive import (
 
 SCH_N3 = opt.MomentumSchedule.ratio_n_over_n_plus_3()
 
+# the hyper-parameters each adaptive rule reads, and for each an
+# out-of-range value with the start of the message it raises
+READS = {
+    adagrad_step: ("h", "eps"),
+    adadelta_step: ("h", "gamma", "eps"),
+    rmsprop_step: ("h", "gamma", "eps"),
+    adam_step: ("h", "eps", "beta1", "beta2"),
+    ssa1_ada_step: ("h", "gamma", "eps", "k"),
+}
+BAD_VALUES = {
+    "h": (0.0, "step size must be positive"),
+    "gamma": (1.0, r"decay rate must lie in \(0, 1\)"),
+    "eps": (0.0, "eps must be positive"),
+    "beta1": (1.0, r"Adam decay rates must lie in \(0, 1\)"),
+    "beta2": (1.0, r"Adam decay rates must lie in \(0, 1\)"),
+    "k": (-1.0, "velocity exponent must be nonnegative"),
+}
+
 
 class TestAdagrad:
     def test_first_step(self):
-        hp = AdaptiveHyperParams(h=0.1, eps=1e-8)
+        hp = dict(h=0.1, eps=1e-8)
         start = State.start(np.zeros(1), ADAGRAD_FIELDS)
-        state = adagrad_step(start, lambda _: np.array([1.0]), hp)
+        state = adagrad_step(start, lambda _: np.array([1.0]), **hp)
         assert state.u[0] == pytest.approx(-0.1 / (1.0 + 1e-8), rel=1e-12)
 
     def test_zero_gradient(self):
-        hp = AdaptiveHyperParams(h=0.1, eps=1e-8)
+        hp = dict(h=0.1, eps=1e-8)
         start = State.start(np.array([2.0, -3.0]), ADAGRAD_FIELDS)
-        state = adagrad_step(start, lambda _: np.zeros(2), hp)
+        state = adagrad_step(start, lambda _: np.zeros(2), **hp)
         np.testing.assert_array_equal(state.u, start.u)
         np.testing.assert_array_equal(state.acc_grad_sq, np.zeros(2))
 
     def test_second_step_accumulates(self):
-        hp = AdaptiveHyperParams(h=0.1, eps=1e-8)
+        hp = dict(h=0.1, eps=1e-8)
         state = State.start(np.zeros(1), ADAGRAD_FIELDS)
-        state = adagrad_step(state, lambda _: np.array([1.0]), hp)
+        state = adagrad_step(state, lambda _: np.array([1.0]), **hp)
         before = state.u.copy()
-        state = adagrad_step(state, lambda _: np.array([1.0]), hp)
+        state = adagrad_step(state, lambda _: np.array([1.0]), **hp)
         assert state.acc_grad_sq[0] == pytest.approx(2.0)
         delta = state.u[0] - before[0]
         assert delta == pytest.approx(-0.1 / (math.sqrt(2.0) + 1e-8), rel=1e-12)
@@ -54,9 +71,9 @@ class TestAdagrad:
 
 class TestAdadelta:
     def test_first_step_trace(self):
-        hp = AdaptiveHyperParams(h=1.0, gamma=0.9, eps=1e-6)
+        hp = dict(h=1.0, gamma=0.9, eps=1e-6)
         start = State.start(np.zeros(1), ADADELTA_FIELDS)
-        state = adadelta_step(start, lambda _: np.array([1.0]), hp)
+        state = adadelta_step(start, lambda _: np.array([1.0]), **hp)
         acc_g = 0.1
         delta = -math.sqrt(1e-6) / math.sqrt(acc_g + 1e-6)
         assert state.acc_grad_sq[0] == pytest.approx(acc_g, rel=1e-15)
@@ -64,11 +81,11 @@ class TestAdadelta:
         assert state.acc_update_sq[0] == pytest.approx(0.1 * delta**2, rel=1e-12)
 
     def test_zero_gradient_decays_accumulators(self):
-        hp = AdaptiveHyperParams(h=1.0, gamma=0.9, eps=1e-6)
+        hp = dict(h=1.0, gamma=0.9, eps=1e-6)
         state = State.start(np.array([1.0]), ADADELTA_FIELDS)
         state.acc_grad_sq[:] = 0.4
         state.acc_update_sq[:] = 0.2
-        out = adadelta_step(state, lambda _: np.zeros(1), hp)
+        out = adadelta_step(state, lambda _: np.zeros(1), **hp)
         assert out.u[0] == pytest.approx(1.0)
         assert out.acc_grad_sq[0] == pytest.approx(0.36)
         assert out.acc_update_sq[0] == pytest.approx(0.18)
@@ -76,14 +93,14 @@ class TestAdadelta:
     def test_step_scale_free_at_fixed_point(self):
         # after many identical gradients the step magnitude is nearly
         # independent of the gradient scale (up to eps effects)
-        hp = AdaptiveHyperParams(h=1.0, gamma=0.9, eps=1e-6)
+        hp = dict(h=1.0, gamma=0.9, eps=1e-6)
 
         def final_step(c):
             state = State.start(np.zeros(1), ADADELTA_FIELDS)
             prev = state.u.copy()
             for _ in range(10_000):
                 prev = state.u.copy()
-                state = adadelta_step(state, lambda _: np.array([c]), hp)
+                state = adadelta_step(state, lambda _: np.array([c]), **hp)
             return abs(state.u[0] - prev[0])
 
         ratio = final_step(1.0) / final_step(100.0)
@@ -92,22 +109,22 @@ class TestAdadelta:
 
 class TestRmsprop:
     def test_first_step(self):
-        hp = AdaptiveHyperParams(h=0.001, gamma=0.9, eps=1e-8)
+        hp = dict(h=0.001, gamma=0.9, eps=1e-8)
         start = State.start(np.zeros(1), RMSPROP_FIELDS)
-        state = rmsprop_step(start, lambda _: np.array([1.0]), hp)
+        state = rmsprop_step(start, lambda _: np.array([1.0]), **hp)
         assert state.u[0] == pytest.approx(-0.001 / math.sqrt(0.1 + 1e-8), rel=1e-12)
 
     def test_zero_gradient(self):
-        hp = AdaptiveHyperParams(h=0.001)
+        hp = dict(h=0.001)
         start = State.start(np.array([5.0]), RMSPROP_FIELDS)
-        out = rmsprop_step(start, lambda _: np.zeros(1), hp)
+        out = rmsprop_step(start, lambda _: np.zeros(1), **hp)
         assert out.u[0] == pytest.approx(5.0)
 
     def test_memoryless_limit(self):
         # gamma -> 0 reduces to -h*g/sqrt(g^2 + eps), about -h*sign(g)
-        hp = AdaptiveHyperParams(h=0.01, gamma=1e-12, eps=1e-8)
+        hp = dict(h=0.01, gamma=1e-12, eps=1e-8)
         g = np.array([3.0, -0.5])
-        out = rmsprop_step(State.start(np.zeros(2), RMSPROP_FIELDS), lambda _: g, hp)
+        out = rmsprop_step(State.start(np.zeros(2), RMSPROP_FIELDS), lambda _: g, **hp)
         expected = -0.01 * g / np.sqrt(g**2 + 1e-8)
         np.testing.assert_allclose(out.u, expected, rtol=1e-9)
         np.testing.assert_allclose(out.u, -0.01 * np.sign(g), rtol=1e-6)
@@ -115,63 +132,63 @@ class TestRmsprop:
     def test_matches_adadelta_recursion_with_fixed_numerator(self):
         # same E[g^2] recursion; replacing the adadelta numerator by h
         # reproduces the rmsprop step
-        hp = AdaptiveHyperParams(h=0.005, gamma=0.9, eps=1e-8)
+        hp = dict(h=0.005, gamma=0.9, eps=1e-8)
         rng = np.random.default_rng(17)
         rms_state = State.start(np.zeros(4), RMSPROP_FIELDS)
         dd_state = State.start(np.zeros(4), ADADELTA_FIELDS)
         for _ in range(50):
             g = rng.standard_normal(4)
             theta_before = rms_state.u.copy()
-            rms_state = rmsprop_step(rms_state, lambda _: g, hp)
-            dd_state = adadelta_step(dd_state, lambda _: g, hp)
+            rms_state = rmsprop_step(rms_state, lambda _: g, **hp)
+            dd_state = adadelta_step(dd_state, lambda _: g, **hp)
             np.testing.assert_allclose(
                 rms_state.acc_grad_sq, dd_state.acc_grad_sq, rtol=0, atol=1e-17
             )
-            manual = theta_before - hp.h * g / np.sqrt(dd_state.acc_grad_sq + hp.eps)
+            manual = theta_before - hp["h"] * g / np.sqrt(dd_state.acc_grad_sq + hp["eps"])
             np.testing.assert_allclose(rms_state.u, manual, rtol=0, atol=1e-12)
 
 
 class TestAdam:
     def test_first_step(self):
-        hp = AdaptiveHyperParams(h=0.001, eps=1e-8)
+        hp = dict(h=0.001, eps=1e-8)
         start = State.start(np.zeros(1), ADAM_FIELDS)
-        state = adam_step(start, lambda _: np.array([1.0]), hp)
+        state = adam_step(start, lambda _: np.array([1.0]), **hp)
         assert state.n == 1
         assert state.u[0] == pytest.approx(-0.001 / (1.0 + 1e-8), rel=1e-12)
 
     def test_first_moment_correction_cancels(self):
         for beta1 in (0.5, 0.9, 0.99):
-            hp = AdaptiveHyperParams(h=0.001, beta1=beta1)
+            hp = dict(h=0.001, beta1=beta1)
             g = np.array([0.37])
-            state = adam_step(State.start(np.zeros(1), ADAM_FIELDS), lambda _: g, hp)
+            state = adam_step(State.start(np.zeros(1), ADAM_FIELDS), lambda _: g, **hp)
             m_hat = state.mom / (1 - beta1)
             assert m_hat[0] == pytest.approx(g[0], rel=1e-15)
 
     def test_constant_gradient_keeps_corrected_moment(self):
-        hp = AdaptiveHyperParams(h=0.001)
+        hp = dict(h=0.001)
         g = np.array([0.3, -1.7, 0.123456789])
         state = State.start(np.zeros(3), ADAM_FIELDS)
         for _ in range(100):
-            state = adam_step(state, lambda _: g, hp)
-            m_hat = state.mom / (1 - hp.beta1**state.n)
+            state = adam_step(state, lambda _: g, **hp)
+            m_hat = state.mom / (1 - 0.9**state.n)  # beta1 at its default
             np.testing.assert_allclose(m_hat, g, rtol=1e-14)
 
     def test_zero_gradient_from_zero_state(self):
-        hp = AdaptiveHyperParams(h=0.001)
-        out = adam_step(State.start(np.array([4.0]), ADAM_FIELDS), lambda _: np.zeros(1), hp)
+        hp = dict(h=0.001)
+        out = adam_step(State.start(np.array([4.0]), ADAM_FIELDS), lambda _: np.zeros(1), **hp)
         assert out.u[0] == pytest.approx(4.0)
 
 
 class TestSsa1Ada:
     def test_gradient_free_trace(self):
-        hp = AdaptiveHyperParams(h=0.5, gamma=0.9, eps=1e-6, k=2.0)
+        hp = dict(h=0.5, gamma=0.9, eps=1e-6, k=2.0)
         rng = np.random.default_rng(2)
         theta, v = rng.standard_normal(3), rng.standard_normal(3)
         state = State.start(theta, SSA1_ADA_FIELDS)
         state.v = v.copy()
         state.n = 4
         beta = 4 / 7
-        out = ssa1_ada_step(state, lambda _: np.zeros(3), hp, SCH_N3)
+        out = ssa1_ada_step(state, lambda _: np.zeros(3), schedule=SCH_N3, **hp)
         # zero accumulators keep h_n = h * sqrt(eps)/sqrt(eps) = h
         np.testing.assert_allclose(out.v, beta**2 * (1 - 0.5 * beta) * v)
         np.testing.assert_allclose(
@@ -179,10 +196,10 @@ class TestSsa1Ada:
         )
 
     def test_hand_trace_as_written(self):
-        hp = AdaptiveHyperParams(h=1.0, gamma=0.9, eps=1e-6, k=2.0)
+        hp = dict(h=1.0, gamma=0.9, eps=1e-6, k=2.0)
         state = State.start(np.array([1.0]), SSA1_ADA_FIELDS)
         state.n = 1  # beta = 0.25
-        out = ssa1_ada_step(state, lambda u: u, hp, SCH_N3, variant="as-written")
+        out = ssa1_ada_step(state, lambda u: u, schedule=SCH_N3, variant="as-written", **hp)
         acc_g = 0.1
         h_n = 1.0 * math.sqrt(1e-6) / math.sqrt(acc_g + 1e-6)
         assert out.z[0] == pytest.approx(1.0)
@@ -191,19 +208,19 @@ class TestSsa1Ada:
         assert out.acc_update_sq[0] == pytest.approx(0.1 * h_n**2, rel=1e-12)
 
     def test_variants_coincide_when_velocity_zero(self):
-        hp = AdaptiveHyperParams(h=1.0, gamma=0.9, eps=1e-6, k=2.0)
+        hp = dict(h=1.0, gamma=0.9, eps=1e-6, k=2.0)
         grad = lambda u: 2.0 * u
         outs = []
         for variant in ("as-written", "z-first"):
             state = State.start(np.array([0.7, -0.2]), SSA1_ADA_FIELDS)
             state.n = 3
-            outs.append(ssa1_ada_step(state, grad, hp, SCH_N3, variant=variant))
+            outs.append(ssa1_ada_step(state, grad, schedule=SCH_N3, variant=variant, **hp))
         np.testing.assert_array_equal(outs[0].u, outs[1].u)
         np.testing.assert_array_equal(outs[0].v, outs[1].v)
         np.testing.assert_array_equal(outs[0].z, outs[1].z)
 
     def test_gradient_evaluation_counts(self):
-        hp = AdaptiveHyperParams(h=1.0, gamma=0.9, eps=1e-6, k=2.0)
+        hp = dict(h=1.0, gamma=0.9, eps=1e-6, k=2.0)
         for variant, expected in (("as-written", 2), ("z-first", 1)):
             calls = 0
 
@@ -214,14 +231,14 @@ class TestSsa1Ada:
 
             state = State.start(np.array([1.0, 2.0]), SSA1_ADA_FIELDS)
             state.v[:] = 0.3
-            ssa1_ada_step(state, grad, hp, SCH_N3, variant=variant)
+            ssa1_ada_step(state, grad, schedule=SCH_N3, variant=variant, **hp)
             assert calls == expected, variant
 
     def test_degenerates_to_ssa1_when_rms_ratio_is_one(self):
         # force RMS[dz]_prev == RMS[grad]_n so h_n == h, then compare
         # against the non-adaptive splitting step at the same point
         h, gamma, eps = 0.1, 0.9, 1e-6
-        hp = AdaptiveHyperParams(h=h, gamma=gamma, eps=eps, k=2.0)
+        hp = dict(h=h, gamma=gamma, eps=eps, k=2.0)
         rng = np.random.default_rng(9)
         theta, v = rng.standard_normal(4), rng.standard_normal(4)
         acc_g = rng.random(4)
@@ -236,13 +253,14 @@ class TestSsa1Ada:
         state.n = n
         state.acc_grad_sq = acc_g.copy()
         state.acc_update_sq = acc_after.copy()  # matches the post-update E[g^2]
-        adaptive = ssa1_ada_step(state, grad, hp, SCH_N3, variant="z-first")
+        adaptive = ssa1_ada_step(state, grad, schedule=SCH_N3, variant="z-first", **hp)
 
         plain = opt.ssa1_step(
             opt.State(u=theta.copy(), v=v.copy(), n=n),
             grad,
-            opt.SplitHyperParams(h=h, k=2.0),
+            h,
             SCH_N3,
+            k=2.0,
         )
         assert np.max(np.abs(adaptive.u - plain.u)) <= 1e-12
         assert np.max(np.abs(adaptive.v - plain.v)) <= 1e-12
@@ -274,10 +292,9 @@ class TestSsa1Ada:
 
         state = State.start(u, SSA1_ADA_FIELDS)
         state.v, state.n, state.acc_grad_sq, state.acc_update_sq = v.copy(), n, acc_g, acc_d
-        hp = AdaptiveHyperParams(h=h, gamma=gamma, eps=eps, k=k)
-        adaptive = ssa1_ada_step(state, grad, hp, SCH_N3, variant="z-first")
-        plain = opt.ssa1_step(opt.State(u=u.copy(), v=v.copy(), n=n), grad,
-                              opt.SplitHyperParams(h=h, k=k), SCH_N3)
+        hp = dict(h=h, gamma=gamma, eps=eps, k=k)
+        adaptive = ssa1_ada_step(state, grad, schedule=SCH_N3, variant="z-first", **hp)
+        plain = opt.ssa1_step(opt.State(u=u.copy(), v=v.copy(), n=n), grad, h, SCH_N3, k=k)
         assert adaptive.acc_grad_sq.tobytes() == acc_d.tobytes()
 
         # Where h_n == h, the two rules run the same operations on the same
@@ -301,14 +318,16 @@ class TestSsa1Ada:
 
 class TestStateDiscipline:
     def test_accumulators_stay_nonnegative(self):
-        hp = AdaptiveHyperParams(h=0.01, gamma=0.9, eps=1e-8, k=2.0)
+        hp = dict(h=0.01, eps=1e-8)
+        decay = dict(hp, gamma=0.9)
         rng = np.random.default_rng(33)
         steps = {
-            "adagrad": (ADAGRAD_FIELDS, lambda s, g: adagrad_step(s, lambda _: g, hp)),
-            "adadelta": (ADADELTA_FIELDS, lambda s, g: adadelta_step(s, lambda _: g, hp)),
-            "rmsprop": (RMSPROP_FIELDS, lambda s, g: rmsprop_step(s, lambda _: g, hp)),
-            "adam": (ADAM_FIELDS, lambda s, g: adam_step(s, lambda _: g, hp)),
-            "ssa1-ada": (SSA1_ADA_FIELDS, lambda s, g: ssa1_ada_step(s, lambda _: g, hp, SCH_N3)),
+            "adagrad": (ADAGRAD_FIELDS, lambda s, g: adagrad_step(s, lambda _: g, **hp)),
+            "adadelta": (ADADELTA_FIELDS, lambda s, g: adadelta_step(s, lambda _: g, **decay)),
+            "rmsprop": (RMSPROP_FIELDS, lambda s, g: rmsprop_step(s, lambda _: g, **decay)),
+            "adam": (ADAM_FIELDS, lambda s, g: adam_step(s, lambda _: g, **hp)),
+            "ssa1-ada": (SSA1_ADA_FIELDS,
+                         lambda s, g: ssa1_ada_step(s, lambda _: g, schedule=SCH_N3, k=2.0, **decay)),
         }
         for name, (fields, step) in steps.items():
             accumulators = [acc for acc in ("acc_grad_sq", "acc_update_sq") if acc in fields]
@@ -319,32 +338,34 @@ class TestStateDiscipline:
                     assert np.all(getattr(state, acc) >= 0.0), (name, acc)
 
     def test_dimension_mismatch(self):
-        hp = AdaptiveHyperParams(h=0.01)
+        hp = dict(h=0.01)
         for step, fields in ((adagrad_step, ADAGRAD_FIELDS), (adadelta_step, ADADELTA_FIELDS),
                              (rmsprop_step, RMSPROP_FIELDS), (adam_step, ADAM_FIELDS)):
             with pytest.raises(ValueError, match="dimension mismatch"):
-                step(State.start(np.zeros(3), fields), lambda _: np.zeros(4), hp)
+                step(State.start(np.zeros(3), fields), lambda _: np.zeros(4), **hp)
         with pytest.raises(ValueError, match="dimension mismatch"):
-            ssa1_ada_step(State.start(np.zeros(3), SSA1_ADA_FIELDS), lambda _: np.zeros(4), hp,
-                          SCH_N3)
+            ssa1_ada_step(State.start(np.zeros(3), SSA1_ADA_FIELDS), lambda _: np.zeros(4),
+                          schedule=SCH_N3, **hp)
 
-    def test_hyperparameter_validation(self):
-        with pytest.raises(ValueError):
-            AdaptiveHyperParams(h=0.0)
-        with pytest.raises(ValueError):
-            AdaptiveHyperParams(h=0.1, gamma=1.0)
-        with pytest.raises(ValueError):
-            AdaptiveHyperParams(h=0.1, eps=0.0)
-        with pytest.raises(ValueError):
-            AdaptiveHyperParams(h=0.1, beta2=1.0)
-        for field in ("h", "eps", "k"):
-            with pytest.raises(ValueError, match="must be"):
-                AdaptiveHyperParams(**{"h": 0.1, field: float("nan")})
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize("step", list(READS), ids=lambda step: step.__name__)
+    def test_hyperparameter_validation(self, step):
+        # every value the rule reads, NaN included, raises before the state
+        # check (this state lacks every accumulator) and before the oracle
+        # (None) is called
+        state = State(u=np.zeros(2))
+        schedule = {"schedule": SCH_N3} if step is ssa1_ada_step else {}
+        for name in READS[step]:
+            bad, message = BAD_VALUES[name]
+            for value in (bad, math.nan):
+                with pytest.raises(ValueError, match=message):
+                    step(state, None, **schedule, **{"h": 0.1, name: value})
+
+    def test_unknown_variant(self):
+        with pytest.raises(ValueError, match="unknown variant"):
             ssa1_ada_step(
                 State.start(np.zeros(2), SSA1_ADA_FIELDS),
                 lambda u: u,
-                AdaptiveHyperParams(h=0.1),
+                0.1,
                 SCH_N3,
                 variant="sideways",
             )

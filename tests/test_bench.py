@@ -1,6 +1,7 @@
 """Unit tests for the experiment runner, timing statistics, and CLI."""
 
 import dataclasses
+import inspect
 import itertools
 import math
 import pathlib
@@ -207,7 +208,6 @@ def test_stepper_looks_its_rule_up_by_name_when_built(monkeypatch, name):
 
 HALF = opt.MomentumSchedule.constant(0.5)
 RATIO = opt.MomentumSchedule.ratio_n_over_n_plus_3()
-SPLIT = opt.SplitHyperParams(h=1e-3, k=2.0)
 # optimizer -> (state fields, one step): direct calls of each step rule with
 # the defaults the README documents
 DIRECT = {
@@ -216,31 +216,22 @@ DIRECT = {
     "nesterov": (
         opt.NESTEROV_FIELDS, lambda s, g: opt.nesterov_step(s, g, 1e-3, HALF, form="velocity")
     ),
-    "ssa1": (opt.SPLIT_FIELDS, lambda s, g: opt.ssa1_step(s, g, SPLIT, RATIO)),
-    "ssa2": (opt.SPLIT_FIELDS, lambda s, g: opt.ssa2_step(s, g, SPLIT, RATIO)),
-    "ssa1-const": (opt.SPLIT_FIELDS, lambda s, g: opt.ssa1_step(s, g, SPLIT, HALF)),
-    "ssa2-const": (opt.SPLIT_FIELDS, lambda s, g: opt.ssa2_step(s, g, SPLIT, HALF)),
-    "adagrad": (
-        ad.ADAGRAD_FIELDS,
-        lambda s, g: ad.adagrad_step(s, g, ad.AdaptiveHyperParams(h=1e-3, eps=1e-8)),
-    ),
+    "ssa1": (opt.SPLIT_FIELDS, lambda s, g: opt.ssa1_step(s, g, 1e-3, RATIO, k=2.0)),
+    "ssa2": (opt.SPLIT_FIELDS, lambda s, g: opt.ssa2_step(s, g, 1e-3, RATIO, k=2.0)),
+    "ssa1-const": (opt.SPLIT_FIELDS, lambda s, g: opt.ssa1_step(s, g, 1e-3, HALF, k=2.0)),
+    "ssa2-const": (opt.SPLIT_FIELDS, lambda s, g: opt.ssa2_step(s, g, 1e-3, HALF, k=2.0)),
+    "adagrad": (ad.ADAGRAD_FIELDS, lambda s, g: ad.adagrad_step(s, g, 1e-3, eps=1e-8)),
     "adadelta": (
-        ad.ADADELTA_FIELDS,
-        lambda s, g: ad.adadelta_step(s, g, ad.AdaptiveHyperParams(h=1.0, gamma=0.9, eps=1e-6)),
+        ad.ADADELTA_FIELDS, lambda s, g: ad.adadelta_step(s, g, 1.0, gamma=0.9, eps=1e-6)
     ),
     "rmsprop": (
-        ad.RMSPROP_FIELDS,
-        lambda s, g: ad.rmsprop_step(s, g, ad.AdaptiveHyperParams(h=1e-3, gamma=0.9, eps=1e-8)),
+        ad.RMSPROP_FIELDS, lambda s, g: ad.rmsprop_step(s, g, 1e-3, gamma=0.9, eps=1e-8)
     ),
-    "adam": (
-        ad.ADAM_FIELDS,
-        lambda s, g: ad.adam_step(s, g, ad.AdaptiveHyperParams(h=1e-3, eps=1e-8)),
-    ),
+    "adam": (ad.ADAM_FIELDS, lambda s, g: ad.adam_step(s, g, 1e-3, eps=1e-8)),
     "ssa1-ada": (
         ad.SSA1_ADA_FIELDS,
         lambda s, g: ad.ssa1_ada_step(
-            s, g, ad.AdaptiveHyperParams(h=1.0, gamma=0.9, eps=1e-6, k=2.0), RATIO,
-            variant="as-written",
+            s, g, 1.0, RATIO, variant="as-written", k=2.0, gamma=0.9, eps=1e-6,
         ),
     ),
 }
@@ -256,6 +247,35 @@ def test_table_defaults_match_direct_rule_calls():
         for _ in range(5):
             state = advance(state, grad)
             assert stepper(grad).tobytes() == state.u.tobytes(), name
+
+
+# the hyper-parameter default of every rule that reads it
+HYPER_DEFAULTS = {"k": 2.0, "gamma": 0.9, "eps": 1e-8}
+# a hyper-parameter of the family that each rule does not read
+UNREAD = {
+    "minibatch_sgd_step": "eps", "polyak_step": "k", "nesterov_step": "gamma",
+    "ssa1_step": "eps", "ssa2_step": "gamma", "adagrad_step": "gamma",
+    "adadelta_step": "k", "rmsprop_step": "beta1", "adam_step": "k", "ssa1_ada_step": "beta1",
+}
+
+
+@pytest.mark.parametrize("name", sorted(OPTIMIZERS))
+def test_rules_take_the_hyper_parameters_they_read_as_keywords(name):
+    _, options, module, rule, fields = OPTIMIZERS[name]
+    advance = getattr(module, rule)
+    parameters = inspect.signature(advance).parameters
+    assert list(parameters)[:3] == ["state", "grad_fn", "h"]
+    for key in ("k", "gamma", "eps"):
+        if key in options:
+            assert parameters[key].kind is inspect.Parameter.KEYWORD_ONLY, key
+            assert parameters[key].default == HYPER_DEFAULTS[key], key
+        else:
+            assert key not in parameters, key
+    # a hyper-parameter the rule does not read is a TypeError, not ignored
+    positional = [parse_momentum(options["momentum"])] if "momentum" in options else []
+    with pytest.raises(TypeError, match=UNREAD[rule]):
+        advance(opt.State.start(np.zeros(2), fields), np.zeros_like, 0.1, *positional,
+                **{UNREAD[rule]: 0.5})
 
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
@@ -283,7 +303,7 @@ def test_readme_field_table_matches_the_declared_fields():
         assert getattr(modules[module], name) == fields, rule
     # every registry row's rule and fields are the table's
     for optimizer, row in OPTIMIZERS.items():
-        module, rule, fields = row[2], row[3], row[5]
+        module, rule, fields = row[2], row[3], row[4]
         assert getattr(module, table[rule][1]) is fields, optimizer
 
 
@@ -794,6 +814,13 @@ class TestCli:
         assert main(["timing", "--in", str(metrics)]) == 2
         err = capsys.readouterr().err
         assert str(metrics) in err and "no epoch_time_s values" in err
+
+    def test_timing_without_the_column_names_the_file(self, tmp_path, capsys):
+        metrics = tmp_path / "metrics.csv"
+        metrics.write_text("epoch,train_loss\n0,0.5\n")
+        assert main(["timing", "--in", str(metrics)]) == 2
+        err = capsys.readouterr().err
+        assert str(metrics) in err and "no epoch_time_s column" in err
 
     def test_divergence_exits_3_and_flushes(self, tmp_path, capsys):
         out = tmp_path / "partial.csv"

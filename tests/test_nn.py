@@ -71,6 +71,8 @@ class TestLosses:
             nll_loss(np.zeros((1, 3)), np.array([-1]))
         with pytest.raises(ValueError, match="targets must be integers, got 0.5"):
             nll_loss(np.zeros((1, 3)), np.array([0.5]))
+        with pytest.raises(ValueError, match="one target per row required"):
+            nll_loss(np.zeros((2, 3)), np.array([0]))
 
     # the cross entropy of logits is nll_loss of their log_softmax
 
@@ -147,9 +149,10 @@ class TestRectifier:
                 pre = np.resize(np.roll(specials, shift), (2, n))
                 want_mask = pre > 0
                 want = np.where(want_mask, pre, 0.0)
-                mask = rectify_in_place(pre)
+                assert rectify_in_place(pre) is None
                 assert pre.tobytes() == want.tobytes()
-                assert np.array_equal(mask, want_mask)
+                # the backward pass's mask is taken from the rectified values
+                assert np.array_equal(pre > 0, want_mask)
 
     def test_forward_activations_match_where_reference(self):
         # one input at 0 and zero weights: the first layer's pre-activations
@@ -159,15 +162,15 @@ class TestRectifier:
         model.weights[0][...] = 0.0
         model.biases[0][...] = self.SPECIALS
         with np.errstate(invalid="ignore"):  # the head multiplies inf by 0
-            _, activations, masks = model._forward_trace(np.zeros((2, 1)))
+            _, activations = model._forward_trace(np.zeros((2, 1)))
         pre = np.zeros((2, 1)) @ model.weights[0] + model.biases[0]
         assert activations[1].tobytes() == np.where(pre > 0, pre, 0.0).tobytes()
-        assert np.array_equal(masks[0], pre > 0)
+        assert np.array_equal(activations[1] > 0, pre > 0)
 
     @pytest.mark.parametrize("sizes", [(3, 64, 2), (3, 64, 64, 2)])
     def test_forward_allocates_one_activation_per_hidden_layer(self, sizes):
-        # at the peak each hidden layer holds its activation and its bool
-        # mask; the head's (rows, 2) arrays are small beside them
+        # at the peak each hidden layer holds its activation; the head's
+        # (rows, 2) arrays are small beside them
         rows = 2000
         model = MlpModel.init(sizes, seed=1)
         X = np.random.default_rng(2).standard_normal((rows, sizes[0]))
@@ -394,8 +397,30 @@ class TestForwardBackward:
         err = np.max(np.abs(grad - fd)) / max(1.0, np.max(np.abs(fd)))
         assert err <= 1e-5
 
+    def test_special_pre_activations_match_reference(self):
+        # zero first-layer weights in the special columns make their
+        # pre-activations the biases: NaN, -inf and +-subnormals exactly, and
+        # for the -0.0 bias a zero whose sign the platform's matmul sums decide
+        specials = [np.nan, -np.inf, 5e-324, -5e-324, -1e-310, -0.0]
+        model = MlpModel.init((3, len(specials) + 4, 3), seed=4)
+        model.weights[0][:, : len(specials)] = 0.0
+        model.biases[0][: len(specials)] = specials
+        rng = np.random.default_rng(6)
+        batch = Batch(rng.standard_normal((7, 3)), rng.integers(0, 3, size=7))
+        pre = (batch.inputs @ model.weights[0] + model.biases[0])[:, : len(specials)]
+        assert np.all(np.isnan(pre[:, 0])) and np.all(pre[:, 1] == -np.inf)
+        assert pre[:, 2:5].tobytes() == np.resize(specials[2:5], (7, 3)).tobytes()
+        assert np.all(pre[:, 5] == 0.0)
+        grad = forward_backward(model, batch)
+        _, ref_grad = reference_forward_backward(model, batch, "nll")
+        # every special rectifies to a finite value, so the gradient is finite
+        assert np.all(np.isfinite(grad))
+        assert grad.tobytes() == ref_grad.tobytes()
+
     def test_rejects_empty_batch_and_bad_targets(self):
         model = MlpModel.init((3, 4, 2), seed=0)
+        with pytest.raises(ValueError, match="batch must be nonempty"):
+            forward_backward(model, Batch(np.zeros((0, 3)), np.zeros(0, dtype=int)))
         with pytest.raises(ValueError, match="input rows"):
             Batch(np.zeros((2, 3)), np.zeros(3, dtype=int))
         with pytest.raises(ValueError, match="class count"):

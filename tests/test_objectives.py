@@ -40,6 +40,9 @@ class TestQuadratic:
             quadratic(np.diag([1.0, -1.0]), np.zeros(2))
         with pytest.raises(ValueError):
             quadratic(np.eye(2), np.zeros(3))
+        for Q in (np.ones((2, 3)), np.ones(2)):
+            with pytest.raises(ValueError, match=r"Q must be square, got shape \("):
+                quadratic(Q, np.zeros(2))
 
 
 class TestRosenbrock:

@@ -73,15 +73,15 @@ class TestMomentumSchedule:
             opt.momentum_coefficient(-1, SCH_N3)
 
 
-class TestSplitHyperParams:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            opt.SplitHyperParams(h=0.0)
-        with pytest.raises(ValueError):
-            opt.SplitHyperParams(h=0.1, k=-1.0)
-        for bad in ({"h": NAN}, {"h": 0.1, "k": NAN}):
+class TestSplitStepChecks:
+    @pytest.mark.parametrize("step", [opt.ssa1_step, opt.ssa2_step])
+    def test_validation(self, step):
+        # a bad value raises before the state check (this state lacks v) and
+        # before the oracle (None) is called
+        state = opt.State(u=np.zeros(2))
+        for bad in ({"h": 0.0}, {"h": 0.1, "k": -1.0}, {"h": NAN}, {"h": 0.1, "k": NAN}):
             with pytest.raises(ValueError, match="must be"):
-                opt.SplitHyperParams(**bad)
+                step(state, None, schedule=SCH_N3, **bad)
 
 
 def sgd(u, g, h):
@@ -210,8 +210,7 @@ class TestNesterov:
 class TestSsa1:
     def test_hand_trace(self):
         state = opt.State(u=np.array([1.0]), v=np.array([0.0]), n=1)
-        hp = opt.SplitHyperParams(h=0.1, k=2.0)
-        out = opt.ssa1_step(state, lambda u: u, hp, SCH_N3)  # beta_1 = 0.25
+        out = opt.ssa1_step(state, lambda u: u, 0.1, SCH_N3, k=2.0)  # beta_1 = 0.25
         assert out.v == pytest.approx(-0.00625, abs=1e-12)
         assert out.u == pytest.approx(0.99, abs=1e-12)
         assert out.n == 2
@@ -220,18 +219,16 @@ class TestSsa1:
         rng = np.random.default_rng(3)
         u = rng.standard_normal(4)
         state = opt.State(u=u.copy(), v=np.zeros(4), n=9)
-        hp = opt.SplitHyperParams(h=0.2, k=2.0)
         grad = rng.standard_normal(4)
-        out = opt.ssa1_step(state, lambda _: grad, hp, SCH_N3)
+        out = opt.ssa1_step(state, lambda _: grad, 0.2, SCH_N3, k=2.0)
         np.testing.assert_allclose(out.u, u - 0.2**2 * grad)
 
     def test_gradient_free_coast(self):
         rng = np.random.default_rng(4)
         u, v = rng.standard_normal(3), rng.standard_normal(3)
         state = opt.State(u=u.copy(), v=v.copy(), n=2)
-        hp = opt.SplitHyperParams(h=0.1, k=2.0)
         beta = 2 / 5
-        out = opt.ssa1_step(state, lambda _: np.zeros(3), hp, SCH_N3)
+        out = opt.ssa1_step(state, lambda _: np.zeros(3), 0.1, SCH_N3, k=2.0)
         np.testing.assert_allclose(out.v, beta**2 * (1 - 0.1 * beta) * v)
         np.testing.assert_allclose(out.u, u + 0.1 * beta**2 * (1 - 0.1 * beta) * v)
 
@@ -239,15 +236,13 @@ class TestSsa1:
 class TestSsa2:
     def test_zero_velocity_ignores_gradient(self):
         state = opt.State(u=np.array([1.0]), v=np.array([0.0]), n=3)
-        hp = opt.SplitHyperParams(h=0.1, k=2.0)
-        out = opt.ssa2_step(state, lambda _: np.array([123.0]), hp, SCH_N3)
+        out = opt.ssa2_step(state, lambda _: np.array([123.0]), 0.1, SCH_N3, k=2.0)
         assert out.u == pytest.approx(1.0)
 
     def test_hand_trace(self):
         state = opt.State(u=np.array([1.0]), v=np.array([1.0]), n=0)
-        hp = opt.SplitHyperParams(h=0.1, k=2.0)
         sch = opt.MomentumSchedule.constant(0.25)
-        out = opt.ssa2_step(state, lambda u: u, hp, sch)
+        out = opt.ssa2_step(state, lambda u: u, 0.1, sch, k=2.0)
         # y = 1.025; v' = 0.0625*(0.975 - 0.1*1.025); u' = 1 + 0.1*0.975
         assert out.v == pytest.approx(0.0625 * (0.975 - 0.1025), abs=1e-12)
         assert out.u == pytest.approx(1.0975, abs=1e-12)
@@ -256,29 +251,27 @@ class TestSsa2:
         rng = np.random.default_rng(6)
         u, v = rng.standard_normal(3), rng.standard_normal(3)
         state = opt.State(u=u.copy(), v=v.copy(), n=2)
-        hp = opt.SplitHyperParams(h=0.1, k=2.0)
         beta = 2 / 5
-        out = opt.ssa2_step(state, lambda _: np.zeros(3), hp, SCH_N3)
+        out = opt.ssa2_step(state, lambda _: np.zeros(3), 0.1, SCH_N3, k=2.0)
         np.testing.assert_allclose(out.v, beta**2 * (1 - 0.1 * beta) * v)
         np.testing.assert_allclose(out.u, u + 0.1 * (1 - 0.1 * beta) * v)
 
     def test_division_free_form_at_beta_zero(self):
         # n = 0 gives beta = 0 on the ratio schedules; the update must not blow up
         state = opt.State(u=np.array([2.0]), v=np.array([1.0]), n=0)
-        hp = opt.SplitHyperParams(h=0.1, k=2.0)
-        out = opt.ssa2_step(state, lambda u: u, hp, SCH_N3)
+        out = opt.ssa2_step(state, lambda u: u, 0.1, SCH_N3, k=2.0)
         assert np.all(np.isfinite(out.u)) and np.all(np.isfinite(out.v))
         assert out.u == pytest.approx(2.0 + 0.1 * 1.0)
 
 
-def _trace(step_fn, state, objective, hp, schedule, steps):
+def _trace(step_fn, state, objective, h, k, schedule, steps):
     """Iterate a splitting step recording (n, beta, u, y, grad(y)) per visit."""
     hist = []
     for _ in range(steps):
         beta = opt.momentum_coefficient(state.n, schedule)
-        y = state.u + hp.h * beta * state.v
+        y = state.u + h * beta * state.v
         hist.append((state.n, beta, state.u.copy(), y, objective.gradient(y)))
-        state = step_fn(state, objective.gradient, hp, schedule)
+        state = step_fn(state, objective.gradient, h, schedule, k=k)
     return hist
 
 
@@ -288,13 +281,12 @@ class TestMultiStepIdentities:
     @pytest.mark.parametrize("k", [0.0, 2.0])
     def test_ssa1(self, k):
         objective = make_quadratic(5, 1.0, 10.0, seed=3)
-        hp = opt.SplitHyperParams(h=0.1, k=k)
+        h = 0.1
         u0 = np.random.default_rng(5).standard_normal(5)
         # start at n = 1: the recurrence divides by beta_{n-1}
         hist = _trace(
-            opt.ssa1_step, opt.State.start(u0, opt.SPLIT_FIELDS, n=1), objective, hp, SCH_N3, 51
+            opt.ssa1_step, opt.State.start(u0, opt.SPLIT_FIELDS, n=1), objective, h, k, SCH_N3, 51
         )
-        h = hp.h
         for (_, bp, u_prev, y_prev, _), (_, bn, u_cur, y_cur, _) in zip(hist, hist[1:]):
             rhs = (
                 u_cur
@@ -306,12 +298,11 @@ class TestMultiStepIdentities:
     @pytest.mark.parametrize("k", [0.0, 2.0])
     def test_ssa2(self, k):
         objective = make_quadratic(5, 1.0, 10.0, seed=4)
-        hp = opt.SplitHyperParams(h=0.1, k=k)
+        h = 0.1
         u0 = np.random.default_rng(6).standard_normal(5)
         hist = _trace(
-            opt.ssa2_step, opt.State.start(u0, opt.SPLIT_FIELDS, n=1), objective, hp, SCH_N3, 51
+            opt.ssa2_step, opt.State.start(u0, opt.SPLIT_FIELDS, n=1), objective, h, k, SCH_N3, 51
         )
-        h = hp.h
         for (_, bp, u_prev, y_prev, g_prev), (_, bn, u_cur, y_cur, _) in zip(
             hist, hist[1:]
         ):
@@ -324,7 +315,6 @@ class TestSplittingComposition:
         """Damping then perturbed-gradient substeps == ssa1 with k = 0."""
         objective = make_quadratic(3, 1.0, 5.0, seed=11)
         h = 0.1
-        hp = opt.SplitHyperParams(h=h, k=0.0)
         u = np.random.default_rng(12).standard_normal(3)
         v = np.random.default_rng(13).standard_normal(3)
         direct = opt.State(u=u.copy(), v=v.copy(), n=1)
@@ -337,7 +327,7 @@ class TestSplittingComposition:
             u_half, v_half = opt.damping_substep(u, v, h, beta)
             u, v = opt.gradient_substep_perturbed(u_half, v_half, grad_y, h, beta)
             n += 1
-            direct = opt.ssa1_step(direct, objective.gradient, hp, SCH_N3)
+            direct = opt.ssa1_step(direct, objective.gradient, h, SCH_N3, k=0.0)
             worst = max(
                 worst, np.max(np.abs(u - direct.u)), np.max(np.abs(v - direct.v))
             )
@@ -361,11 +351,10 @@ class CountingGradient:
 class TestStepDiscipline:
     def test_single_gradient_evaluation_per_step(self):
         objective = make_quadratic(4, 1.0, 4.0, seed=21)
-        hp = opt.SplitHyperParams(h=0.05, k=2.0)
         steps = {
             "nesterov": lambda s, g: opt.nesterov_step(s, g, 0.05, SCH_N3),
-            "ssa1": lambda s, g: opt.ssa1_step(s, g, hp, SCH_N3),
-            "ssa2": lambda s, g: opt.ssa2_step(s, g, hp, SCH_N3),
+            "ssa1": lambda s, g: opt.ssa1_step(s, g, 0.05, SCH_N3, k=2.0),
+            "ssa2": lambda s, g: opt.ssa2_step(s, g, 0.05, SCH_N3, k=2.0),
         }
         for name, step in steps.items():
             counter = CountingGradient(objective.gradient)
@@ -377,12 +366,11 @@ class TestStepDiscipline:
 
     def test_determinism(self):
         objective = make_quadratic(4, 1.0, 4.0, seed=22)
-        hp = opt.SplitHyperParams(h=0.05, k=2.0)
 
         def run():
             state = opt.State.start(np.ones(4), opt.SPLIT_FIELDS)
             for _ in range(25):
-                state = opt.ssa1_step(state, objective.gradient, hp, SCH_N3)
+                state = opt.ssa1_step(state, objective.gradient, 0.05, SCH_N3, k=2.0)
             return state.u
 
         a, b = run(), run()
@@ -390,8 +378,7 @@ class TestStepDiscipline:
 
     def test_counter_advances_by_one(self):
         state = opt.State.start(np.ones(2), opt.SPLIT_FIELDS, n=7)
-        hp = opt.SplitHyperParams(h=0.1)
-        out = opt.ssa2_step(state, lambda u: u, hp, SCH_N3)
+        out = opt.ssa2_step(state, lambda u: u, 0.1, SCH_N3)
         assert out.n == 8
 
 
@@ -455,9 +442,8 @@ class TestPinnedSplittingFormulas:
         else:
             u_next = state.u + beta * (1.0 - h * beta) * (y - state.u) - h * h * grad_y
 
-        hp = opt.SplitHyperParams(h=h, k=k)
         step = opt.ssa2_step if kind == "ssa2" else opt.ssa1_step
-        out = step(state, grad_fn, hp, schedule)
+        out = step(state, grad_fn, h, schedule, k=k)
         assert same_bytes(out.u, u_next) and same_bytes(out.v, v_next)
         assert out.n == state.n + 1
 
@@ -514,8 +500,7 @@ class TestPinnedSplittingFormulas:
             - h_n**2 * grad_upd
         )
 
-        hp = ad.AdaptiveHyperParams(h=h, gamma=gamma, eps=eps, k=k)
-        out = ad.ssa1_ada_step(state, grad_fn, hp, schedule, variant)
+        out = ad.ssa1_ada_step(state, grad_fn, h, schedule, variant, k=k, gamma=gamma, eps=eps)
         for got, want in [(out.u, u_next), (out.v, v_next), (out.z, z_next),
                           (out.acc_grad_sq, acc_g), (out.acc_update_sq, acc_d)]:
             assert same_bytes(got, want)
@@ -559,17 +544,15 @@ def case(rule, fields, step, unread=()):
 def rule_steps(h, schedule, k):
     """Every step rule and form, as name -> RuleCase: the rule's name, its
     declared fields, the fields the call reads, and step(state, grad_fn, **out)."""
-    split = opt.SplitHyperParams(h=h, k=k)
-    hp = ad.AdaptiveHyperParams(h=h, k=k)
     steps = {
         "sgd": case(opt.minibatch_sgd_step, opt.SGD_FIELDS,
                     lambda s, g, **o: opt.minibatch_sgd_step(s, g, h, **o)),
         "polyak": case(opt.polyak_step, opt.POLYAK_FIELDS,
                        lambda s, g, **o: opt.polyak_step(s, g, h, SCH_N3, **o)),
         "ssa1": case(opt.ssa1_step, opt.SPLIT_FIELDS,
-                     lambda s, g, **o: opt.ssa1_step(s, g, split, schedule, **o)),
+                     lambda s, g, **o: opt.ssa1_step(s, g, h, schedule, k=k, **o)),
         "ssa2": case(opt.ssa2_step, opt.SPLIT_FIELDS,
-                     lambda s, g, **o: opt.ssa2_step(s, g, split, schedule, **o)),
+                     lambda s, g, **o: opt.ssa2_step(s, g, h, schedule, k=k, **o)),
     }
     for form, unread in zip(opt.NESTEROV_FORMS, [("u_prev",), ("v",)]):
         steps[f"nesterov-{form}"] = case(opt.nesterov_step, opt.NESTEROV_FIELDS, (
@@ -578,10 +561,10 @@ def rule_steps(h, schedule, k):
     for name in ("adagrad", "adadelta", "rmsprop", "adam"):
         rule = getattr(ad, name + "_step")
         fields = getattr(ad, name.upper() + "_FIELDS")
-        steps[name] = case(rule, fields, lambda s, g, rule=rule, **o: rule(s, g, hp, **o))
+        steps[name] = case(rule, fields, lambda s, g, rule=rule, **o: rule(s, g, h, **o))
     for variant, unread in zip(ad.SSA1_ADA_VARIANTS, [(), ("z",)]):
         steps[f"ssa1-ada-{variant}"] = case(ad.ssa1_ada_step, ad.SSA1_ADA_FIELDS, (
-            lambda s, g, variant=variant, **o: ad.ssa1_ada_step(s, g, hp, schedule, variant, **o)
+            lambda s, g, variant=variant, **o: ad.ssa1_ada_step(s, g, h, schedule, variant, k=k, **o)
         ), unread)
     return steps
 
