@@ -79,7 +79,7 @@ def adadelta_step(
     h: float,
     *,
     gamma: float = 0.9,
-    eps: float = DEFAULT_EPS,
+    eps: float = ADADELTA_EPS,
     out: Optional[State] = None,
 ) -> State:
     """Running-average step with a unitless update ratio; writes ADADELTA_FIELDS.
@@ -194,7 +194,7 @@ def ssa1_ada_step(
     *,
     k: float = 2.0,
     gamma: float = 0.9,
-    eps: float = DEFAULT_EPS,
+    eps: float = ADADELTA_EPS,
     out: Optional[State] = None,
 ) -> State:
     """Adaptive splitting step: Adadelta-style step sizes inside ssa1.

@@ -19,8 +19,8 @@ import numpy as np
 
 from . import adaptive as ad
 from . import optimizers as opt
-from .datasets import Dataset, IdxFormatError, load_idx, synth_blobs
-from .nn import Batch, MlpModel, epoch_batches, forward_backward, mean_target_nll, normalize
+from .datasets import Batch, IdxFormatError, load_idx, synth_blobs
+from .nn import MlpModel, epoch_batches, forward_backward, mean_target_nll, normalize
 from .splitting import LinearSplitSystem, lie_split_step, matrix_exp, splitting_defect, strang_split_step
 
 HIDDEN_UNITS = 32  # fixed desk-scale architecture: input -> 32 rectified -> classes
@@ -200,8 +200,8 @@ def make_stepper(config: ExperimentConfig, theta0: np.ndarray) -> Stepper:
 # --- dataset specs -----------------------------------------------------------
 
 
-def load_dataset_spec(spec: str, seed: int) -> Tuple[Dataset, Dataset]:
-    """Train and test datasets from a spec string.
+def load_dataset_spec(spec: str, seed: int) -> Tuple[Batch, Batch]:
+    """Train and test Batches, as the loaders return them, from a spec string.
 
     synth:per_class=500,classes=2,dim=2,sep=6   seeded blobs; the test
         split is an independent draw (one fifth the size, derived seed)
@@ -253,9 +253,9 @@ def _evaluate(model: MlpModel, data: Batch) -> Tuple[float, float]:
     """Mean loss (the training loss, the negative log likelihood of the
     log-probabilities) and accuracy on a full, already checked set with the
     model frozen."""
-    log_probs = model.forward(data.inputs)
-    loss = mean_target_nll(log_probs, data.targets)
-    acc = float(np.mean(np.argmax(log_probs, axis=1) == data.targets))
+    log_probs = model.forward(data.images)
+    loss = mean_target_nll(log_probs, data.labels)
+    acc = float(np.mean(np.argmax(log_probs, axis=1) == data.labels))
     return loss, acc
 
 
@@ -270,8 +270,6 @@ def run_experiment(config: ExperimentConfig) -> List[MetricsRecord]:
     if config.normalize:  # in the sets' own buffers: nothing reads [0, 1] after this
         normalize(train.images, out=train.images)
         normalize(test.images, out=test.images)
-    # checked once here; each step gathers its rows from train_set
-    train_set, test_set = Batch(train.images, train.labels), Batch(test.images, test.labels)
     n_classes = max(train.n_classes, test.n_classes)
 
     model = MlpModel.init((train.images.shape[1], HIDDEN_UNITS, n_classes), config.seed)
@@ -285,7 +283,7 @@ def run_experiment(config: ExperimentConfig) -> List[MetricsRecord]:
         for epoch in range(config.epochs):
             tic = time.perf_counter()
             for idx in epoch_batches(len(train), config.batch_size, config.seed + epoch):
-                batch = train_set.rows(idx)
+                batch = train.rows(idx)
 
                 def grad_fn(point: np.ndarray) -> np.ndarray:
                     model.set_param_vector(point)
@@ -295,8 +293,8 @@ def run_experiment(config: ExperimentConfig) -> List[MetricsRecord]:
             elapsed = time.perf_counter() - tic
 
             model.set_param_vector(theta)
-            train_loss, train_acc = _evaluate(model, train_set)
-            test_loss, test_acc = _evaluate(model, test_set)
+            train_loss, train_acc = _evaluate(model, train)
+            test_loss, test_acc = _evaluate(model, test)
             if not (np.isfinite(train_loss) and np.isfinite(test_loss)):
                 raise TrainingDivergedError(epoch, records)
             records.append(

@@ -1,14 +1,16 @@
-"""Dataset ingestion: IDX-format files and seeded synthetic blobs.
+"""Labelled sets: the Batch type, IDX-format files and seeded synthetic blobs.
 
 The IDX container stores big-endian 4-byte magics and dimension sizes
 followed by raw unsigned bytes (magic 0x00000803 for images with dims
 N x rows x cols, 0x00000801 for labels with N entries).  Pixels are read
 in place from the file bytes and scaled to [0, 1] by /255 into one float64
-matrix per set.
+matrix per set; blobs are clipped to the unit box.  So the loaders' images
+lie in [0, 1] by construction, and Batch itself does not check the range.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -42,40 +44,39 @@ def class_indices(values, what: str) -> np.ndarray:
 
 
 @dataclass
-class Dataset:
-    """Feature matrix, checked to lie in [0, 1] when built, with integer
-    class labels.  A float64 matrix is kept as given, not copied."""
+class Batch:
+    """Feature rows with one nonnegative class label each, checked once when
+    built: the loaders' sets and training's mini-batches.  n_classes, one
+    more than the largest label (0 if none), is what forward_backward checks
+    a model's class count against.  A float64 matrix is kept, not copied."""
 
     images: np.ndarray
     labels: np.ndarray
 
     def __post_init__(self):
-        images = np.asarray(self.images, dtype=float)
-        if images.size == 0:
-            raise ValueError(
-                f"dataset needs a sample with a feature, got images of shape {images.shape}"
-            )
-        self.images = np.atleast_2d(images)
+        self.images = np.atleast_2d(np.asarray(self.images, dtype=float))
         self.labels = class_indices(self.labels, "labels")
         if self.images.shape[0] != self.labels.shape[0]:
             raise ValueError(
                 f"{self.images.shape[0]} images vs {self.labels.shape[0]} labels"
             )
-        lo, hi = float(self.images.min()), float(self.images.max())
-        # negated so that a NaN value fails it
-        if not (lo >= 0.0 and hi <= 1.0):
-            raise ValueError(f"image values must lie in [0, 1], got [{lo}, {hi}]")
+        self.n_classes = int(self.labels.max()) + 1 if self.labels.size else 0
 
     def __len__(self) -> int:
         return self.images.shape[0]
 
-    @property
-    def n_classes(self) -> int:
-        return int(self.labels.max()) + 1
+    def rows(self, idx: np.ndarray) -> "Batch":
+        """The rows at the integer indices idx, copied, as a batch of this type
+        that skips the checks this one passed and keeps its n_classes."""
+        subset = type(self).__new__(type(self))
+        subset.images = self.images.take(idx, axis=0)
+        subset.labels = self.labels.take(idx, axis=0)
+        subset.n_classes = self.n_classes
+        return subset
 
 
-def parse_idx(image_bytes: bytes, label_bytes: bytes) -> Dataset:
-    """Decode an IDX image file and its label file into a Dataset."""
+def parse_idx(image_bytes: bytes, label_bytes: bytes) -> Batch:
+    """Decode an IDX image file and its label file into a Batch."""
     if len(image_bytes) < 16:
         raise IdxFormatError(
             f"image header needs 16 bytes, got {len(image_bytes)}"
@@ -111,26 +112,27 @@ def parse_idx(image_bytes: bytes, label_bytes: bytes) -> Dataset:
     if n_labels != count:
         raise IdxFormatError(f"{count} images but {n_labels} labels")
     labels = np.frombuffer(label_bytes, dtype=np.uint8, offset=8).astype(np.int64)
-    return Dataset(images=images, labels=labels)
+    return Batch(images=images, labels=labels)
 
 
-def dataset_to_idx(dataset: Dataset) -> Tuple[bytes, bytes]:
-    """Serialize a Dataset to (image_bytes, label_bytes) IDX payloads.
+def dataset_to_idx(dataset: Batch) -> Tuple[bytes, bytes]:
+    """Serialize a Batch to (image_bytes, label_bytes) IDX payloads.
 
     Features are written as one row of width d; values quantize to bytes
     by rounding x*255, so a round trip moves each pixel by at most 1/510.
     """
     n, d = dataset.images.shape
+    if n * d == 0:  # parse_idx rejects a file without pixels
+        raise ValueError(f"an IDX file needs a pixel, got images of shape {(n, d)}")
     pixels = np.clip(np.rint(dataset.images * 255.0), 0, 255).astype(np.uint8)
     image_bytes = struct.pack(">IIII", IMAGE_MAGIC, n, 1, d) + pixels.tobytes()
-    labels = dataset.labels
-    if labels.max() > 255:
+    if dataset.labels.max() > 255:
         raise ValueError("IDX labels are single bytes; class index exceeds 255")
-    label_bytes = struct.pack(">II", LABEL_MAGIC, n) + labels.astype(np.uint8).tobytes()
+    label_bytes = struct.pack(">II", LABEL_MAGIC, n) + dataset.labels.astype(np.uint8).tobytes()
     return image_bytes, label_bytes
 
 
-def load_idx(image_path: str | Path, label_path: str | Path) -> Dataset:
+def load_idx(image_path: str | Path, label_path: str | Path) -> Batch:
     """parse_idx over the contents of the two files."""
     return parse_idx(Path(image_path).read_bytes(), Path(label_path).read_bytes())
 
@@ -141,26 +143,29 @@ def synth_blobs(
     dim: int,
     separation: float,
     seed: int,
-) -> Dataset:
+) -> Batch:
     """Seeded Gaussian clusters mapped into the unit box.
 
     Class means sit on the main diagonal with consecutive means exactly
     `separation` apart in units of the within-class standard deviation;
     the affine map into [0, 1]^dim preserves that ratio.  Tail values
-    beyond the 4-sigma margin are clipped.
+    beyond the 4-sigma margin are clipped.  A separation whose last class
+    mean overflows float64 is rejected before anything is drawn.
     """
     if n_per_class < 1 or n_classes < 1 or dim < 1:
         raise ValueError("counts must be at least 1")
     if not 0 < separation < np.inf:
         raise ValueError(f"separation must be positive and finite, got {separation}")
+    # in Python floats, which overflow to inf without a warning
+    step = float(separation) / math.sqrt(dim)
+    lo, hi = -4.0, (n_classes - 1) * step + 4.0
+    if not math.isfinite(hi):
+        raise ValueError(f"separation {separation} over {n_classes} classes overflows float64")
     rng = np.random.default_rng(seed)
-    step = separation / np.sqrt(dim)
     labels = np.repeat(np.arange(n_classes, dtype=np.int64), n_per_class)
     raw = rng.standard_normal((n_per_class * n_classes, dim))
     raw += (labels * step)[:, None]
-    lo = -4.0
-    hi = (n_classes - 1) * step + 4.0
     raw -= lo
     raw /= hi - lo
     np.clip(raw, 0.0, 1.0, out=raw)
-    return Dataset(images=raw, labels=labels)
+    return Batch(images=raw, labels=labels)

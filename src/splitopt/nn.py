@@ -11,12 +11,11 @@ into the optimizer step functions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .datasets import class_indices
+from .datasets import Batch, class_indices
 
 NORMALIZE_MEAN = 0.1307
 NORMALIZE_STD = 0.3081
@@ -59,38 +58,6 @@ def mean_target_nll(log_probs: np.ndarray, targets: np.ndarray) -> float:
     except IndexError:
         raise ValueError(CLASS_RANGE_ERROR) from None
     return float(-(np.add.reduce(picked) / m))
-
-
-@dataclass
-class Batch:
-    """A block of inputs with one nonnegative class index per row, checked
-    once when built.  class_bound, one more than the largest target (0 if
-    none), is what forward_backward checks a model's class count against."""
-
-    inputs: np.ndarray
-    targets: np.ndarray
-
-    def __post_init__(self):
-        self.inputs = np.atleast_2d(np.asarray(self.inputs, dtype=float))
-        self.targets = class_indices(self.targets, "class indices")
-        if self.inputs.shape[0] != self.targets.shape[0]:
-            raise ValueError(
-                f"{self.inputs.shape[0]} input rows vs "
-                f"{self.targets.shape[0]} targets"
-            )
-        self.class_bound = int(self.targets.max()) + 1 if self.targets.size else 0
-
-    def __len__(self) -> int:
-        return self.inputs.shape[0]
-
-    def rows(self, idx: np.ndarray) -> "Batch":
-        """The rows at the integer indices idx, copied, as a batch that
-        skips the checks this one passed and keeps its class_bound."""
-        subset = Batch.__new__(Batch)
-        subset.inputs = self.inputs.take(idx, axis=0)
-        subset.targets = self.targets.take(idx, axis=0)
-        subset.class_bound = self.class_bound
-        return subset
 
 
 def rectify_in_place(pre: np.ndarray) -> None:
@@ -163,7 +130,7 @@ class MlpModel:
 
     def _forward_trace(self, X: np.ndarray):
         """Logits plus the per-layer activations of a 2-D float64 X, such as
-        a Batch's inputs."""
+        a Batch's images."""
         if X.shape[1] != self.weights[0].shape[0]:
             raise ValueError(
                 f"input has {X.shape[1]} features, model expects "
@@ -188,21 +155,21 @@ class MlpModel:
 
 def forward_backward(model: MlpModel, batch: Batch) -> np.ndarray:
     """Gradient, in the flat parameter layout, of the batch's loss: the
-    mean_target_nll of model.forward(batch.inputs), which is not computed
-    here.  Batch checks the targets, _forward_trace the input width, and
+    mean_target_nll of model.forward(batch.images), which is not computed
+    here.  Batch checks the labels, _forward_trace the input width, and
     this function the empty batch and, before any flat index is formed,
-    the batch's class_bound against the model's class count."""
+    the batch's n_classes against the model's class count."""
     m = len(batch)
     if m == 0:
         raise ValueError("batch must be nonempty")
     classes = model.biases[-1].shape[0]
-    if batch.class_bound > classes:
+    if batch.n_classes > classes:
         raise ValueError(CLASS_RANGE_ERROR)
-    logits, activations = model._forward_trace(batch.inputs)
+    logits, activations = model._forward_trace(batch.images)
     delta = log_softmax(logits)
     np.exp(delta, out=delta)
-    # each row's target entry, as a flat index into the (m, classes) delta
-    delta.ravel()[np.arange(0, m * classes, classes) + batch.targets] -= 1.0
+    # each row's label entry, as a flat index into the (m, classes) delta
+    delta.ravel()[np.arange(0, m * classes, classes) + batch.labels] -= 1.0
     delta /= m
 
     grad = np.empty(model.n_params)

@@ -14,7 +14,8 @@ import pytest
 import splitopt.adaptive as ada
 import splitopt.optimizers as opt
 from splitopt.bench import ExperimentConfig, format_metrics, run_experiment, timing_stats
-from splitopt.nn import Batch, MlpModel, forward_backward, mean_target_nll
+from splitopt.datasets import Batch
+from splitopt.nn import MlpModel, forward_backward, mean_target_nll
 from splitopt.objectives import fd_gradient, quadratic, rosenbrock
 from splitopt.splitting import (
     LinearSplitSystem,
@@ -217,7 +218,7 @@ def test_criterion_06_gradient_checks():
 
         def loss_at(t, model=model, batch=batch):
             model.set_param_vector(t)
-            return mean_target_nll(model.forward(batch.inputs), batch.targets)
+            return mean_target_nll(model.forward(batch.images), batch.labels)
 
         fd = fd_gradient(loss_at, theta, 1e-5)
         model.set_param_vector(theta)

@@ -7,6 +7,7 @@ import math
 import pathlib
 import struct
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -32,8 +33,9 @@ from splitopt import adaptive as ad
 from splitopt import optimizers as opt
 from splitopt import splitting
 from splitopt.cli import _build_parser, _load_config_file, main
-from splitopt.datasets import dataset_to_idx, synth_blobs
-from splitopt.nn import Batch, MlpModel, forward_backward, nll_loss
+from splitopt import datasets
+from splitopt.datasets import Batch, dataset_to_idx, synth_blobs
+from splitopt.nn import MlpModel, forward_backward, nll_loss
 
 TINY = "synth:per_class=40,classes=2,dim=2,sep=6"
 OPTIMIZER_DEFAULT_LR = {name: row[0] for name, row in OPTIMIZERS.items()}
@@ -249,8 +251,13 @@ def test_table_defaults_match_direct_rule_calls():
             assert stepper(grad).tobytes() == state.u.tobytes(), name
 
 
-# the hyper-parameter default of every rule that reads it
-HYPER_DEFAULTS = {"k": 2.0, "gamma": 0.9, "eps": 1e-8}
+# each rule's defaults of the hyper-parameters it reads, the values that
+# `bench run` passes it: the Adadelta family guards with 1e-6, the rest 1e-8
+HYPER_DEFAULTS = {
+    "ssa1_step": {"k": 2.0}, "ssa2_step": {"k": 2.0}, "adagrad_step": {"eps": 1e-8},
+    "adadelta_step": {"gamma": 0.9, "eps": 1e-6}, "rmsprop_step": {"gamma": 0.9, "eps": 1e-8},
+    "adam_step": {"eps": 1e-8}, "ssa1_ada_step": {"k": 2.0, "gamma": 0.9, "eps": 1e-6},
+}
 # a hyper-parameter of the family that each rule does not read
 UNREAD = {
     "minibatch_sgd_step": "eps", "polyak_step": "k", "nesterov_step": "gamma",
@@ -268,7 +275,7 @@ def test_rules_take_the_hyper_parameters_they_read_as_keywords(name):
     for key in ("k", "gamma", "eps"):
         if key in options:
             assert parameters[key].kind is inspect.Parameter.KEYWORD_ONLY, key
-            assert parameters[key].default == HYPER_DEFAULTS[key], key
+            assert parameters[key].default == HYPER_DEFAULTS[rule][key] == options[key], key
         else:
             assert key not in parameters, key
     # a hyper-parameter the rule does not read is a TypeError, not ignored
@@ -344,7 +351,7 @@ class TestConfig:
         assert ExperimentConfig(optimizer="adadelta", lr=0.3).resolved_lr == 0.3
 
 
-class TestDatasetSpecs:
+class TestDataSpecs:
     def test_synth_spec_parses(self):
         train, test = load_dataset_spec("synth:per_class=30,classes=3,dim=4,sep=5", 1)
         assert len(train) == 90 and train.images.shape[1] == 4
@@ -372,7 +379,7 @@ class TestDatasetSpecs:
         assert len(train) == 24 and len(test) == 24
 
     def test_run_ingestion_holds_one_float_matrix_per_set(self, tmp_path, monkeypatch):
-        # a run's ingestion: load both sets, range-check and normalize them,
+        # a run's ingestion: load both sets and normalize them in place,
         # measured up to the model build, which stops the run
         rng = np.random.default_rng(5)
         shapes, paths = {"train": (600, 28, 28), "test": (150, 28, 28)}, []
@@ -442,16 +449,21 @@ class TestRunExperiment:
         assert records[-1].train_acc >= 0.9
 
     def test_sets_are_checked_once_per_run(self, monkeypatch):
-        # every step gathers its rows from the checked training set
-        built = []
+        # the loaders build the two checked sets, and every step gathers its
+        # rows from the training set; the runner builds none
+        built = {"datasets": [], "bench": []}
 
-        def counting_batch(*args):
-            built.append(len(args[0]))
-            return Batch(*args)
+        def counting(where):
+            def build(*args, **kwargs):
+                batch = Batch(*args, **kwargs)
+                built[where].append(len(batch))
+                return batch
+            return build
 
-        monkeypatch.setattr(bench, "Batch", counting_batch)
+        monkeypatch.setattr(datasets, "Batch", counting("datasets"))
+        monkeypatch.setattr(bench, "Batch", counting("bench"))
         run_experiment(ExperimentConfig(optimizer="sgd", epochs=2, batch_size=8, dataset=TINY))
-        assert built == [80, 16]
+        assert built == {"datasets": [80, 16], "bench": []}
 
     @pytest.mark.parametrize("name", sorted(OPTIMIZERS))
     def test_gradient_oracle_is_called_once_per_step(self, monkeypatch, name):
@@ -922,6 +934,15 @@ class TestCli:
         monkeypatch.setattr("splitopt.bench.synth_blobs", no_data)
         assert main(["run", "--optimizer", "sgd", "--epochs", "1", "--dataset", spec]) == 2
         assert message in capsys.readouterr().err
+
+    def test_synth_class_means_beyond_float64_exit_2_without_warnings(self, capsys):
+        # four classes 1e308 apart in two dimensions: the last mean overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["run", "--optimizer", "sgd", "--epochs", "1",
+                         "--dataset", "synth:classes=4,sep=1e308"])
+        assert code == 2
+        assert "separation 1e+308 over 4 classes overflows float64" in capsys.readouterr().err
 
     def test_bad_config_line(self, tmp_path, capsys):
         config = tmp_path / "run.conf"

@@ -1,6 +1,8 @@
 """Unit tests for IDX parsing and the synthetic blob generator."""
 
+import re
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -8,10 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from splitopt import bench, nn
 from splitopt.datasets import (
     IMAGE_MAGIC,
     LABEL_MAGIC,
-    Dataset,
+    Batch,
     IdxFormatError,
     dataset_to_idx,
     load_idx,
@@ -92,7 +95,7 @@ class TestParseIdx:
 class TestRoundTrip:
     def test_serialize_then_parse_quantizes_within_half_step(self):
         rng = np.random.default_rng(0)
-        original = Dataset(rng.random((7, 5)), rng.integers(0, 3, size=7))
+        original = Batch(rng.random((7, 5)), rng.integers(0, 3, size=7))
         image_bytes, label_bytes = dataset_to_idx(original)
         back = parse_idx(image_bytes, label_bytes)
         assert np.max(np.abs(back.images - original.images)) <= 1.0 / 510.0
@@ -109,8 +112,15 @@ class TestRoundTrip:
         assert np.max(np.abs(loaded.images - ds.images)) <= 1.0 / 510.0
 
     def test_wide_labels_rejected(self):
-        ds = Dataset(np.zeros((1, 2)), np.array([300]))
+        ds = Batch(np.zeros((1, 2)), np.array([300]))
         with pytest.raises(ValueError, match="single bytes"):
+            dataset_to_idx(ds)
+
+    @pytest.mark.parametrize("shape", [(0, 2), (3, 0)])
+    def test_rejects_a_set_without_pixels_naming_its_shape(self, shape):
+        # Batch holds such a set, but parse_idx would reject the file
+        ds = Batch(np.zeros(shape), np.zeros(shape[0], dtype=int))
+        with pytest.raises(ValueError, match=re.escape(f"got images of shape {shape}")):
             dataset_to_idx(ds)
 
 
@@ -122,7 +132,7 @@ def datasets(draw):
     n, d = draw(st.integers(1, 8)), draw(st.integers(1, 6))
     images = draw(hnp.arrays(float, (n, d), elements=st.floats(0.0, 1.0)))
     labels = draw(hnp.arrays(np.int64, n, elements=st.integers(0, 255)))
-    return Dataset(images, labels)
+    return Batch(images, labels)
 
 
 class TestIdxProperties:
@@ -154,44 +164,64 @@ class TestIdxProperties:
             parse_idx(*payloads)
 
 
-class TestDatasetValidation:
-    def test_rejects_out_of_range_values(self):
-        with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            Dataset(np.array([[1.5]]), np.array([0]))
-
-    def test_rejects_nan_values(self):
-        with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            Dataset(np.array([[np.nan]]), np.array([0]))
-
-    def test_rejects_count_mismatch(self):
-        with pytest.raises(ValueError):
-            Dataset(np.zeros((2, 2)), np.zeros(3, dtype=int))
-
-    def test_rejects_an_empty_list_naming_its_shape(self):
-        # atleast_2d would make it one sample of no features, shape (1, 0)
-        with pytest.raises(ValueError, match=r"got images of shape \(0,\)"):
-            Dataset(images=[], labels=[])
-
-    def test_rejects_samples_without_features_naming_their_shape(self):
-        # before the range check, whose min() has no identity on no values
-        with pytest.raises(ValueError, match=r"got images of shape \(3, 0\)"):
-            Dataset(np.empty((3, 0)), [0, 1, 2])
-
-    def test_rejects_negative_labels(self):
-        with pytest.raises(ValueError):
-            Dataset(np.zeros((1, 2)), np.array([-1]))
-
+class TestBatch:
     @pytest.mark.parametrize(
-        "labels, shown", [([0.5, 1.9], "0.5"), ([1.0, np.nan], "nan"), ([-np.inf, 0.0], "-inf")]
+        "labels, shown",
+        [([0.5, 1.9], "0.5"), ([1.0, np.nan], "nan"), ([-np.inf, 0.0], "-inf"),
+         ([np.inf, 1.0], "inf"), ([1.0, -0.5], "-0.5"), ([1e300, 0.0], "1e+300"),
+         ([0.0, np.nan], "nan")],
     )
     def test_rejects_labels_that_are_not_integers(self, labels, shown):
         # a cast would train on [0, 1] and report 2 classes for [0.5, 1.9]
-        with pytest.raises(ValueError, match=f"labels must be integers, got {shown}"):
-            Dataset(np.zeros((2, 2)), labels)
+        with pytest.raises(ValueError, match=re.escape(f"labels must be integers, got {shown}")):
+            Batch(np.zeros((2, 2)), labels)
+
+    def test_rejects_negative_labels(self):
+        for labels in ([-1], [-1.0]):
+            with pytest.raises(ValueError, match="labels must be nonnegative, got -1"):
+                Batch(np.zeros((1, 2)), labels)
+
+    def test_rejects_count_mismatch(self):
+        with pytest.raises(ValueError, match="2 images vs 3 labels"):
+            Batch(np.zeros((2, 2)), np.zeros(3, dtype=int))
 
     def test_whole_float_labels_are_class_indices(self):
-        ds = Dataset(np.zeros((2, 2)), [0.0, 2.0])
-        assert ds.labels.dtype == np.int64 and ds.n_classes == 3
+        batch = Batch(np.zeros((3, 2)), [2.0, 0.0, 1.0])
+        assert batch.labels.dtype == np.int64 and batch.labels.tolist() == [2, 0, 1]
+        assert batch.n_classes == 3
+
+    def test_n_classes_is_one_past_the_largest_label(self):
+        assert Batch(np.zeros((2, 1)), [0, 4]).n_classes == 5
+        assert Batch(np.zeros((0, 1)), []).n_classes == 0
+
+    def test_rows_is_the_checked_batch_of_those_rows(self):
+        rng = np.random.default_rng(12)
+        X, y = rng.standard_normal((50, 4)), rng.integers(0, 3, size=50)
+        data = Batch(X, y)
+        for idx in (rng.permutation(50)[:32], np.array([7]), np.arange(50)):
+            got, want = data.rows(idx), Batch(X[idx], y[idx])
+            for a, b in ((got.images, want.images), (got.labels, want.labels)):
+                assert a.dtype == b.dtype and a.shape == b.shape
+                assert a.tobytes() == b.tobytes()
+            assert not np.shares_memory(got.images, data.images)
+            assert not np.shares_memory(got.labels, data.labels)
+            assert len(got) == len(idx) and got.n_classes == data.n_classes
+
+    def test_one_type_for_loaders_training_and_bench(self):
+        # nn trains on, and bench hands on, the type the loaders return
+        assert nn.Batch is Batch and bench.Batch is Batch
+        assert type(synth_blobs(2, 2, 3, 6.0, seed=1)) is Batch
+
+    def test_rows_builds_from_its_own_type(self, monkeypatch):
+        # a wrapper standing in for the module's name, as a tracer installs
+        # one, is not called by rows()
+        data = synth_blobs(5, 2, 3, 6.0, seed=1)
+
+        def stand_in(*args, **kwargs):
+            raise AssertionError("rows() looked up the module's Batch")
+
+        monkeypatch.setattr("splitopt.datasets.Batch", stand_in)
+        assert type(data.rows(np.arange(4))) is Batch
 
 
 class TestSynthBlobs:
@@ -249,3 +279,13 @@ class TestSynthBlobs:
     def test_rejects_non_finite_separation(self, separation):
         with pytest.raises(ValueError, match="separation must be positive and finite"):
             synth_blobs(10, 2, 2, separation, seed=1)
+
+    @pytest.mark.parametrize("separation", [1e308, np.float64(1e308)])
+    def test_rejects_class_means_beyond_float64_before_drawing(self, separation):
+        # the last of four means sits at 3e308 / sqrt(2): the draw would be NaN
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(
+                "separation 1e+308 over 4 classes overflows float64"
+            )):
+                synth_blobs(10, 4, 2, separation, seed=1)

@@ -1,7 +1,6 @@
 """Unit tests for the MLP, losses, shuffling, and normalization."""
 
 import math
-import re
 import tracemalloc
 
 import numpy as np
@@ -10,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from splitopt.datasets import Batch
 from splitopt.nn import (
-    Batch,
     MlpModel,
     epoch_batches,
     forward_backward,
@@ -104,37 +103,6 @@ class TestLosses:
                 assert np.float64(got).tobytes() == want
 
 
-class TestBatch:
-    @pytest.mark.parametrize(
-        "targets, shown",
-        [([0.7, 1.2], "0.7"), ([0.0, np.nan], "nan"), ([np.inf, 1.0], "inf"),
-         ([1.0, -0.5], "-0.5"), ([1e300, 0.0], "1e+300")],
-    )
-    def test_rejects_targets_that_are_not_integers(self, targets, shown):
-        with pytest.raises(ValueError, match=re.escape(f"must be integers, got {shown}")):
-            Batch(np.zeros((2, 3)), targets)
-
-    def test_whole_float_targets_are_class_indices(self):
-        batch = Batch(np.zeros((3, 2)), [2.0, 0.0, 1.0])
-        assert batch.targets.dtype == np.int64
-        assert batch.targets.tolist() == [2, 0, 1]
-        with pytest.raises(ValueError, match="nonnegative"):
-            Batch(np.zeros((1, 2)), [-1.0])
-
-    def test_rows_is_the_checked_batch_of_those_rows(self):
-        rng = np.random.default_rng(12)
-        X, y = rng.standard_normal((50, 4)), rng.integers(0, 3, size=50)
-        data = Batch(X, y)
-        for idx in (rng.permutation(50)[:32], np.array([7]), np.arange(50)):
-            got, want = data.rows(idx), Batch(X[idx], y[idx])
-            for a, b in ((got.inputs, want.inputs), (got.targets, want.targets)):
-                assert a.dtype == b.dtype and a.shape == b.shape
-                assert a.tobytes() == b.tobytes()
-            assert not np.shares_memory(got.inputs, data.inputs)
-            assert not np.shares_memory(got.targets, data.targets)
-            assert len(got) == len(idx)
-
-
 class TestRectifier:
     SPECIALS = [np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324,
                 2.2250738585072014e-308, -1e-310, 1.5, -1.5]
@@ -156,7 +124,9 @@ class TestRectifier:
 
     def test_forward_activations_match_where_reference(self):
         # one input at 0 and zero weights: the first layer's pre-activations
-        # are the biases, special values included
+        # are the biases, special values included, except that the -0.0 bias
+        # meets the matmul's +0.0 and reaches rectify_in_place as +0.0;
+        # test_matches_where_bit_for_bit_on_special_values covers -0.0
         hidden = len(self.SPECIALS)
         model = MlpModel.init((1, hidden, 2), seed=0)
         model.weights[0][...] = 0.0
@@ -164,6 +134,9 @@ class TestRectifier:
         with np.errstate(invalid="ignore"):  # the head multiplies inf by 0
             _, activations = model._forward_trace(np.zeros((2, 1)))
         pre = np.zeros((2, 1)) @ model.weights[0] + model.biases[0]
+        negative_zero = 5
+        assert np.signbit(self.SPECIALS[negative_zero]) and self.SPECIALS[negative_zero] == 0
+        assert not np.signbit(pre[:, negative_zero]).any()
         assert activations[1].tobytes() == np.where(pre > 0, pre, 0.0).tobytes()
         assert np.array_equal(activations[1] > 0, pre > 0)
 
@@ -300,14 +273,14 @@ def reference_forward_backward(model, batch, loss):
     log-softmax, loss="xent" as that of the library's log_softmax, the
     cross entropy of the logits; the batch loss taken through forward
     must equal both."""
-    logits, activations, masks = reference_forward(model, batch.inputs)
+    logits, activations, masks = reference_forward(model, batch.images)
     if loss == "nll":
-        value = ref_nll(ref_log_softmax(logits), batch.targets)
+        value = ref_nll(ref_log_softmax(logits), batch.labels)
     else:
-        value = ref_nll(log_softmax(logits), batch.targets)
+        value = ref_nll(log_softmax(logits), batch.labels)
     m = len(batch)
     delta = np.exp(ref_log_softmax(logits))
-    delta[np.arange(m), batch.targets] -= 1.0
+    delta[np.arange(m), batch.labels] -= 1.0
     delta /= m
     parts = []
     for layer in range(len(model.weights) - 1, -1, -1):
@@ -338,7 +311,7 @@ class TestForwardBackward:
     def test_bit_identical_to_reference_composition(self, sizes, loss):
         for model, batch in draw_batches(sizes):
             grad = forward_backward(model, batch)
-            value = mean_target_nll(model.forward(batch.inputs), batch.targets)
+            value = mean_target_nll(model.forward(batch.images), batch.labels)
             ref_value, ref_grad = reference_forward_backward(model, batch, loss)
             assert np.float64(value).tobytes() == np.float64(ref_value).tobytes()
             assert grad.dtype == ref_grad.dtype and grad.shape == ref_grad.shape
@@ -348,8 +321,8 @@ class TestForwardBackward:
     def test_forward_bit_identical_to_reference(self, sizes):
         # the evaluation's log-probabilities feed the CSV's loss columns
         for model, batch in draw_batches(sizes):
-            got = model.forward(batch.inputs)
-            want = ref_log_softmax(reference_forward(model, batch.inputs)[0])
+            got = model.forward(batch.images)
+            want = ref_log_softmax(reference_forward(model, batch.images)[0])
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes()
 
@@ -359,10 +332,10 @@ class TestForwardBackward:
         rng = np.random.default_rng(5)
         batch = Batch(rng.standard_normal((8, 3)), rng.integers(0, 5, size=8))
         grad = forward_backward(model, batch)
-        loss = mean_target_nll(model.forward(batch.inputs), batch.targets)
+        loss = mean_target_nll(model.forward(batch.images), batch.labels)
         assert loss == pytest.approx(math.log(5), rel=1e-12)
         # output-layer bias gradient: mean of (softmax - onehot) rows
-        counts = np.bincount(batch.targets, minlength=5)
+        counts = np.bincount(batch.labels, minlength=5)
         expected_bias = 1.0 / 5.0 - counts / 8.0
         np.testing.assert_allclose(grad[-5:], expected_bias, atol=1e-12)
 
@@ -373,7 +346,7 @@ class TestForwardBackward:
         model.biases[0][...] = 0.0
         batch = Batch(np.array([[1.0, 2.0]]), np.array([0]))
         grad = forward_backward(model, batch)
-        loss = mean_target_nll(model.forward(batch.inputs), batch.targets)
+        loss = mean_target_nll(model.forward(batch.images), batch.labels)
         p1 = 1.0 / (1.0 + math.exp(-1.0))  # softmax of logits (1, 2), class 1
         p0 = 1.0 - p1
         assert loss == pytest.approx(-math.log(p0), rel=1e-12)
@@ -390,7 +363,7 @@ class TestForwardBackward:
 
         def loss_at(t):
             model.set_param_vector(t)
-            return mean_target_nll(model.forward(batch.inputs), batch.targets)
+            return mean_target_nll(model.forward(batch.images), batch.labels)
 
         fd = fd_gradient(loss_at, theta, 1e-5)
         model.set_param_vector(theta)
@@ -407,7 +380,7 @@ class TestForwardBackward:
         model.biases[0][: len(specials)] = specials
         rng = np.random.default_rng(6)
         batch = Batch(rng.standard_normal((7, 3)), rng.integers(0, 3, size=7))
-        pre = (batch.inputs @ model.weights[0] + model.biases[0])[:, : len(specials)]
+        pre = (batch.images @ model.weights[0] + model.biases[0])[:, : len(specials)]
         assert np.all(np.isnan(pre[:, 0])) and np.all(pre[:, 1] == -np.inf)
         assert pre[:, 2:5].tobytes() == np.resize(specials[2:5], (7, 3)).tobytes()
         assert np.all(pre[:, 5] == 0.0)
@@ -421,7 +394,7 @@ class TestForwardBackward:
         model = MlpModel.init((3, 4, 2), seed=0)
         with pytest.raises(ValueError, match="batch must be nonempty"):
             forward_backward(model, Batch(np.zeros((0, 3)), np.zeros(0, dtype=int)))
-        with pytest.raises(ValueError, match="input rows"):
+        with pytest.raises(ValueError, match="2 images vs 3 labels"):
             Batch(np.zeros((2, 3)), np.zeros(3, dtype=int))
         with pytest.raises(ValueError, match="class count"):
             forward_backward(model, Batch(np.zeros((1, 3)), np.array([2])))
@@ -438,10 +411,10 @@ class TestTargetRange:
     def test_out_of_range_target_is_a_value_error(self, sizes, rows, excess, data):
         """Exactly the class count, or far above it (up to 2**62 more), in
         one drawn row: forward_backward raises the class-count ValueError
-        from the batch's class_bound, before it forms any flat index
+        from the batch's n_classes, before it forms any flat index
         rows * C + t, so no IndexError is being handled when it raises.  A
         rows() subset skips the parent's checks and inherits its
-        class_bound, so a subset holding the bad row fails the same way."""
+        n_classes, so a subset holding the bad row fails the same way."""
         classes = sizes[-1]
         rng = np.random.default_rng(rows)
         targets = rng.integers(0, classes, size=rows)
@@ -451,7 +424,7 @@ class TestTargetRange:
         model = MlpModel.init(sizes, seed=rows)
         keep = data.draw(st.lists(st.integers(0, rows - 1), max_size=rows))
         subset = batch.rows(np.array(keep + [bad_row]))
-        assert subset.class_bound == batch.class_bound == classes + excess + 1
+        assert subset.n_classes == batch.n_classes == classes + excess + 1
         for checked in (batch, subset):
             with pytest.raises(ValueError, match="class count") as info:
                 forward_backward(model, checked)
@@ -459,7 +432,7 @@ class TestTargetRange:
         # a negative target fails in Batch, before any model sees it
         targets[bad_row] = -1 - excess
         with pytest.raises(ValueError, match="nonnegative"):
-            Batch(batch.inputs, targets)
+            Batch(batch.images, targets)
 
 
 class TestEpochBatches:
