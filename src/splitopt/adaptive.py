@@ -218,7 +218,7 @@ def ssa1_ada_step(
     """
     _check_hyper(h, gamma=gamma, eps=eps, k=k)
     if variant not in SSA1_ADA_VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
+        raise ValueError(f"unknown variant {variant!r}; choose from {SSA1_ADA_VARIANTS}")
     beta = momentum_coefficient(state.n, schedule)
     unread = ("z",) if variant == "z-first" else ()
     out = _output("ssa1_ada_step", state, out, SSA1_ADA_FIELDS, unread)

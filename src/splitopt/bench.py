@@ -67,15 +67,6 @@ class ExperimentConfig:
             raise ValueError(f"batch size must be at least 1, got {self.batch_size}")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
-        if self.nesterov_form not in (None,) + opt.NESTEROV_FORMS:
-            raise ValueError(
-                f"unknown nesterov form {self.nesterov_form!r}; "
-                f"choose from {opt.NESTEROV_FORMS}"
-            )
-        if self.variant not in (None,) + ad.SSA1_ADA_VARIANTS:
-            raise ValueError(
-                f"unknown variant {self.variant!r}; choose from {ad.SSA1_ADA_VARIANTS}"
-            )
         defaults = OPTIMIZERS[self.optimizer][1]
         for name in OPTION_FIELDS:
             if name in defaults:
@@ -88,7 +79,8 @@ class ExperimentConfig:
                 )
         # One step from a one-element theta raises whatever the first step of
         # the run would (momentum text, step size, decay rate, eps, k,
-        # polyak's alpha < 1), so a bad value exits before any data loads.
+        # polyak's alpha < 1, nesterov's form, ssa1-ada's variant), so a bad
+        # value exits before any data loads.
         # Its arithmetic is discarded: an infinite lr times the zero
         # gradient is left to the run's own divergence check.
         with np.errstate(all="ignore"):

@@ -15,6 +15,7 @@ dataset failure.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from typing import List, Optional
 
@@ -49,11 +50,11 @@ def _boolean(text: str) -> bool:
 
 
 # Every `run` option, as the argparse keywords of its flag.  A config line
-# is typed by the same `type` (text when there is none); its choices are
-# left to ExperimentConfig.  normalize's flag is --no-normalize, which can
-# only turn it off, so its entry serves config lines alone.
+# is typed by the same `type` (text when there is none).  None has choices:
+# each value meets its one check in ExperimentConfig.  normalize's flag is
+# --no-normalize, which can only turn it off: its entry serves config lines.
 _RUN_OPTIONS = {
-    "optimizer": dict(choices=sorted(OPTIMIZERS)),
+    "optimizer": dict(help=f"one of {', '.join(sorted(OPTIMIZERS))}"),
     "lr": dict(type=float, help="step size / learning rate h"),
     "k": dict(type=float, help="velocity boost exponent"),
     "momentum": dict(
@@ -61,8 +62,8 @@ _RUN_OPTIONS = {
     ),
     "gamma": dict(type=float, help="running-average decay rate"),
     "eps": dict(type=float, help="division guard"),
-    "variant": dict(choices=SSA1_ADA_VARIANTS),
-    "nesterov_form": dict(choices=NESTEROV_FORMS),
+    "variant": dict(help=f"ssa1-ada evaluation order ({', '.join(SSA1_ADA_VARIANTS)})"),
+    "nesterov_form": dict(help=f"nesterov representation ({', '.join(NESTEROV_FORMS)})"),
     "epochs": dict(type=int),
     "batch_size": dict(type=int),
     "seed": dict(type=int),
@@ -76,7 +77,8 @@ def _load_config_file(path: str) -> dict:
     values = {}
     with open(path) as f:
         for lineno, raw in enumerate(f, start=1):
-            line = raw.split("#", 1)[0].strip()
+            # a comment starts at a '#' that opens the line or follows whitespace
+            line = re.split(r"(?<!\S)#", raw, maxsplit=1)[0].strip()
             if not line:
                 continue
             key, sep, value = line.partition("=")

@@ -285,7 +285,7 @@ def nesterov_step(
     """
     _check_hyper(h)
     if form not in NESTEROV_FORMS:
-        raise ValueError(f"unknown form {form!r}")
+        raise ValueError(f"unknown nesterov form {form!r}; choose from {NESTEROV_FORMS}")
     beta = momentum_coefficient(state.n, schedule)
     unread = ("u_prev",) if form == "velocity" else ("v",)
     out = _output("nesterov_step", state, out, NESTEROV_FIELDS, unread)

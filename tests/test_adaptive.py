@@ -1,6 +1,7 @@
 """Unit tests for the adaptive step rules."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -361,11 +362,13 @@ class TestStateDiscipline:
                     step(state, None, **schedule, **{"h": 0.1, name: value})
 
     def test_unknown_variant(self):
-        with pytest.raises(ValueError, match="unknown variant"):
+        # the rule is the one check of a variant: it names the choices and
+        # raises before it calls the oracle
+        def oracle(u):
+            raise AssertionError("the oracle was called for an unknown variant")
+
+        message = "unknown variant 'bogus'; choose from ('as-written', 'z-first')"
+        with pytest.raises(ValueError, match=re.escape(message)):
             ssa1_ada_step(
-                State.start(np.zeros(2), SSA1_ADA_FIELDS),
-                lambda u: u,
-                0.1,
-                SCH_N3,
-                variant="sideways",
+                State.start(np.zeros(2), SSA1_ADA_FIELDS), oracle, 0.1, SCH_N3, variant="bogus"
             )

@@ -5,6 +5,7 @@ import inspect
 import itertools
 import math
 import pathlib
+import re
 import struct
 import tracemalloc
 import warnings
@@ -38,6 +39,8 @@ from splitopt.datasets import Batch, dataset_to_idx, synth_blobs
 from splitopt.nn import MlpModel, forward_backward, nll_loss
 
 TINY = "synth:per_class=40,classes=2,dim=2,sep=6"
+# loading it exits 4, so a run that exits 2 with it has loaded no data
+MISSING_IDX = "idx:nope1,nope2,nope3,nope4"
 OPTIMIZER_DEFAULT_LR = {name: row[0] for name, row in OPTIMIZERS.items()}
 
 
@@ -863,7 +866,7 @@ class TestCli:
         "line, message",
         [
             ("nesterov_form = bogus", "unknown nesterov form"),
-            ("variant = bogus", "unknown variant"),
+            ("optimizer = ssa1-ada\nvariant = bogus", "unknown variant"),
             ("momentum = sideways", "neither a float"),
             ("momentum = 1.5", "constant beta"),
             ("optimizer = sgd\nmomentum = 0.9", "sgd takes no momentum option"),
@@ -893,6 +896,86 @@ class TestCli:
         )
         assert main(["run", "--config", str(config)]) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--optimizer", "bogus"], "unknown optimizer 'bogus'; choose from ['adadelta',"),
+        (["--optimizer", "nesterov", "--nesterov-form", "bogus"],
+         "unknown nesterov form 'bogus'; choose from ('velocity', 'two-sequence')"),
+        (["--optimizer", "ssa1-ada", "--variant", "bogus"],
+         "unknown variant 'bogus'; choose from ('as-written', 'z-first')"),
+    ], ids=["optimizer", "nesterov-form", "variant"])
+    def test_bad_flag_value_exits_2_before_data_loads(self, capsys, flags, message):
+        # argparse has no choices to check: main returns 2 from the one check
+        # each value meets, as it does for a config line
+        assert main(["run", *flags, "--dataset", MISSING_IDX]) == 2
+        assert message in capsys.readouterr().err
+
+    # values that each optimizer option's type accepts; a text option also
+    # takes one that no step rule knows
+    UNTAKEN_VALUES = {
+        "k": ["1"], "momentum": ["0.5", "bogus"], "gamma": ["0.5"], "eps": ["1e-8"],
+        "variant": ["z-first", "bogus"], "nesterov_form": ["two-sequence", "bogus"],
+    }
+
+    @pytest.mark.parametrize(
+        "optimizer, option",
+        [(name, option) for name, row in OPTIMIZERS.items()
+         for option in bench.OPTION_FIELDS if option not in row[1]],
+        ids=lambda value: value,
+    )
+    def test_every_option_an_optimizer_does_not_take_exits_2(
+        self, tmp_path, capsys, optimizer, option
+    ):
+        assert main(["run", "--optimizer", optimizer, "--dataset", MISSING_IDX]) == 4
+        capsys.readouterr()
+        message = f"{optimizer} takes no {option} option"
+        config = tmp_path / "run.conf"
+        for value in self.UNTAKEN_VALUES[option]:
+            flag = ["--" + option.replace("_", "-"), value]
+            assert main(["run", "--optimizer", optimizer, *flag, "--dataset", MISSING_IDX]) == 2
+            assert message in capsys.readouterr().err
+            config.write_text(
+                f"optimizer = {optimizer}\ndataset = {MISSING_IDX}\n{option} = {value}\n"
+            )
+            assert main(["run", "--config", str(config)]) == 2
+            assert message in capsys.readouterr().err
+
+    def test_run_help_names_every_choice(self, capsys, monkeypatch):
+        # the usage line shows no choices, so the help text must name them; a
+        # wide terminal keeps argparse from breaking a name at its hyphen
+        monkeypatch.setenv("COLUMNS", "200")
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--help"])
+        assert exc.value.code == 0
+        words = set(re.split(r"[\s,()]+", capsys.readouterr().out))
+        optimizers = ["sgd", "polyak", "nesterov", "ssa1", "ssa2", "ssa1-const", "ssa2-const",
+                      "adagrad", "adadelta", "rmsprop", "adam", "ssa1-ada"]
+        assert sorted(optimizers) == sorted(OPTIMIZERS)
+        for name in optimizers + ["as-written", "z-first", "velocity", "two-sequence"]:
+            assert name in words
+
+    def test_config_comments_start_at_a_line_or_after_whitespace(self, tmp_path, capsys):
+        out = tmp_path / "a#1.csv"
+        config = tmp_path / "run.conf"
+        config.write_text(
+            "# a comment line\n"
+            "  # an indented one\n"
+            "optimizer = sgd\n"
+            "epochs = 1\n"
+            f"dataset = {TINY}\n"
+            "lr = 0.5  # note\n"
+            "seed = 3\t# after a tab\n"
+            f"out = {out}\n"
+        )
+        values = _load_config_file(str(config))
+        assert values["lr"] == 0.5 and values["seed"] == 3 and values["out"] == str(out)
+        assert main(["run", "--config", str(config)]) == 0
+        assert out.read_text().startswith("epoch,train_loss")
+        assert not (tmp_path / "a").exists()
+        # a '#' glued to a value is part of it
+        config.write_text("lr = 0.5#note\n")
+        assert main(["run", "--config", str(config)]) == 2
+        assert "lr: could not convert string to float: '0.5#note'" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "flags", [["--optimizer", "sgd", "--lr", "0"], ["--optimizer", "ssa1-ada", "--momentum", "1"]]

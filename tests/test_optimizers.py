@@ -206,6 +206,17 @@ class TestNesterov:
         with pytest.raises(ValueError, match="step size must be positive"):
             opt.nesterov_step(state, lambda u: u, NAN, SCH_N3)
 
+    def test_unknown_form_is_checked_before_the_oracle(self):
+        # the rule is the one check of a form: it names the choices and
+        # raises before it calls the oracle
+        def oracle(u):
+            raise AssertionError("the oracle was called for an unknown form")
+
+        state = opt.State.start(np.zeros(2), opt.NESTEROV_FIELDS)
+        message = "unknown nesterov form 'bogus'; choose from ('velocity', 'two-sequence')"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            opt.nesterov_step(state, oracle, 0.1, SCH_N3, form="bogus")
+
 
 class TestSsa1:
     def test_hand_trace(self):
