@@ -37,7 +37,7 @@ class TrainingDivergedError(RuntimeError):
 
 @dataclass
 class ExperimentConfig:
-    """One `bench run`.  The optimizer options (k .. nesterov_form) default to
+    """One `bench run`.  The optimizer options (k .. variant) default to
     None: the optimizer's OPTIMIZERS entry fills the ones its step rule
     reads, and setting any other one is an error."""
 
@@ -48,7 +48,6 @@ class ExperimentConfig:
     gamma: Optional[float] = None
     eps: Optional[float] = None
     variant: Optional[str] = None
-    nesterov_form: Optional[str] = None
     epochs: int = 10
     batch_size: int = 32
     seed: int = 1
@@ -79,8 +78,8 @@ class ExperimentConfig:
                 )
         # One step from a one-element theta raises whatever the first step of
         # the run would (momentum text, step size, decay rate, eps, k,
-        # polyak's alpha < 1, nesterov's form, ssa1-ada's variant), so a bad
-        # value exits before any data loads.
+        # polyak's alpha < 1, ssa1-ada's variant), so a bad value exits
+        # before any data loads.
         # Its arithmetic is discarded: an infinite lr times the zero
         # gradient is left to the run's own divergence check.
         with np.errstate(all="ignore"):
@@ -124,8 +123,7 @@ _RATIO = opt.RATIO_N_OVER_N3
 OPTIMIZERS = {
     "sgd": (1e-3, {}, opt, "minibatch_sgd_step", opt.SGD_FIELDS),
     "polyak": (1e-2, {"momentum": "0.5"}, opt, "polyak_step", opt.POLYAK_FIELDS),
-    "nesterov": (1e-3, {"momentum": "0.5", "nesterov_form": "velocity"}, opt,
-                 "nesterov_step", opt.NESTEROV_FIELDS),
+    "nesterov": (1e-3, {"momentum": "0.5"}, opt, "nesterov_step", opt.NESTEROV_FIELDS),
     "ssa1": (1e-3, {"momentum": _RATIO, "k": 2.0}, opt, "ssa1_step", opt.SPLIT_FIELDS),
     "ssa2": (1e-3, {"momentum": _RATIO, "k": 2.0}, opt, "ssa2_step", opt.SPLIT_FIELDS),
     "ssa1-const": (1e-3, {"momentum": "0.5", "k": 2.0}, opt, "ssa1_step", opt.SPLIT_FIELDS),
@@ -139,7 +137,7 @@ OPTIMIZERS = {
     "ssa1-ada": (1.0, {"momentum": _RATIO, "k": 2.0, "gamma": 0.9, "eps": ad.ADADELTA_EPS,
                        "variant": "as-written"}, ad, "ssa1_ada_step", ad.SSA1_ADA_FIELDS),
 }
-OPTION_FIELDS = ("k", "momentum", "gamma", "eps", "variant", "nesterov_form")
+OPTION_FIELDS = ("k", "momentum", "gamma", "eps", "variant")
 
 # --momentum schedule kinds; any other text must be a float literal
 MOMENTUM_KINDS = (opt.RATIO_N_OVER_N3, opt.RATIO_NM1_OVER_N2)
@@ -169,7 +167,7 @@ def make_stepper(config: ExperimentConfig, theta0: np.ndarray) -> Stepper:
     since the stepper keeps two states and has each step write the next
     into the other's buffers (the rules' out=).  The rule is looked up by
     name in its module here, when the stepper is built, and called as
-    rule(state, grad_fn, h, [schedule], [form or variant], **hyper), hyper
+    rule(state, grad_fn, h, [schedule], [variant], **hyper), hyper
     holding the k, gamma and eps options the rule reads.
     """
     _, options, module, rule, fields = OPTIMIZERS[config.optimizer]
@@ -177,7 +175,8 @@ def make_stepper(config: ExperimentConfig, theta0: np.ndarray) -> Stepper:
     params = [config.resolved_lr]
     if "momentum" in options:
         params.append(parse_momentum(config.momentum))
-    params += [getattr(config, key) for key in ("nesterov_form", "variant") if key in options]
+    if "variant" in options:
+        params.append(config.variant)
     hyper = {key: getattr(config, key) for key in ("k", "gamma", "eps") if key in options}
     state, spare = opt.State.start(theta0, fields), opt.State.start(theta0, fields)
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import re
 import sys
+import textwrap
 from typing import List, Optional
 
 from .adaptive import SSA1_ADA_VARIANTS
@@ -34,7 +35,6 @@ from .bench import (
     write_text,
 )
 from .datasets import IdxFormatError
-from .optimizers import NESTEROV_FORMS
 
 EXIT_DIVERGED = 3
 EXIT_IO = 4
@@ -63,7 +63,6 @@ _RUN_OPTIONS = {
     "gamma": dict(type=float, help="running-average decay rate"),
     "eps": dict(type=float, help="division guard"),
     "variant": dict(help=f"ssa1-ada evaluation order ({', '.join(SSA1_ADA_VARIANTS)})"),
-    "nesterov_form": dict(help=f"nesterov representation ({', '.join(NESTEROV_FORMS)})"),
     "epochs": dict(type=int),
     "batch_size": dict(type=int),
     "seed": dict(type=int),
@@ -92,11 +91,20 @@ def _load_config_file(path: str) -> dict:
     return values
 
 
+class _HelpFormatter(argparse.HelpFormatter):
+    """Wraps help text at whitespace only, so no choice name breaks at a hyphen."""
+
+    def _split_lines(self, text: str, width: int) -> List[str]:
+        return textwrap.wrap(" ".join(text.split()), width, break_on_hyphens=False)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="bench")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="train one experiment and emit metrics")
+    run = sub.add_parser(
+        "run", help="train one experiment and emit metrics", formatter_class=_HelpFormatter
+    )
     run.add_argument("--config", help="key=value file providing defaults")
     for name, keywords in _RUN_OPTIONS.items():
         if name != "normalize":

@@ -14,7 +14,6 @@ import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Tuple
 
 import numpy as np
 
@@ -113,23 +112,6 @@ def parse_idx(image_bytes: bytes, label_bytes: bytes) -> Batch:
         raise IdxFormatError(f"{count} images but {n_labels} labels")
     labels = np.frombuffer(label_bytes, dtype=np.uint8, offset=8).astype(np.int64)
     return Batch(images=images, labels=labels)
-
-
-def dataset_to_idx(dataset: Batch) -> Tuple[bytes, bytes]:
-    """Serialize a Batch to (image_bytes, label_bytes) IDX payloads.
-
-    Features are written as one row of width d; values quantize to bytes
-    by rounding x*255, so a round trip moves each pixel by at most 1/510.
-    """
-    n, d = dataset.images.shape
-    if n * d == 0:  # parse_idx rejects a file without pixels
-        raise ValueError(f"an IDX file needs a pixel, got images of shape {(n, d)}")
-    pixels = np.clip(np.rint(dataset.images * 255.0), 0, 255).astype(np.uint8)
-    image_bytes = struct.pack(">IIII", IMAGE_MAGIC, n, 1, d) + pixels.tobytes()
-    if dataset.labels.max() > 255:
-        raise ValueError("IDX labels are single bytes; class index exceeds 255")
-    label_bytes = struct.pack(">II", LABEL_MAGIC, n) + dataset.labels.astype(np.uint8).tobytes()
-    return image_bytes, label_bytes
 
 
 def load_idx(image_path: str | Path, label_path: str | Path) -> Batch:

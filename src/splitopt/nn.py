@@ -15,7 +15,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .datasets import Batch, class_indices
+from .datasets import Batch
 
 NORMALIZE_MEAN = 0.1307
 NORMALIZE_STD = 0.3081
@@ -39,17 +39,8 @@ def log_softmax(x: np.ndarray) -> np.ndarray:
     return shifted
 
 
-def nll_loss(log_probs: np.ndarray, targets: np.ndarray) -> float:
-    """Mean negative log-probability of the target class per row."""
-    log_probs = np.atleast_2d(np.asarray(log_probs, dtype=float))
-    targets = class_indices(targets, "targets")
-    if targets.shape[0] != log_probs.shape[0]:
-        raise ValueError("one target per row required")
-    return mean_target_nll(log_probs, targets)
-
-
 def mean_target_nll(log_probs: np.ndarray, targets: np.ndarray) -> float:
-    """The one loss of training, evaluation and nll_loss: -np.mean of each
+    """The one loss of training and evaluation: -np.mean of each
     row's target log-probability; a batch's loss is this of model.forward.
     A target at or above the class count fails the pick with a ValueError."""
     m = log_probs.shape[0]

@@ -35,8 +35,10 @@ from splitopt import optimizers as opt
 from splitopt import splitting
 from splitopt.cli import _build_parser, _load_config_file, main
 from splitopt import datasets
-from splitopt.datasets import Batch, dataset_to_idx, synth_blobs
-from splitopt.nn import MlpModel, forward_backward, nll_loss
+from splitopt.datasets import Batch, synth_blobs
+from splitopt.nn import MlpModel, forward_backward, mean_target_nll
+
+from idx_fixtures import dataset_to_idx
 
 TINY = "synth:per_class=40,classes=2,dim=2,sep=6"
 # loading it exits 4, so a run that exits 2 with it has loaded no data
@@ -157,7 +159,6 @@ class TestRegistry:
             ExperimentConfig(
                 optimizer="nesterov",
                 momentum="ratio-n-minus-1-over-n-plus-2",
-                nesterov_form="two-sequence",
                 epochs=1,
             ),
             ExperimentConfig(optimizer="ssa1-ada", variant="z-first", epochs=1),
@@ -315,6 +316,67 @@ def test_readme_field_table_matches_the_declared_fields():
     for optimizer, row in OPTIMIZERS.items():
         module, rule, fields = row[2], row[3], row[4]
         assert getattr(module, table[rule][1]) is fields, optimizer
+
+
+def readme_option_table():
+    """{optimizer: {option: its cell}} from the README's table of each
+    optimizer's option defaults, the cells without their backticks."""
+    lines = README.read_text().splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("| optimizer | `--lr`"))
+    header = [cell.strip().strip("`").lstrip("-").replace("-", "_")
+              for cell in lines[start].strip("|").split("|")]
+    table = {}
+    for line in itertools.takewhile(lambda line: line.startswith("|"), lines[start + 2:]):
+        names, *cells = (cell.strip().strip("`") for cell in line.strip("|").split("|"))
+        for name in names.split("`, `"):
+            assert name not in table, name
+            table[name] = dict(zip(header[1:], cells))
+    return table
+
+
+def test_readme_option_table_matches_the_registry():
+    table = readme_option_table()
+    assert set(table) == set(OPTIMIZERS)
+    for name, (lr, defaults, *_) in OPTIMIZERS.items():
+        row = table[name]
+        assert set(row) == {"lr", *bench.OPTION_FIELDS}, name
+        assert float(row["lr"]) == lr, name
+        for option in bench.OPTION_FIELDS:
+            if option not in defaults:
+                assert row[option] == "—", (name, option)
+            elif isinstance(defaults[option], str):
+                assert row[option] == defaults[option], (name, option)
+            else:
+                assert float(row[option]) == defaults[option], (name, option)
+
+
+# three overlapping classes, small enough to train every optimizer with
+# each of its options in well under a second all told
+EFFECT_SPEC = "synth:per_class=40,classes=3,dim=4,sep=3"
+# values besides every optimizer's default for --lr and each option
+OTHER_VALUES = {
+    "lr": [0.05], "k": [0.0, 1.0], "momentum": ["0.9", opt.RATIO_NM1_OVER_N2],
+    "gamma": [0.5, 0.99], "eps": [1e-7, 1e-4], "variant": ["z-first"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(OPTIMIZERS))
+def test_every_option_changes_the_run(name):
+    # an option the CLI accepts must change the run: its records, at full
+    # precision and wall time aside, differ from the defaults' run
+    assert set(OTHER_VALUES) == {"lr", *bench.OPTION_FIELDS}
+    lr, defaults = OPTIMIZERS[name][:2]
+
+    def records(**option):
+        config = ExperimentConfig(optimizer=name, epochs=2, batch_size=8, dataset=EFFECT_SPEC,
+                                  **option)
+        return [dataclasses.replace(r, epoch_time_s=0.0) for r in run_experiment(config)]
+
+    base = records()
+    for option in ["lr", *defaults]:
+        for value in OTHER_VALUES[option]:
+            assert value != {"lr": lr, **defaults}[option]
+            assert records(**{option: value}) != base, (option, value)
 
 
 class TestPolyakSchedule:
@@ -505,7 +567,7 @@ class TestRunExperiment:
         X, y = rng.standard_normal((40, 2)), rng.integers(0, 3, size=40)
         log_probs = model.forward(X)
         loss, acc = _evaluate(model, Batch(X, y))
-        assert loss == nll_loss(log_probs, y)
+        assert loss == mean_target_nll(log_probs, y)
         assert acc == np.mean(np.argmax(log_probs, axis=1) == y)
         y[7] = 3  # at the class count: the pick fails
         with pytest.raises(ValueError, match="class count"):
@@ -865,7 +927,7 @@ class TestCli:
     @pytest.mark.parametrize(
         "line, message",
         [
-            ("nesterov_form = bogus", "unknown nesterov form"),
+            ("nesterov_form = bogus", "bad config line 'nesterov_form = bogus'"),
             ("optimizer = ssa1-ada\nvariant = bogus", "unknown variant"),
             ("momentum = sideways", "neither a float"),
             ("momentum = 1.5", "constant beta"),
@@ -899,11 +961,9 @@ class TestCli:
 
     @pytest.mark.parametrize("flags, message", [
         (["--optimizer", "bogus"], "unknown optimizer 'bogus'; choose from ['adadelta',"),
-        (["--optimizer", "nesterov", "--nesterov-form", "bogus"],
-         "unknown nesterov form 'bogus'; choose from ('velocity', 'two-sequence')"),
         (["--optimizer", "ssa1-ada", "--variant", "bogus"],
          "unknown variant 'bogus'; choose from ('as-written', 'z-first')"),
-    ], ids=["optimizer", "nesterov-form", "variant"])
+    ], ids=["optimizer", "variant"])
     def test_bad_flag_value_exits_2_before_data_loads(self, capsys, flags, message):
         # argparse has no choices to check: main returns 2 from the one check
         # each value meets, as it does for a config line
@@ -914,7 +974,7 @@ class TestCli:
     # takes one that no step rule knows
     UNTAKEN_VALUES = {
         "k": ["1"], "momentum": ["0.5", "bogus"], "gamma": ["0.5"], "eps": ["1e-8"],
-        "variant": ["z-first", "bogus"], "nesterov_form": ["two-sequence", "bogus"],
+        "variant": ["z-first", "bogus"],
     }
 
     @pytest.mark.parametrize(
@@ -940,10 +1000,11 @@ class TestCli:
             assert main(["run", "--config", str(config)]) == 2
             assert message in capsys.readouterr().err
 
-    def test_run_help_names_every_choice(self, capsys, monkeypatch):
-        # the usage line shows no choices, so the help text must name them; a
-        # wide terminal keeps argparse from breaking a name at its hyphen
-        monkeypatch.setenv("COLUMNS", "200")
+    @pytest.mark.parametrize("columns", ["80", "200"])
+    def test_run_help_names_every_choice(self, capsys, monkeypatch, columns):
+        # the usage line shows no choices, so the help text must name them,
+        # each whole: the help wraps at whitespace, never at a name's hyphen
+        monkeypatch.setenv("COLUMNS", columns)
         with pytest.raises(SystemExit) as exc:
             main(["run", "--help"])
         assert exc.value.code == 0
@@ -951,8 +1012,22 @@ class TestCli:
         optimizers = ["sgd", "polyak", "nesterov", "ssa1", "ssa2", "ssa1-const", "ssa2-const",
                       "adagrad", "adadelta", "rmsprop", "adam", "ssa1-ada"]
         assert sorted(optimizers) == sorted(OPTIMIZERS)
-        for name in optimizers + ["as-written", "z-first", "velocity", "two-sequence"]:
+        for name in optimizers + ["as-written", "z-first", *bench.MOMENTUM_KINDS]:
             assert name in words
+
+    @pytest.mark.parametrize("value", ["velocity", "two-sequence"])
+    def test_nesterov_form_is_no_run_option(self, tmp_path, capsys, value):
+        # both forms give the same iterates, so the option is gone: a flag is
+        # an argparse usage error and a config line a bad one, before data loads
+        flags = ["run", "--optimizer", "nesterov", "--dataset", MISSING_IDX]
+        with pytest.raises(SystemExit) as exc:
+            main([*flags, "--nesterov-form", value])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --nesterov-form" in capsys.readouterr().err
+        config = tmp_path / "run.conf"
+        config.write_text(f"nesterov_form = {value}\n")
+        assert main([*flags, "--config", str(config)]) == 2
+        assert f"bad config line 'nesterov_form = {value}'" in capsys.readouterr().err
 
     def test_config_comments_start_at_a_line_or_after_whitespace(self, tmp_path, capsys):
         out = tmp_path / "a#1.csv"

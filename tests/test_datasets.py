@@ -16,11 +16,12 @@ from splitopt.datasets import (
     LABEL_MAGIC,
     Batch,
     IdxFormatError,
-    dataset_to_idx,
     load_idx,
     parse_idx,
     synth_blobs,
 )
+
+from idx_fixtures import dataset_to_idx
 
 
 def image_payload(count, rows, cols, pixels, magic=0x00000803):
