@@ -69,16 +69,6 @@ def rosenbrock(u: np.ndarray) -> Tuple[float, np.ndarray]:
     return float(value), grad
 
 
-def rosenbrock_objective() -> Objective:
-    """Rosenbrock as an Objective; global minimizer (1, 1)."""
-    return Objective(
-        dim=2,
-        value=lambda u: rosenbrock(u)[0],
-        gradient=lambda u: rosenbrock(u)[1],
-        minimizer=np.array([1.0, 1.0]),
-    )
-
-
 def logistic_regression(X: np.ndarray, y: np.ndarray) -> Objective:
     """Mean logistic loss of a linear classifier on labels in {0, 1}.
 
@@ -109,7 +99,7 @@ def logistic_regression(X: np.ndarray, y: np.ndarray) -> Objective:
 
 def fd_gradient(f: Callable[[np.ndarray], float], u: np.ndarray, step: float) -> np.ndarray:
     """Central finite-difference gradient, one coordinate at a time."""
-    if step <= 0:
+    if not step > 0:  # negated so that NaN fails it
         raise ValueError(f"step must be positive, got {step}")
     u = np.asarray(u, dtype=float)
     grad = np.zeros_like(u)

@@ -52,14 +52,6 @@ class MomentumSchedule:
             raise ValueError(f"{self.kind} beta must lie in [0, {top:g}], got {self.beta}")
 
     @classmethod
-    def ratio_n_over_n_plus_3(cls) -> "MomentumSchedule":
-        return cls(RATIO_N_OVER_N3)
-
-    @classmethod
-    def ratio_n_minus_1_over_n_plus_2(cls) -> "MomentumSchedule":
-        return cls(RATIO_NM1_OVER_N2)
-
-    @classmethod
     def constant(cls, beta: float) -> "MomentumSchedule":
         return cls(CONSTANT, beta)
 
@@ -397,7 +389,7 @@ def gradient_substep_perturbed(
 
     Requires beta > 0 (the perturbation divides by beta^2).
     """
-    if beta <= 0:
+    if not beta > 0:  # negated so that NaN fails it
         raise ValueError(f"perturbed substep requires beta > 0, got {beta}")
     v_next = v_half - h * grad_y
     v_hat = v_next - h * (1.0 / beta**2 - 1.0) * grad_y

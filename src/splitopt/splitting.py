@@ -43,8 +43,8 @@ class LinearSplitSystem:
     def __post_init__(self):
         A = np.array(self.A, dtype=float)
         B = np.array(self.B, dtype=float)
-        if A.ndim != 2 or A.shape[0] != A.shape[1]:
-            raise ValueError(f"A must be square, got shape {A.shape}")
+        if A.ndim != 2 or A.shape[0] != A.shape[1] or A.size == 0:
+            raise ValueError(f"A must be square and non-empty, got shape {A.shape}")
         if B.shape != A.shape:
             raise ValueError(f"A and B shapes differ: {A.shape} vs {B.shape}")
         for name, M in (("A", A), ("B", B)):
@@ -144,8 +144,8 @@ def matrix_exp(M: np.ndarray) -> np.ndarray:
     index) of a matrix whose e^M overflows float64.
     """
     M = np.asarray(M, dtype=float)
-    if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
-        raise ValueError(f"matrix must be square, got shape {M.shape}")
+    if M.ndim < 2 or M.shape[-1] != M.shape[-2] or M.shape[-1] == 0:
+        raise ValueError(f"matrix must be square and non-empty, got shape {M.shape}")
     stack_shape, n = M.shape[:-2], M.shape[-1]
     M = M.reshape(-1, n, n)
     finite = np.isfinite(M).all(axis=(1, 2))

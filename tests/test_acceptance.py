@@ -26,8 +26,8 @@ from splitopt.splitting import (
     splitting_defect,
 )
 
-SCH_N3 = opt.MomentumSchedule.ratio_n_over_n_plus_3()
-SCH_NM1 = opt.MomentumSchedule.ratio_n_minus_1_over_n_plus_2()
+SCH_N3 = opt.MomentumSchedule(opt.RATIO_N_OVER_N3)
+SCH_NM1 = opt.MomentumSchedule(opt.RATIO_NM1_OVER_N2)
 
 
 def report(number, description, passed):

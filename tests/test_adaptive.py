@@ -24,7 +24,7 @@ from splitopt.adaptive import (
     ssa1_ada_step,
 )
 
-SCH_N3 = opt.MomentumSchedule.ratio_n_over_n_plus_3()
+SCH_N3 = opt.MomentumSchedule(opt.RATIO_N_OVER_N3)
 
 # the hyper-parameters each adaptive rule reads, and for each an
 # out-of-range value with the start of the message it raises

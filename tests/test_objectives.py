@@ -8,7 +8,6 @@ from splitopt.objectives import (
     logistic_regression,
     quadratic,
     rosenbrock,
-    rosenbrock_objective,
 )
 from splitopt.optimizers import SGD_FIELDS, State, minibatch_sgd_step
 
@@ -61,10 +60,6 @@ class TestRosenbrock:
         assert value == pytest.approx(4.0)
         np.testing.assert_allclose(grad, [-4.0, 0.0])
 
-    def test_objective_wrapper(self):
-        obj = rosenbrock_objective()
-        np.testing.assert_allclose(obj.gradient(obj.minimizer), 0.0, atol=1e-10)
-
 
 class TestFdGradient:
     def test_exact_on_quadratic(self):
@@ -83,9 +78,10 @@ class TestFdGradient:
         got = fd_gradient(lambda u: 3.0, np.zeros(4), 1e-5)
         np.testing.assert_array_equal(got, np.zeros(4))
 
-    def test_rejects_nonpositive_step(self):
-        with pytest.raises(ValueError):
-            fd_gradient(lambda u: 0.0, np.zeros(2), 0.0)
+    @pytest.mark.parametrize("step", [0.0, -1e-5, np.nan])
+    def test_rejects_a_step_that_is_not_positive(self, step):
+        with pytest.raises(ValueError, match="step must be positive"):
+            fd_gradient(lambda u: 0.0, np.zeros(2), step)
 
 
 class TestLogisticRegression:
@@ -118,16 +114,18 @@ class TestGradientAgreementEverywhere:
     def test_all_objectives(self):
         rng = np.random.default_rng(100)
         Q = np.array([[3.0, 1.0, 0.0], [1.0, 2.0, 0.5], [0.0, 0.5, 1.5]])
+        quad = quadratic(Q, np.array([1.0, -1.0, 0.5]))
+        logistic = TestLogisticRegression.make_problem(seed=7)
         problems = [
-            (quadratic(Q, np.array([1.0, -1.0, 0.5])), 3),
-            (rosenbrock_objective(), 2),
-            (TestLogisticRegression.make_problem(seed=7), 3),
+            (quad.value, quad.gradient, 3),
+            (lambda u: rosenbrock(u)[0], lambda u: rosenbrock(u)[1], 2),
+            (logistic.value, logistic.gradient, 3),
         ]
-        for objective, dim in problems:
+        for value, gradient, dim in problems:
             for _ in range(100):
                 u = rng.uniform(-2.0, 2.0, size=dim)
-                fd = fd_gradient(objective.value, u, 1e-5)
-                assert relative_error(objective.gradient(u), fd) <= 1e-6
+                fd = fd_gradient(value, u, 1e-5)
+                assert relative_error(gradient(u), fd) <= 1e-6
 
 
 class TestDescentSanity:

@@ -26,8 +26,8 @@ def make_quadratic(dim, lmin, lmax, seed):
     return quadratic((Q + Q.T) / 2, rng.standard_normal(dim))
 
 
-SCH_N3 = opt.MomentumSchedule.ratio_n_over_n_plus_3()
-SCH_NM1 = opt.MomentumSchedule.ratio_n_minus_1_over_n_plus_2()
+SCH_N3 = opt.MomentumSchedule(opt.RATIO_N_OVER_N3)
+SCH_NM1 = opt.MomentumSchedule(opt.RATIO_NM1_OVER_N2)
 HALF = opt.MomentumSchedule.constant(0.5)
 NAN = float("nan")
 
@@ -344,9 +344,10 @@ class TestSplittingComposition:
             )
         assert worst <= 1e-12
 
-    def test_perturbed_substep_rejects_zero_beta(self):
-        with pytest.raises(ValueError):
-            opt.gradient_substep_perturbed(np.zeros(2), np.zeros(2), np.zeros(2), 0.1, 0.0)
+    @pytest.mark.parametrize("beta", [0.0, -0.5, NAN])
+    def test_perturbed_substep_rejects_a_beta_that_is_not_positive(self, beta):
+        with pytest.raises(ValueError, match="requires beta > 0"):
+            opt.gradient_substep_perturbed(np.zeros(2), np.zeros(2), np.zeros(2), 0.1, beta)
 
 
 class CountingGradient:

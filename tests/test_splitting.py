@@ -1,5 +1,7 @@
 """Unit tests for the operator-splitting and ODE machinery."""
 
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -58,6 +60,11 @@ class TestMatrixExp:
             matrix_exp(np.zeros((2, 3)))
         with pytest.raises(ValueError):
             matrix_exp(np.array([[np.inf, 0.0], [0.0, 0.0]]))
+
+    @pytest.mark.parametrize("shape", [(0, 0), (3, 0, 0)])
+    def test_rejects_an_empty_matrix(self, shape):
+        with pytest.raises(ValueError, match=rf"non-empty, got shape {re.escape(str(shape))}"):
+            matrix_exp(np.zeros(shape))
 
 
 class TestSpectralNorm:
@@ -140,6 +147,8 @@ class TestLieSplit:
             LinearSplitSystem(np.zeros((2, 2)), np.zeros((3, 3)))
         with pytest.raises(ValueError):
             LinearSplitSystem(np.zeros((2, 3)), np.zeros((2, 3)))
+        with pytest.raises(ValueError, match=r"A must be square and non-empty, got shape \(0, 0\)"):
+            LinearSplitSystem(np.zeros((0, 0)), np.zeros((0, 0)))
 
     @pytest.mark.parametrize("step", [lie_split_step, strang_split_step])
     def test_steps_reject_bad_state_and_negative_step(self, step):
@@ -437,9 +446,9 @@ class TestDamping:
         assert value == 0.0
 
     def test_matches_momentum_schedule_on_grid(self):
-        from splitopt.optimizers import MomentumSchedule, momentum_coefficient
+        from splitopt.optimizers import RATIO_NM1_OVER_N2, MomentumSchedule, momentum_coefficient
 
-        sch = MomentumSchedule.ratio_n_minus_1_over_n_plus_2()
+        sch = MomentumSchedule(RATIO_NM1_OVER_N2)
         # dyadic step: the grid values are bit-exact
         h = 0.5
         for n in range(1, 200):
