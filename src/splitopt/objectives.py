@@ -99,8 +99,8 @@ def logistic_regression(X: np.ndarray, y: np.ndarray) -> Objective:
 
 def fd_gradient(f: Callable[[np.ndarray], float], u: np.ndarray, step: float) -> np.ndarray:
     """Central finite-difference gradient, one coordinate at a time."""
-    if not step > 0:  # negated so that NaN fails it
-        raise ValueError(f"step must be positive, got {step}")
+    if not 0 < step < np.inf:  # negated so that NaN fails it
+        raise ValueError(f"step must be positive and finite, got {step}")
     u = np.asarray(u, dtype=float)
     grad = np.zeros_like(u)
     for i in range(u.size):

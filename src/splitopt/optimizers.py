@@ -387,10 +387,10 @@ def gradient_substep_perturbed(
         v_hat  = v_next - h * (1/beta^2 - 1) * grad_y
         u_next = u_half + h * beta^2 * v_hat
 
-    Requires beta > 0 (the perturbation divides by beta^2).
+    Requires a finite beta > 0 (the perturbation divides by beta^2).
     """
-    if not beta > 0:  # negated so that NaN fails it
-        raise ValueError(f"perturbed substep requires beta > 0, got {beta}")
+    if not 0 < beta < np.inf:  # negated so that NaN fails it
+        raise ValueError(f"perturbed substep requires a finite beta > 0, got {beta}")
     v_next = v_half - h * grad_y
     v_hat = v_next - h * (1.0 / beta**2 - 1.0) * grad_y
     u_next = u_half + h * beta**2 * v_hat

@@ -350,6 +350,12 @@ def test_readme_option_table_matches_the_registry():
                 assert float(row[option]) == defaults[option], (name, option)
 
 
+def test_readme_states_the_study_sweep():
+    text = " ".join(README.read_text().split())
+    sweep = ", ".join(str(n) for n in bench.STUDY_STEP_COUNTS)
+    assert f"h = 1/N over N = {sweep} (`bench.STUDY_STEP_COUNTS`)" in text
+
+
 # three overlapping classes, small enough to train every optimizer with
 # each of its options in well under a second all told
 EFFECT_SPEC = "synth:per_class=40,classes=3,dim=4,sep=3"
@@ -614,6 +620,18 @@ class TestSplittingStudy:
             assert defect > 0.0
             assert 0.8 <= order <= 1.2
         assert rows[-1][2] is None
+
+    @pytest.mark.parametrize("method", ["lie", "strang"])
+    def test_one_row_per_step_count(self, method):
+        # the sweep is strictly increasing positive integers, so each
+        # consecutive pair has an observed order and only the last row lacks one
+        counts = bench.STUDY_STEP_COUNTS
+        assert all(type(n) is int and n > 0 for n in counts)
+        assert all(a < b for a, b in zip(counts, counts[1:]))
+        rows = splitting_study(method=method)
+        assert [h for h, _, _ in rows] == [1.0 / n for n in counts]
+        assert all(defect > 0.0 for _, defect, _ in rows)
+        assert [order is None for _, _, order in rows] == [False] * (len(counts) - 1) + [True]
 
     def test_strang_orders(self):
         rows = splitting_study(method="strang")

@@ -78,9 +78,9 @@ class TestFdGradient:
         got = fd_gradient(lambda u: 3.0, np.zeros(4), 1e-5)
         np.testing.assert_array_equal(got, np.zeros(4))
 
-    @pytest.mark.parametrize("step", [0.0, -1e-5, np.nan])
-    def test_rejects_a_step_that_is_not_positive(self, step):
-        with pytest.raises(ValueError, match="step must be positive"):
+    @pytest.mark.parametrize("step", [0.0, -1e-5, np.nan, np.inf, -np.inf])
+    def test_rejects_a_step_that_is_not_positive_and_finite(self, step):
+        with pytest.raises(ValueError, match=f"step must be positive and finite, got {step}$"):
             fd_gradient(lambda u: 0.0, np.zeros(2), step)
 
 

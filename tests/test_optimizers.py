@@ -344,9 +344,9 @@ class TestSplittingComposition:
             )
         assert worst <= 1e-12
 
-    @pytest.mark.parametrize("beta", [0.0, -0.5, NAN])
-    def test_perturbed_substep_rejects_a_beta_that_is_not_positive(self, beta):
-        with pytest.raises(ValueError, match="requires beta > 0"):
+    @pytest.mark.parametrize("beta", [0.0, -0.5, NAN, np.inf, -np.inf])
+    def test_perturbed_substep_rejects_a_beta_that_is_not_positive_and_finite(self, beta):
+        with pytest.raises(ValueError, match=f"requires a finite beta > 0, got {beta}$"):
             opt.gradient_substep_perturbed(np.zeros(2), np.zeros(2), np.zeros(2), 0.1, beta)
 
 
