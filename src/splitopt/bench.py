@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, fields
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -316,31 +316,29 @@ def timing_stats(samples: Sequence[float]) -> TimingStats:
     )
 
 
-METRICS_HEADER = "epoch,train_loss,train_acc,test_loss,test_acc,epoch_time_s"
+METRICS_HEADER = tuple(f.name for f in fields(MetricsRecord))
+TIMING_HEADER = tuple(f.name for f in fields(TimingStats))
 
 
-def format_metrics(records: Sequence[MetricsRecord]) -> str:
-    """CSV text: header plus one row per epoch, 6 significant digits."""
-    lines = [METRICS_HEADER]
-    for r in records:
-        lines.append(
-            f"{r.epoch},{r.train_loss:.6g},{r.train_acc:.6g},"
-            f"{r.test_loss:.6g},{r.test_acc:.6g},{r.epoch_time_s:.6g}"
-        )
+def format_csv(header: Sequence[str], rows: Iterable[Iterable]) -> str:
+    """CSV text: the header line, then one line per row.  A float cell has
+    6 significant digits, an int is written whole and None is empty."""
+    lines = [",".join(header)]
+    for row in rows:
+        cells = ("" if v is None else f"{v:.6g}" if isinstance(v, float) else str(v) for v in row)
+        lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 
 
-def write_text(text: str, path: Optional[str]) -> None:
-    """Write text to the file at path, or to stdout when there is no path."""
+def emit_metrics(header: Sequence[str], rows: Iterable[Iterable], path: Optional[str]) -> None:
+    """Write format_csv(header, rows) to the file at path, or to stdout when
+    there is no path: the one writer of every bench subcommand's CSV."""
+    text = format_csv(header, rows)
     if path:
         with open(path, "w", newline="") as f:
             f.write(text)
     else:
         print(text, end="")
-
-
-def emit_metrics(records: Sequence[MetricsRecord], path: Optional[str]) -> None:
-    write_text(format_metrics(records), path)
 
 
 def read_timing_column(path: str) -> List[float]:
@@ -375,6 +373,7 @@ def read_timing_column(path: str) -> List[float]:
 STUDY_A = np.array([[0.0, 1.0], [0.0, 0.0]])
 STUDY_B = np.array([[0.0, 0.0], [1.0, 0.0]])
 STUDY_STEP_COUNTS = (10, 20, 40, 80, 160)
+STUDY_HEADER = ("h", "defect", "observed_order")
 SPLITTING_METHODS = ("lie", "strang")
 
 

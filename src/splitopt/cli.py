@@ -23,16 +23,18 @@ from typing import List, Optional
 from .adaptive import SSA1_ADA_VARIANTS
 from .bench import (
     ExperimentConfig,
+    METRICS_HEADER,
     MOMENTUM_KINDS,
     OPTIMIZERS,
     SPLITTING_METHODS,
+    STUDY_HEADER,
+    TIMING_HEADER,
     TrainingDivergedError,
     emit_metrics,
     read_timing_column,
     run_experiment,
     splitting_study,
     timing_stats,
-    write_text,
 )
 from .datasets import IdxFormatError
 
@@ -84,6 +86,8 @@ def _load_config_file(path: str) -> dict:
             key = key.strip().replace("-", "_")
             if not sep or key not in _RUN_OPTIONS:
                 raise ValueError(f"{path}:{lineno}: bad config line {raw.strip()!r}")
+            if key in values:
+                raise ValueError(f"{path}:{lineno}: {key} is given twice")
             try:
                 values[key] = _RUN_OPTIONS[key].get("type", str)(value.strip())
             except ValueError as exc:
@@ -134,33 +138,24 @@ def _run_command(args: argparse.Namespace) -> int:
             values[name] = getattr(args, name)
     config = ExperimentConfig(**values)
 
+    code = 0
     try:
         records = run_experiment(config)
     except TrainingDivergedError as exc:
-        if config.out:
-            emit_metrics(exc.records, config.out)
-        print(f"error: {exc} ({len(exc.records)} epochs flushed)", file=sys.stderr)
-        return EXIT_DIVERGED
-    emit_metrics(records, config.out)
-    return 0
+        records, code = exc.records, EXIT_DIVERGED
+        print(f"error: {exc} ({len(records)} epochs flushed)", file=sys.stderr)
+    emit_metrics(METRICS_HEADER, (vars(r).values() for r in records), config.out)
+    return code
 
 
 def _timing_command(args: argparse.Namespace) -> int:
     stats = timing_stats(read_timing_column(args.infile))
-    header = "mean,std,min,q25,q50,q75,max,sum"
-    row = ",".join(
-        f"{getattr(stats, name):.6g}" for name in header.split(",")
-    )
-    write_text(f"{header}\n{row}\n", args.out)
+    emit_metrics(TIMING_HEADER, [vars(stats).values()], args.out)
     return 0
 
 
 def _study_command(args: argparse.Namespace) -> int:
-    lines = ["h,defect,observed_order"]
-    for h, defect, order in splitting_study(method=args.method):
-        order_text = f"{order:.6g}" if order is not None else ""
-        lines.append(f"{h:.6g},{defect:.6g},{order_text}")
-    write_text("\n".join(lines) + "\n", args.out)
+    emit_metrics(STUDY_HEADER, splitting_study(method=args.method), args.out)
     return 0
 
 

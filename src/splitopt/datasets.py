@@ -42,7 +42,7 @@ def class_indices(values, what: str) -> np.ndarray:
     return indices
 
 
-@dataclass
+@dataclass(eq=False)
 class Batch:
     """Feature rows with one nonnegative class label each, checked once when
     built: the loaders' sets and training's mini-batches.  n_classes, one

@@ -82,7 +82,7 @@ def _check_hyper(h: float, *, gamma: Optional[float] = None, eps: Optional[float
         raise ValueError(f"velocity exponent must be nonnegative, got {k}")
 
 
-@dataclass
+@dataclass(eq=False)
 class State:
     """Iterate u, step counter n, and the arrays a step rule declares in
     its *_FIELDS tuple, all written every step; the others stay None.

@@ -26,7 +26,7 @@ class DivergenceError(RuntimeError):
         self.time = time
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearSplitSystem:
     """Matrix pair (A, B) splitting the linear field X' = (A+B)X.
 
@@ -37,7 +37,7 @@ class LinearSplitSystem:
     A: np.ndarray
     B: np.ndarray
     _flows: Dict[Tuple[str, Tuple[int, ...]], Tuple[np.ndarray, np.ndarray]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
+        default_factory=dict, init=False, repr=False
     )
 
     def __post_init__(self):
@@ -93,7 +93,7 @@ class DampingSchedule:
             raise ValueError(f"offset must be positive, got {self.offset}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SecondOrderSystem:
     """First-order reformulation u' = v, v' = -damping(t) v - grad(u)."""
 

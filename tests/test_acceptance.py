@@ -13,7 +13,13 @@ import pytest
 
 import splitopt.adaptive as ada
 import splitopt.optimizers as opt
-from splitopt.bench import ExperimentConfig, format_metrics, run_experiment, timing_stats
+from splitopt.bench import (
+    ExperimentConfig,
+    format_csv,
+    METRICS_HEADER,
+    run_experiment,
+    timing_stats,
+)
 from splitopt.datasets import Batch
 from splitopt.nn import MlpModel, forward_backward, mean_target_nll
 from splitopt.objectives import fd_gradient, quadratic, rosenbrock
@@ -70,7 +76,7 @@ def run_suite():
             dataset=SUITE_DATASET,
         )
         records = run_experiment(config)
-        out[name] = (records, format_metrics(records))
+        out[name] = (records, format_csv(METRICS_HEADER, (vars(r).values() for r in records)))
     return out
 
 

@@ -17,9 +17,10 @@ from splitopt import bench
 from splitopt.bench import (
     ExperimentConfig,
     OPTIMIZERS,
+    METRICS_HEADER,
     TrainingDivergedError,
     emit_metrics,
-    format_metrics,
+    format_csv,
     load_dataset_spec,
     make_stepper,
     MetricsRecord,
@@ -82,10 +83,14 @@ class TestTimingStats:
             timing_stats([])
 
 
+def write_metrics(records, path):
+    emit_metrics(METRICS_HEADER, (vars(r).values() for r in records), str(path))
+
+
 class TestEmitMetrics:
     def test_empty_records_header_only(self, tmp_path):
         path = tmp_path / "m.csv"
-        emit_metrics([], str(path))
+        write_metrics([], path)
         assert path.read_text() == (
             "epoch,train_loss,train_acc,test_loss,test_acc,epoch_time_s\n"
         )
@@ -95,17 +100,39 @@ class TestEmitMetrics:
             MetricsRecord(0, 1.0, 0.5, 1.1, 0.4, 0.01),
             MetricsRecord(1, 0.9, 0.6, 1.0, 0.5, 0.02),
         ]
-        assert len(format_metrics(records).strip().split("\n")) == 3
+        text = format_csv(METRICS_HEADER, (vars(r).values() for r in records))
+        assert len(text.strip().split("\n")) == 3
+
+    def test_cells(self):
+        # a float (numpy's included) in 6 significant digits, an int whole,
+        # None empty, and a trailing newline
+        rows = [(1234567, 0.1234567891, np.float64(2e-300), None), (0, 1.0, 7.0e20, float("nan"))]
+        assert format_csv(("a", "b", "c", "d"), rows) == (
+            "a,b,c,d\n1234567,0.123457,2e-300,\n0,1,7e+20,nan\n"
+        )
 
     def test_round_trip_within_six_significant_digits(self, tmp_path):
         record = MetricsRecord(3, 0.123456789, 0.98765432, 1.23456789e-4, 1.0, 7.5)
         path = tmp_path / "m.csv"
-        emit_metrics([record], str(path))
+        write_metrics([record], path)
         fields = path.read_text().strip().split("\n")[1].split(",")
         back = [float(x) for x in fields]
         originals = [3, 0.123456789, 0.98765432, 1.23456789e-4, 1.0, 7.5]
         for got, want in zip(back, originals):
             assert got == pytest.approx(want, rel=1e-5)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: opt.State(np.zeros(2)),
+    lambda: Batch(np.zeros((2, 1)), [0, 1]),
+    lambda: splitting.LinearSplitSystem(np.eye(2), np.eye(2)),
+    lambda: splitting.SecondOrderSystem(lambda t: 0.0, np.negative, np.zeros(2), np.zeros(2)),
+], ids=["State", "Batch", "LinearSplitSystem", "SecondOrderSystem"])
+def test_array_holders_compare_and_hash_by_identity(make):
+    # field-wise == would ask numpy for the truth value of an array
+    a, b = make(), make()
+    assert a == a and a != b and hash(a) == hash(a)
+    assert len({a, b}) == 2
 
 
 class TestRegistry:
@@ -772,9 +799,8 @@ class TestCli:
 
     def test_timing_subcommand(self, tmp_path, capsys):
         metrics = tmp_path / "metrics.csv"
-        emit_metrics(
-            [MetricsRecord(i, 0.5, 0.9, 0.5, 0.9, float(i + 1)) for i in range(4)],
-            str(metrics),
+        write_metrics(
+            [MetricsRecord(i, 0.5, 0.9, 0.5, 0.9, float(i + 1)) for i in range(4)], metrics
         )
         code = main(["timing", "--in", str(metrics)])
         assert code == 0
@@ -786,13 +812,13 @@ class TestCli:
 
     def test_timing_reads_column(self, tmp_path):
         metrics = tmp_path / "metrics.csv"
-        emit_metrics([MetricsRecord(0, 1, 1, 1, 1, 0.25)], str(metrics))
+        write_metrics([MetricsRecord(0, 1, 1, 1, 1, 0.25)], metrics)
         assert read_timing_column(str(metrics)) == [0.25]
 
     def test_timing_out_matches_stdout(self, tmp_path, capsys):
         metrics, table = tmp_path / "metrics.csv", tmp_path / "table.csv"
-        emit_metrics([MetricsRecord(i, 0.5, 0.9, 0.5, 0.9, float(i + 1)) for i in range(4)],
-                     str(metrics))
+        write_metrics([MetricsRecord(i, 0.5, 0.9, 0.5, 0.9, float(i + 1)) for i in range(4)],
+                      metrics)
         assert main(["timing", "--in", str(metrics)]) == 0
         printed = capsys.readouterr().out
         assert main(["timing", "--in", str(metrics), "--out", str(table)]) == 0
@@ -893,7 +919,7 @@ class TestCli:
 
     def test_timing_of_a_header_only_file_names_it(self, tmp_path, capsys):
         metrics = tmp_path / "metrics.csv"
-        emit_metrics([], str(metrics))
+        write_metrics([], metrics)
         assert main(["timing", "--in", str(metrics)]) == 2
         err = capsys.readouterr().err
         assert str(metrics) in err and "no epoch_time_s values" in err
@@ -913,6 +939,50 @@ class TestCli:
         )
         assert code == 3
         assert out.exists()
+
+    # ssa2 at this step size overflows in its fourth epoch
+    DIVERGED = ["run", "--optimizer", "ssa2", "--lr", "3162277660.1683793", "--epochs", "4",
+                "--dataset", TINY]
+
+    def test_diverged_run_without_out_prints_its_records(self, capsys):
+        assert main(self.DIVERGED) == 3
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert lines[0] == "epoch,train_loss,train_acc,test_loss,test_acc,epoch_time_s"
+        assert [line.split(",")[0] for line in lines[1:]] == ["0", "1", "2"]
+        assert "(3 epochs flushed)" in captured.err
+
+    @pytest.mark.parametrize("argv, code, n_lines", [
+        (["run", "--epochs", "2", "--dataset", TINY], 0, 3),
+        (DIVERGED, 3, 4),
+        (["timing", "--in", "METRICS"], 0, 2),
+        (["splitting-study", "--method", "lie"], 0, 6),
+        (["splitting-study", "--method", "strang"], 0, 6),
+    ], ids=["run", "diverged-run", "timing", "study-lie", "study-strang"])
+    def test_every_subcommand_writes_once_through_emit_metrics(
+        self, tmp_path, capsys, monkeypatch, argv, code, n_lines
+    ):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            emit_metrics(*args)
+
+        metrics, out = tmp_path / "metrics.csv", tmp_path / "out.csv"
+        write_metrics([MetricsRecord(i, 0.5, 0.9, 0.5, 0.9, i + 0.5) for i in range(3)], metrics)
+        argv = [str(metrics) if arg == "METRICS" else arg for arg in argv]
+        monkeypatch.setattr("splitopt.cli.emit_metrics", counted)
+        assert main(argv) == code and len(calls) == 1
+        printed = capsys.readouterr().out
+        assert main([*argv, "--out", str(out)]) == code and len(calls) == 2
+        assert capsys.readouterr().out == ""
+
+        def without_times(text):  # a run's wall-time column differs between runs
+            lines = text.splitlines(keepends=True)
+            return [line.rsplit(",", 1)[0] for line in lines] if argv[0] == "run" else lines
+
+        assert len(printed.splitlines()) == n_lines
+        assert without_times(out.read_text()) == without_times(printed)
 
     def test_config_file_defaults_and_flag_override(self, tmp_path, capsys):
         config = tmp_path / "run.conf"
@@ -957,11 +1027,11 @@ class TestCli:
     def test_bad_config_value_exits_2_before_data_loads(
         self, tmp_path, capsys, line, message
     ):
-        # the missing idx files would exit 4 if the dataset were touched
+        # the missing idx files would exit 4 if the dataset were touched; a
+        # line that names no optimizer is read for nesterov
         config = tmp_path / "run.conf"
-        config.write_text(
-            f"optimizer = nesterov\ndataset = idx:nope1,nope2,nope3,nope4\n{line}\n"
-        )
+        default = "" if line.startswith("optimizer") else "optimizer = nesterov\n"
+        config.write_text(f"{default}dataset = idx:nope1,nope2,nope3,nope4\n{line}\n")
         assert main(["run", "--config", str(config)]) == 2
         assert message in capsys.readouterr().err
 
@@ -1107,6 +1177,17 @@ class TestCli:
                          "--dataset", "synth:classes=4,sep=1e308"])
         assert code == 2
         assert "separation 1e+308 over 4 classes overflows float64" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("lines", [
+        "batch-size = 8\nbatch_size = 16\n", "lr = 0.1\nepochs = 1\nlr = 0.2\n",
+    ])
+    def test_repeated_config_key_exits_2_before_data_loads(self, tmp_path, capsys, lines):
+        config = tmp_path / "run.conf"
+        config.write_text(f"dataset = {MISSING_IDX}\n{lines}")
+        assert main(["run", "--config", str(config)]) == 2
+        key = lines.split(" ")[0].replace("-", "_")
+        line = len(lines.splitlines()) + 1
+        assert f"{config}:{line}: {key} is given twice" in capsys.readouterr().err
 
     def test_bad_config_line(self, tmp_path, capsys):
         config = tmp_path / "run.conf"
