@@ -250,6 +250,13 @@ def _evaluate(model: MlpModel, data: Batch) -> Tuple[float, float]:
 def run_experiment(config: ExperimentConfig) -> List[MetricsRecord]:
     """Train per the epoch/mini-batch protocol and record per-epoch metrics.
 
+    The step rules' oracle takes each gradient at the buffer it is handed,
+    through that buffer's layer views, into a gradient buffer kept for it,
+    so a gradient stays valid until the next evaluation at the same
+    buffer.  Both are built on a buffer's first use: the rules evaluate at
+    a few fixed buffers of the stepper's two states.  The model's own
+    parameters are set only for each epoch's evaluation.
+
     Deterministic for a fixed config and seed in every field except the
     wall-time column.  Raises TrainingDivergedError (partial records
     attached) when a non-finite loss appears.
@@ -263,6 +270,15 @@ def run_experiment(config: ExperimentConfig) -> List[MetricsRecord]:
     model = MlpModel.init((train.images.shape[1], HIDDEN_UNITS, n_classes), config.seed)
     theta = model.param_vector()
     stepper = make_stepper(config, theta)
+    # id of each evaluation buffer -> its layer views and its gradient's;
+    # the views hold the buffer, so no other array can take its id
+    kept = {}
+
+    def grad_fn(point: np.ndarray) -> np.ndarray:  # at the loop's current batch
+        views = kept.get(id(point))
+        if views is None:
+            views = kept[id(point)] = model.layers(point), model.layers(np.empty_like(point))
+        return forward_backward(model, batch, *views)
 
     records: List[MetricsRecord] = []
     # overflow on a diverging run surfaces as TrainingDivergedError below,
@@ -272,11 +288,6 @@ def run_experiment(config: ExperimentConfig) -> List[MetricsRecord]:
             tic = time.perf_counter()
             for idx in epoch_batches(len(train), config.batch_size, config.seed + epoch):
                 batch = train.rows(idx)
-
-                def grad_fn(point: np.ndarray) -> np.ndarray:
-                    model.set_param_vector(point)
-                    return forward_backward(model, batch)
-
                 theta = stepper(grad_fn)
             elapsed = time.perf_counter() - tic
 

@@ -9,12 +9,14 @@ timing` summarizes the wall-time column of such a file; `bench
 splitting-study` sweeps the splitting defect and observed order.  A
 key=value config file can seed any `run` option via --config; explicit
 flags win.  Exit codes: 0 success, 2 usage, 3 diverged run, 4 I/O or
-dataset failure.
+dataset failure; `run` opens its --out path before any data loads, so an
+unwritable one exits 4 at once.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 import textwrap
@@ -137,6 +139,11 @@ def _run_command(args: argparse.Namespace) -> int:
         if getattr(args, name) is not None:
             values[name] = getattr(args, name)
     config = ExperimentConfig(**values)
+    if config.out:  # an unwritable path exits 4 before any data loads
+        existed = os.path.lexists(config.out)
+        open(config.out, "a").close()
+        if not existed:  # the probe leaves no file behind
+            os.remove(config.out)
 
     code = 0
     try:

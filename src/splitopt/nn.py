@@ -6,12 +6,14 @@ entropy of the logits), seeded epoch shuffling, and the pixel
 normalization used by the training pipeline.  Everything is plain float64
 numpy.  The weights and biases are views of one flat parameter vector, and
 the gradient comes back in the same layout, so the model plugs directly
-into the optimizer step functions.
+into the optimizer step functions; views of any other vector in that
+layout (an optimizer's evaluation point, a gradient buffer) come from
+MlpModel.layers.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -73,21 +75,30 @@ def _layout(shapes: Iterable[Tuple[int, int]]) -> List[Tuple[slice, Tuple[int, i
     return layout
 
 
+class Layers(NamedTuple):
+    """A flat vector in the parameter layout and its per-layer weight and
+    bias views, which share its memory."""
+
+    flat: np.ndarray
+    weights: List[np.ndarray]
+    biases: List[np.ndarray]
+
+
 class MlpModel:
     """Fully connected rectifier network ending in a log-softmax head.
 
     sizes = (input_dim, hidden..., n_classes).  The weight and bias arrays
     are views of one flat float64 buffer laid out as param_vector returns
-    it, all zero until init draws them or set_param_vector fills them.
+    it (params.flat), all zero until init draws them or set_param_vector
+    fills them.
     """
 
     def __init__(self, sizes: Sequence[int]):
         if len(sizes) < 2 or min(sizes) < 1:
             raise ValueError(f"need input and output sizes, all positive, got {tuple(sizes)}")
         self._layout = _layout(zip(sizes[:-1], sizes[1:]))
-        self._flat = np.zeros(self._layout[-1][2].stop)
-        self.weights = [self._flat[w].reshape(shape) for w, shape, _ in self._layout]
-        self.biases = [self._flat[b] for _, _, b in self._layout]
+        self.params = self.layers(np.zeros(self.n_params))
+        self.weights, self.biases = self.params.weights, self.params.biases
 
     @classmethod
     def init(cls, sizes: Sequence[int], seed: int) -> "MlpModel":
@@ -103,25 +114,39 @@ class MlpModel:
 
     @property
     def n_params(self) -> int:
-        return self._flat.size
+        return self._layout[-1][2].stop
+
+    def layers(self, flat: np.ndarray) -> Layers:
+        """The weight and bias views of flat, which must be a contiguous
+        float64 vector of n_params entries: writing a view writes flat."""
+        n = self.n_params
+        if not (isinstance(flat, np.ndarray) and flat.dtype == np.float64
+                and flat.shape == (n,) and flat.flags.c_contiguous):
+            found = f"{getattr(flat, 'dtype', type(flat).__name__)} {np.shape(flat)}"
+            raise ValueError(f"a parameter buffer is a contiguous float64 ({n},), got {found}")
+        return Layers(
+            flat,
+            [flat[w].reshape(shape) for w, shape, _ in self._layout],
+            [flat[b] for _, _, b in self._layout],
+        )
 
     def param_vector(self) -> np.ndarray:
         """Copy of all weights and biases as one vector (layer order,
         weights before biases)."""
-        return self._flat.copy()
+        return self.params.flat.copy()
 
     def set_param_vector(self, theta: np.ndarray) -> None:
         """Inverse of param_vector; copies values into the layer arrays."""
         theta = np.asarray(theta, dtype=float)
-        if theta.size != self._flat.size:
+        if theta.size != self.n_params:
             raise ValueError(
-                f"parameter vector has {theta.size} entries, expected {self._flat.size}"
+                f"parameter vector has {theta.size} entries, expected {self.n_params}"
             )
-        self._flat[...] = theta.ravel()
+        self.params.flat[...] = theta.ravel()
 
-    def _forward_trace(self, X: np.ndarray):
+    def _forward_trace(self, X: np.ndarray, params: Layers):
         """Logits plus the per-layer activations of a 2-D float64 X, such as
-        a Batch's images."""
+        a Batch's images, with the weights and biases of params."""
         if X.shape[1] != self.weights[0].shape[0]:
             raise ValueError(
                 f"input has {X.shape[1]} features, model expects "
@@ -129,49 +154,55 @@ class MlpModel:
             )
         activations = [X]
         h = X
-        for w, b in zip(self.weights[:-1], self.biases[:-1]):
+        for w, b in zip(params.weights[:-1], params.biases[:-1]):
             h = h @ w
             h += b
             rectify_in_place(h)
             activations.append(h)
-        logits = h @ self.weights[-1]
-        logits += self.biases[-1]
+        logits = h @ params.weights[-1]
+        logits += params.biases[-1]
         return logits, activations
 
     def forward(self, X: np.ndarray) -> np.ndarray:
         """Log-probabilities for a batch of inputs."""
-        logits, _ = self._forward_trace(np.atleast_2d(np.asarray(X, dtype=float)))
+        logits, _ = self._forward_trace(np.atleast_2d(np.asarray(X, dtype=float)), self.params)
         return log_softmax(logits)
 
 
-def forward_backward(model: MlpModel, batch: Batch) -> np.ndarray:
-    """Gradient, in the flat parameter layout, of the batch's loss: the
-    mean_target_nll of model.forward(batch.images), which is not computed
-    here.  Batch checks the labels, _forward_trace the input width, and
-    this function the empty batch and, before any flat index is formed,
-    the batch's n_classes against the model's class count."""
+def forward_backward(
+    model: MlpModel, batch: Batch, params: Optional[Layers] = None, grad: Optional[Layers] = None
+) -> np.ndarray:
+    """Gradient, in the flat parameter layout, of the batch's loss at params
+    (the model's own model.params when None): the mean_target_nll of
+    model.forward(batch.images) at those weights, which is not computed
+    here.  It is written into grad (a fresh vector's layers when None),
+    whose flat vector is returned, so it stays valid until the next call
+    that writes grad; params and the model are only read.  Batch checks
+    the labels, _forward_trace the input width, and this function the
+    empty batch and, before any flat index is formed, the batch's
+    n_classes against the model's class count."""
     m = len(batch)
     if m == 0:
         raise ValueError("batch must be nonempty")
     classes = model.biases[-1].shape[0]
     if batch.n_classes > classes:
         raise ValueError(CLASS_RANGE_ERROR)
-    logits, activations = model._forward_trace(batch.images)
+    params = model.params if params is None else params
+    grad = model.layers(np.empty(model.n_params)) if grad is None else grad
+    logits, activations = model._forward_trace(batch.images, params)
     delta = log_softmax(logits)
     np.exp(delta, out=delta)
     # each row's label entry, as a flat index into the (m, classes) delta
     delta.ravel()[np.arange(0, m * classes, classes) + batch.labels] -= 1.0
     delta /= m
 
-    grad = np.empty(model.n_params)
-    for layer in range(len(model.weights) - 1, -1, -1):
-        w, shape, b = model._layout[layer]
-        np.matmul(activations[layer].T, delta, out=grad[w].reshape(shape))
-        np.add.reduce(delta, axis=0, out=grad[b])
+    for layer in range(len(params.weights) - 1, -1, -1):
+        np.matmul(activations[layer].T, delta, out=grad.weights[layer])
+        np.add.reduce(delta, axis=0, out=grad.biases[layer])
         if layer > 0:
-            delta = delta @ model.weights[layer].T
+            delta = delta @ params.weights[layer].T
             delta *= activations[layer] > 0
-    return grad
+    return grad.flat
 
 
 def epoch_batches(n_samples: int, batch_size: int, seed: int) -> List[np.ndarray]:

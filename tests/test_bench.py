@@ -581,6 +581,36 @@ class TestRunExperiment:
         assert len(seen) == steps * (2 if name == "ssa1-ada" else 1)
         assert all(type(m) is MlpModel and type(b) is Batch for m, b in seen)
 
+    def test_oracle_keeps_one_gradient_per_evaluation_buffer(self, monkeypatch):
+        # the oracle takes the gradient at the buffer a rule hands it, into
+        # a gradient buffer kept for it; the model's own parameters are set
+        # only for the evaluation after each epoch
+        epochs, set_param_vector = 2, MlpModel.set_param_vector
+        for name in sorted(OPTIMIZERS):
+            set_calls, grads = [], {}
+
+            def counting_set(model, theta):
+                set_calls.append(theta)
+                set_param_vector(model, theta)
+
+            def keeping(model, batch, params, grad):
+                returned = forward_backward(model, batch, params, grad)
+                grads.setdefault(id(params.flat), (params.flat, []))[1].append(returned)
+                return returned
+
+            with monkeypatch.context() as patch:
+                patch.setattr(MlpModel, "set_param_vector", counting_set)
+                patch.setattr(bench, "forward_backward", keeping)
+                run_experiment(ExperimentConfig(optimizer=name, epochs=epochs))  # desk scale
+            assert len(set_calls) <= epochs, name
+            # the two states' evaluation buffers, each with its own gradient
+            assert len(grads) == 2, name
+            kept = [returned[0] for _, returned in grads.values()]
+            for point, returned in grads.values():
+                assert len(returned) >= 32 and all(g is returned[0] for g in returned), name
+                assert not any(np.shares_memory(point, g) for g in kept), name
+            assert not np.shares_memory(kept[0], kept[1]), name
+
     @pytest.mark.parametrize("normalize", [True, False])
     def test_run_normalizes_the_loaded_sets_in_place(self, monkeypatch, normalize):
         loaded = []
@@ -943,6 +973,28 @@ class TestCli:
     # ssa2 at this step size overflows in its fourth epoch
     DIVERGED = ["run", "--optimizer", "ssa2", "--lr", "3162277660.1683793", "--epochs", "4",
                 "--dataset", TINY]
+
+    @pytest.mark.parametrize("argv", [["run", "--epochs", "300"], DIVERGED],
+                             ids=["run", "diverged-run"])
+    def test_unwritable_out_exits_4_before_data_loads(self, tmp_path, capsys, monkeypatch, argv):
+        def no_data(*args, **kwargs):
+            raise AssertionError("data was loaded for an unwritable --out")
+
+        monkeypatch.setattr("splitopt.bench.load_dataset_spec", no_data)
+        assert main([*argv, "--out", str(tmp_path / "nodir" / "m.csv")]) == 4
+        assert "nodir" in capsys.readouterr().err
+        assert main([*argv, "--out", str(tmp_path)]) == 4  # a directory
+        assert list(tmp_path.iterdir()) == []
+
+    def test_diverged_run_with_a_writable_out_exits_3_and_writes_its_epochs(
+        self, tmp_path, capsys
+    ):
+        out = tmp_path / "m.csv"
+        assert main([*self.DIVERGED, "--out", str(out)]) == 3
+        lines = out.read_text().splitlines()
+        assert lines[0] == ",".join(METRICS_HEADER)
+        assert [line.split(",")[0] for line in lines[1:]] == ["0", "1", "2"]
+        assert capsys.readouterr().out == ""
 
     def test_diverged_run_without_out_prints_its_records(self, capsys):
         assert main(self.DIVERGED) == 3

@@ -124,7 +124,7 @@ class TestRectifier:
         model.weights[0][...] = 0.0
         model.biases[0][...] = self.SPECIALS
         with np.errstate(invalid="ignore"):  # the head multiplies inf by 0
-            _, activations = model._forward_trace(np.zeros((2, 1)))
+            _, activations = model._forward_trace(np.zeros((2, 1)), model.params)
         pre = np.zeros((2, 1)) @ model.weights[0] + model.biases[0]
         negative_zero = 5
         assert np.signbit(self.SPECIALS[negative_zero]) and self.SPECIALS[negative_zero] == 0
@@ -390,6 +390,59 @@ class TestForwardBackward:
             Batch(np.zeros((2, 3)), np.zeros(3, dtype=int))
         with pytest.raises(ValueError, match="class count"):
             forward_backward(model, Batch(np.zeros((1, 3)), np.array([2])))
+
+
+class TestGradientAtABuffer:
+    @settings(derandomize=True, deadline=None, database=None, max_examples=60)
+    @given(
+        sizes=st.lists(st.integers(1, 8), min_size=2, max_size=4).map(tuple),
+        n_samples=st.integers(1, 30),
+        batch_size=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.floats(0.1, 10.0),
+    )
+    def test_matches_setting_the_model_and_writes_only_its_own_buffer(
+        self, sizes, n_samples, batch_size, seed, scale
+    ):
+        """The gradient at an evaluation buffer, through its layer views and
+        into a gradient buffer of its own, is byte for byte the gradient of
+        a model set to that buffer.  The buffer and the model's parameters
+        are only read, and a second buffer's evaluation, on another batch,
+        leaves the first gradient as it was."""
+        rng = np.random.default_rng(seed)
+        model = MlpModel.init(sizes, seed=seed % 1000)
+        data = Batch(rng.standard_normal((n_samples, sizes[0])) * scale,
+                     rng.integers(0, sizes[-1], size=n_samples))
+        # a full batch and the epoch's last one, a remainder when
+        # batch_size does not divide n_samples
+        idx = epoch_batches(n_samples, batch_size, seed)
+        batches = [data.rows(idx[0]), data.rows(idx[-1])]
+        points = [rng.standard_normal(model.n_params) * scale for _ in batches]
+        own, before = model.param_vector(), [p.copy() for p in points]
+        views = [(model.layers(p), model.layers(np.empty(model.n_params))) for p in points]
+
+        first = forward_backward(model, batches[0], *views[0])
+        kept = first.copy()
+        second = forward_backward(model, batches[1], *views[1])
+        assert first is views[0][1].flat and second is views[1][1].flat
+        assert first.tobytes() == kept.tobytes()
+        assert model.param_vector().tobytes() == own.tobytes()
+        for point, copy in zip(points, before):
+            assert point.tobytes() == copy.tobytes()
+
+        reference = MlpModel(sizes)
+        for batch, point, grad in zip(batches, points, (first, second)):
+            reference.set_param_vector(point)
+            assert grad.tobytes() == forward_backward(reference, batch).tobytes()
+
+    @pytest.mark.parametrize("flat", [
+        np.zeros(3), np.zeros(2 * 26)[::2], np.zeros(26, dtype=np.float32),
+        np.zeros((2, 13)), list(np.zeros(26)),
+    ], ids=["size", "strided", "float32", "2-d", "list"])
+    def test_layers_take_only_a_contiguous_float64_vector_of_the_layout(self, flat):
+        # (3, 5, 1) holds 26 parameters; a copy would not share its memory
+        with pytest.raises(ValueError, match=r"a parameter buffer is a contiguous float64 \(26,\)"):
+            MlpModel((3, 5, 1)).layers(flat)
 
 
 class TestTargetRange:
