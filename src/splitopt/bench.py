@@ -399,9 +399,8 @@ def splitting_study(method: str = "lie") -> List[Tuple[float, float, Optional[fl
     S(h), the step applied to the identity: one step call over the array
     of all h builds every S(h), and the study multiplies the state by S(h)
     N times, which differs from N factor-by-factor steps by rounding alone.
-    The defects come from one splitting_defect call over the same array,
-    whose step reuses the flows just computed.  The order entry pairs each
-    h with the next finer one, and the last row has none.
+    One splitting_defect call takes the same stack of S(h).  The order
+    entry pairs each h with the next finer one, and the last row has none.
     """
     if method not in SPLITTING_METHODS:
         raise ValueError(f"unknown method {method!r}")
@@ -411,17 +410,15 @@ def splitting_study(method: str = "lie") -> List[Tuple[float, float, Optional[fl
     exact = matrix_exp(STUDY_A + STUDY_B) @ x0
     stepper = lie_split_step if method == "lie" else strang_split_step
 
-    # One step call builds every S(h) from the flows at all h, which sys
-    # remembers; the defect builds them again from those flows and computes
-    # only the stack of e^{(A+B)h} anew.
     hs = 1.0 / np.array(counts, dtype=float)
+    propagators = stepper(sys, np.eye(2), hs)
     errors = []
-    for propagator, n_steps in zip(stepper(sys, np.eye(2), hs), counts):
+    for propagator, n_steps in zip(propagators, counts):
         x = x0
         for _ in range(n_steps):
             x = propagator @ x
         errors.append(float(np.linalg.norm(x - exact)))
-    defects = splitting_defect(sys, hs, step=stepper)
+    defects = splitting_defect(sys, hs, propagators)
 
     rows: List[Tuple[float, float, Optional[float]]] = []
     for i, n_steps in enumerate(counts):

@@ -28,13 +28,18 @@ class IdxFormatError(ValueError):
 
 def class_indices(values, what: str) -> np.ndarray:
     """values as an int64 array of at least one dimension.  A fraction,
-    NaN or infinity raises rather than being truncated by the cast, and so
-    does a negative value; the message names the bad value."""
+    NaN or infinity raises rather than being truncated by the cast, an
+    unsigned value of 2**63 or more rather than wrapping, and so does a
+    negative value; the message names the bad value."""
     raw = np.asarray(values)
     if raw.dtype.kind == "f":
         whole = (np.abs(raw) < 2.0**63) & (raw == np.trunc(raw))
         if not np.all(whole):
             raise ValueError(f"{what} must be integers, got {raw[~whole].flat[0]}")
+    if raw.dtype.kind == "u":
+        wraps = raw >= np.uint64(2**63)
+        if np.any(wraps):
+            raise ValueError(f"{what} must be below 2**63, got {raw[wraps].flat[0]}")
     indices = np.atleast_1d(np.asarray(raw, dtype=np.int64))
     low = indices.min() if indices.size else 0
     if low < 0:

@@ -12,8 +12,8 @@ derivations use it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Tuple
 
 import numpy as np
 
@@ -31,14 +31,11 @@ class LinearSplitSystem:
     """Matrix pair (A, B) splitting the linear field X' = (A+B)X.
 
     The system owns read-only float64 copies of A and B, so later changes
-    to the caller's arrays cannot reach it or the flows it remembers.
+    to the caller's arrays cannot reach it.
     """
 
     A: np.ndarray
     B: np.ndarray
-    _flows: Dict[Tuple[str, Tuple[int, ...]], Tuple[np.ndarray, np.ndarray]] = field(
-        default_factory=dict, init=False, repr=False
-    )
 
     def __post_init__(self):
         A = np.array(self.A, dtype=float)
@@ -57,26 +54,6 @@ class LinearSplitSystem:
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "B", B)
 
-    def flow(self, operator: str, t: float | np.ndarray) -> np.ndarray:
-        """Read-only e^{Mt} for M = A (operator "A") or M = B ("B").
-
-        t is a scalar, or a 1-D array for the stack of e^{M t_i}.  Each
-        operator remembers the flow of the last t of each shape it was asked
-        for, so steps of one size compute each exponential once; a scalar
-        and a length-1 t are remembered apart.
-        """
-        if operator not in ("A", "B"):
-            raise ValueError(f"operator must be 'A' or 'B', got {operator!r}")
-        t = _checked_times(t, "flow time", nonnegative=False)
-        key = (operator, t.shape)
-        last = self._flows.get(key)
-        if last is not None and np.array_equal(last[0], t):
-            return last[1]
-        E = matrix_exp(getattr(self, operator) * t[..., None, None])
-        E.flags.writeable = False
-        self._flows[key] = (t.copy(), E)
-        return E
-
 
 @dataclass(frozen=True)
 class DampingSchedule:
@@ -89,8 +66,8 @@ class DampingSchedule:
     offset: float
 
     def __post_init__(self):
-        if not self.offset > 0:  # negated so that NaN fails it
-            raise ValueError(f"offset must be positive, got {self.offset}")
+        if not 0 < self.offset < np.inf:  # negated so that NaN fails it
+            raise ValueError(f"offset must be positive and finite, got {self.offset}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,19 +81,16 @@ class SecondOrderSystem:
     t0: float = 0.0
 
 
-def _checked_times(t: float | np.ndarray, what: str, nonnegative: bool = True) -> np.ndarray:
-    """t as a float64 scalar or 1-D array whose entries are all finite
-    (and >= 0 when nonnegative), else a ValueError naming the bad entry."""
+def _checked_times(t: float | np.ndarray, what: str) -> np.ndarray:
+    """t as a float64 scalar or 1-D array whose entries are all finite and
+    >= 0, else a ValueError naming the bad entry."""
     t = np.asarray(t, dtype=float)
     if t.ndim > 1:
         raise ValueError(f"{what} must be a scalar or a 1-D array, got shape {t.shape}")
-    bad = ~np.isfinite(t)
-    if nonnegative:
-        bad |= t < 0
+    bad = ~np.isfinite(t) | (t < 0)
     if bad.any():
-        rule = "nonnegative and finite" if nonnegative else "finite"
         where = "" if t.ndim == 0 else f" at index {int(np.argmax(bad))}"
-        raise ValueError(f"{what} must be {rule}, got {t[bad].flat[0]}{where}")
+        raise ValueError(f"{what} must be nonnegative and finite, got {t[bad].flat[0]}{where}")
     return t
 
 
@@ -223,6 +197,11 @@ def _apply(flows: Tuple[np.ndarray, ...], X: np.ndarray) -> np.ndarray:
     return Y[..., 0] if X.ndim == 1 else Y
 
 
+def _flow(M: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """e^{Mh}, or the stack of e^{M h_i} for a 1-D array of h."""
+    return matrix_exp(M * h[..., None, None])
+
+
 def lie_split_step(sys: LinearSplitSystem, X: np.ndarray, h: float | np.ndarray) -> np.ndarray:
     """One sequential-splitting step: solve the A flow, then the B flow.
 
@@ -230,7 +209,7 @@ def lie_split_step(sys: LinearSplitSystem, X: np.ndarray, h: float | np.ndarray)
     stacked along a new first axis.
     """
     X, h = _checked_state(sys, X, h)
-    return _apply((sys.flow("B", h), sys.flow("A", h)), X)
+    return _apply((_flow(sys.B, h), _flow(sys.A, h)), X)
 
 
 def strang_split_step(sys: LinearSplitSystem, X: np.ndarray, h: float | np.ndarray) -> np.ndarray:
@@ -240,26 +219,38 @@ def strang_split_step(sys: LinearSplitSystem, X: np.ndarray, h: float | np.ndarr
     second-order reference for defect comparisons only.
     """
     X, h = _checked_state(sys, X, h)
-    half = sys.flow("A", h / 2.0)
-    return _apply((half, sys.flow("B", h), half), X)
+    half = _flow(sys.A, h / 2.0)
+    return _apply((half, _flow(sys.B, h), half), X)
 
 
 def splitting_defect(
-    sys: LinearSplitSystem,
-    h: float | np.ndarray,
-    step: Callable[..., np.ndarray] = lie_split_step,
+    sys: LinearSplitSystem, h: float | np.ndarray, propagator: np.ndarray
 ) -> float | np.ndarray:
-    """Spectral norm of e^{(A+B)h} minus the propagator of one splitting step.
+    """Spectral norm of e^{(A+B)h} minus a one-step propagator S(h).
 
-    The propagator is the step applied to the identity: e^{Bh} e^{Ah} for
-    the default Lie step, e^{Ah/2} e^{Bh} e^{Ah/2} for strang_split_step.
-    A float for a scalar h; for a 1-D array of h, an array of defects from
-    one exponential call and one step call.  The norm is taken by one
-    spectral_norm call per step size, the count that perfbench's traced
-    splitting-study schema test pins (splitting.spectral_norm_calls).
+    For a splitting, S(h) is its step applied to the identity, such as
+    lie_split_step(sys, np.eye(n), h) for e^{Bh} e^{Ah}.  A scalar h takes
+    one n x n propagator and gives a float; a 1-D array of k step sizes
+    takes the (k, n, n) stack of their propagators and gives an array of
+    defects from one exponential call.  A propagator of another shape, or
+    with a non-finite entry, raises a ValueError naming the shape or the
+    entry (and its stack index).  The norm is taken by one spectral_norm
+    call per step size, the count that perfbench's traced splitting-study
+    schema test pins (splitting.spectral_norm_calls).
     """
-    exact = matrix_exp((sys.A + sys.B) * _checked_times(h, "time step")[..., None, None])
-    gap = exact - step(sys, np.eye(len(sys.A)), h)
+    h = _checked_times(h, "time step")
+    S = np.asarray(propagator, dtype=float)
+    shape = h.shape + sys.A.shape
+    if S.shape != shape:
+        raise ValueError(f"propagator must have shape {shape}, got {S.shape}")
+    bad = np.argwhere(~np.isfinite(S))
+    if len(bad):
+        *stack, i, j = bad[0]
+        where = f" at stack index {stack[0]}" if stack else ""
+        raise ValueError(
+            f"propagator entries must be finite, got {S[tuple(bad[0])]} at ({i}, {j}){where}"
+        )
+    gap = _flow(sys.A + sys.B, h) - S
     if gap.ndim == 2:
         return spectral_norm(gap)
     return np.array([spectral_norm(g) for g in gap])
@@ -310,8 +301,8 @@ def damping_delta(t: float, schedule: DampingSchedule) -> Tuple[float, float]:
 
     delta(t) = (t - d) / (t + 2d),  delta'(t) = 3d / (t + 2d)^2.
     """
-    if not t >= 0:  # negated so that NaN fails it
-        raise ValueError(f"time must be nonnegative, got {t}")
+    if not 0 <= t < np.inf:  # negated so that NaN fails it
+        raise ValueError(f"time must be nonnegative and finite, got {t}")
     d = schedule.offset
     value = (t - d) / (t + 2.0 * d)
     slope = 3.0 * d / (t + 2.0 * d) ** 2

@@ -658,7 +658,7 @@ def stepwise_study(step_counts, step):
         for _ in range(n):
             x = step(sys, x, h)
         errors.append(float(np.linalg.norm(x - exact)))
-        defects.append(splitting.splitting_defect(sys, h, step=step))
+        defects.append(splitting.splitting_defect(sys, h, step(sys, np.eye(2), h)))
     orders = [
         float(np.log(errors[i] / errors[i + 1]) / np.log((1.0 / a) / (1.0 / b)))
         for i, (a, b) in enumerate(zip(step_counts, step_counts[1:]))
@@ -716,9 +716,9 @@ class TestSplittingStudy:
         assert calls == [(2, 2)] + [(5, 2, 2)] * 3
 
     @pytest.mark.parametrize("method", ["lie", "strang"])
-    def test_two_step_calls_per_study(self, monkeypatch, method):
-        # one builds every propagator, the other is the defect's; each
-        # takes the whole array of step sizes
+    def test_one_step_call_per_study(self, monkeypatch, method):
+        # it builds the propagator of every step size, which both the
+        # propagated states and the defects use
         calls, name = [], f"{method}_split_step"
         real = getattr(splitting, name)
 
@@ -729,7 +729,7 @@ class TestSplittingStudy:
         monkeypatch.setattr(f"splitopt.bench.{name}", counting)
         splitting_study(method=method)
         expected = [1.0 / n for n in bench.STUDY_STEP_COUNTS]
-        assert [h.tolist() for h in calls] == [expected, expected]
+        assert [h.tolist() for h in calls] == [expected]
 
     def test_spectral_norm_runs_once_per_step_size(self, monkeypatch):
         calls, real = [], splitting.spectral_norm

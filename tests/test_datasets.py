@@ -182,6 +182,14 @@ class TestBatch:
             with pytest.raises(ValueError, match="labels must be nonnegative, got -1"):
                 Batch(np.zeros((1, 2)), labels)
 
+    def test_rejects_unsigned_labels_that_int64_would_wrap(self):
+        # the cast would report 2**63 + 5 as -9223372036854775803
+        with pytest.raises(ValueError) as exc:
+            Batch(np.zeros((2, 2)), np.array([1, 2**63 + 5], dtype=np.uint64))
+        assert str(exc.value) == "labels must be below 2**63, got 9223372036854775813"
+        below = Batch(np.zeros((2, 2)), np.array([2**63 - 1, 0], dtype=np.uint64))
+        assert below.labels.dtype == np.int64 and below.labels.tolist() == [2**63 - 1, 0]
+
     def test_rejects_count_mismatch(self):
         with pytest.raises(ValueError, match="2 images vs 3 labels"):
             Batch(np.zeros((2, 2)), np.zeros(3, dtype=int))

@@ -1,0 +1,46 @@
+"""The README's Python examples run, and every source file parses as the
+oldest Python that pyproject.toml supports."""
+
+import ast
+import pathlib
+import re
+import warnings
+
+import numpy as np
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+PYTHON_BLOCKS = re.findall(r"^```python\n(.*?)^```$", (ROOT / "README.md").read_text(),
+                           flags=re.MULTILINE | re.DOTALL)
+
+
+def run_block(code: str) -> dict:
+    """The names one README block leaves behind, run with warnings as errors."""
+    namespace: dict = {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        exec(compile(code, "README.md", "exec"), namespace)
+    return namespace
+
+
+def test_readme_has_the_two_python_examples():
+    assert len(PYTHON_BLOCKS) == 2
+
+
+def test_readme_ssa1_example_reaches_the_minimizer():
+    (code,) = [block for block in PYTHON_BLOCKS if "ssa1_step" in block]
+    assert np.max(np.abs(run_block(code)["state"].u)) <= 1e-6
+
+
+def test_readme_defect_example_is_the_leading_term():
+    (code,) = [block for block in PYTHON_BLOCKS if "splitting_defect" in block]
+    assert run_block(code)["defect"] == pytest.approx(5.0e-3, rel=2e-2)
+
+
+def test_every_source_file_parses_as_python_3_10():
+    # catches syntax newer than requires-python >= 3.10, such as except*;
+    # perfbench's tests run in tier-1 too, so its files are parsed as well
+    sources = [p for d in ("src", "tests", "perfbench") for p in sorted((ROOT / d).rglob("*.py"))]
+    assert len(sources) > 20
+    for path in sources:
+        ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
