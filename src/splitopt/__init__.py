@@ -20,15 +20,12 @@ from .optimizers import (
     ssa2_step,
 )
 from .splitting import (
-    DampingSchedule,
     LinearSplitSystem,
     SecondOrderSystem,
-    damping_delta,
     integrate_second_order,
     lie_split_step,
     matrix_exp,
     splitting_defect,
-    ssa1_damping_coefficient,
 )
 
 __version__ = "0.1.0"

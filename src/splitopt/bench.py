@@ -395,12 +395,12 @@ def splitting_study(method: str = "lie") -> List[Tuple[float, float, Optional[fl
     steps of size h = 1/N of the chosen method, for each N in
     STUDY_STEP_COUNTS, compares against the dense exponential at T = 1,
     and reports (h, defect(h), observed order) per N.
-    The system is linear, so N steps are N applications of one propagator
-    S(h), the step applied to the identity: one step call over the array
-    of all h builds every S(h), and the study multiplies the state by S(h)
-    N times, which differs from N factor-by-factor steps by rounding alone.
-    One splitting_defect call takes the same stack of S(h).  The order
-    entry pairs each h with the next finer one, and the last row has none.
+    The system is linear, so N steps are N applications of the step's
+    propagator S(h): one step call over the array of all h returns every
+    S(h), and the study multiplies the state by S(h) N times, which differs
+    from N factor-by-factor steps by rounding alone.  One splitting_defect
+    call takes the same stack of S(h).  The order entry pairs each h with
+    the next finer one, and the last row has none.
     """
     if method not in SPLITTING_METHODS:
         raise ValueError(f"unknown method {method!r}")
@@ -411,7 +411,7 @@ def splitting_study(method: str = "lie") -> List[Tuple[float, float, Optional[fl
     stepper = lie_split_step if method == "lie" else strang_split_step
 
     hs = 1.0 / np.array(counts, dtype=float)
-    propagators = stepper(sys, np.eye(2), hs)
+    propagators = stepper(sys, hs)
     errors = []
     for propagator, n_steps in zip(propagators, counts):
         x = x0

@@ -29,9 +29,16 @@ class IdxFormatError(ValueError):
 def class_indices(values, what: str) -> np.ndarray:
     """values as an int64 array of at least one dimension.  A fraction,
     NaN or infinity raises rather than being truncated by the cast, an
-    unsigned value of 2**63 or more rather than wrapping, and so does a
-    negative value; the message names the bad value."""
+    unsigned value or a Python int of 2**63 or more rather than wrapping
+    or rounding, and so does a negative value; the message names the bad
+    value."""
     raw = np.asarray(values)
+    if raw.dtype.kind == "O" or (raw.dtype.kind == "f" and not isinstance(values, np.ndarray)):
+        # numpy holds a Python int outside int64 as a float or an object
+        for v in np.asarray(values, dtype=object).flat:
+            if isinstance(v, int) and not -(2**63) <= v < 2**63:
+                bound = "below 2**63" if v > 0 else "nonnegative"
+                raise ValueError(f"{what} must be {bound}, got {v}")
     if raw.dtype.kind == "f":
         whole = (np.abs(raw) < 2.0**63) & (raw == np.trunc(raw))
         if not np.all(whole):

@@ -1,10 +1,10 @@
 """Operator-splitting machinery and reference ODE integration.
 
 Dense matrix exponentials, sequential (Lie) and symmetric (Strang)
-splitting steps for linear systems X' = (A+B)X, the factorization defect
-of a splitting, the time-dependent damping function that interpolates the
-discrete momentum schedule, and a fourth-order reference integrator for
-second-order gradient flows u'' + gamma(t) u' = -grad f(u).
+splitting steps for linear systems X' = (A+B)X, each returning its one-step
+propagator S(h), the factorization defect of any one-step matrix, and a
+fourth-order reference integrator for second-order gradient flows
+u'' + gamma(t) u' = -grad f(u).
 
 The Strang step exists only for order comparisons; none of the optimizer
 derivations use it.
@@ -44,30 +44,12 @@ class LinearSplitSystem:
             raise ValueError(f"A must be square and non-empty, got shape {A.shape}")
         if B.shape != A.shape:
             raise ValueError(f"A and B shapes differ: {A.shape} vs {B.shape}")
-        for name, M in (("A", A), ("B", B)):
-            bad = np.argwhere(~np.isfinite(M))
-            if len(bad):
-                i, j = bad[0]
-                raise ValueError(f"{name} entries must be finite, got {M[i, j]} at ({i}, {j})")
+        _check_finite("A", A)
+        _check_finite("B", B)
         A.flags.writeable = False
         B.flags.writeable = False
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "B", B)
-
-
-@dataclass(frozen=True)
-class DampingSchedule:
-    """Continuous damping delta(t) = (t - offset) / (t + 2*offset).
-
-    With offset equal to the discrete step size h, delta(n*h) equals the
-    momentum coefficient (n-1)/(n+2) exactly.  delta increases toward 1.
-    """
-
-    offset: float
-
-    def __post_init__(self):
-        if not 0 < self.offset < np.inf:  # negated so that NaN fails it
-            raise ValueError(f"offset must be positive and finite, got {self.offset}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,6 +84,19 @@ def _stack_position(flat: int, stack_shape: Tuple[int, ...]) -> str:
     return f" at stack index {index[0] if len(index) == 1 else tuple(map(int, index))}"
 
 
+def _check_finite(what: str, M: np.ndarray) -> None:
+    """A ValueError naming the first non-finite entry of the matrix or the
+    stack of matrices M: its value, its (i, j) and, in a stack, its index."""
+    finite = np.isfinite(M)
+    if not finite.all():
+        matrices = M.reshape((-1,) + M.shape[-2:])
+        k, i, j = np.argwhere(~finite.reshape(matrices.shape))[0]
+        raise ValueError(
+            f"{what} entries must be finite, got {matrices[k, i, j]} at ({i}, {j})"
+            f"{_stack_position(k, M.shape[:-2])}"
+        )
+
+
 # 1-norms above this would need more than 1023 halvings to reach 0.5.
 _MAX_EXP_NORM = 2.0**1022
 
@@ -120,12 +115,9 @@ def matrix_exp(M: np.ndarray) -> np.ndarray:
     M = np.asarray(M, dtype=float)
     if M.ndim < 2 or M.shape[-1] != M.shape[-2] or M.shape[-1] == 0:
         raise ValueError(f"matrix must be square and non-empty, got shape {M.shape}")
+    _check_finite("matrix", M)
     stack_shape, n = M.shape[:-2], M.shape[-1]
     M = M.reshape(-1, n, n)
-    finite = np.isfinite(M).all(axis=(1, 2))
-    if not finite.all():
-        where = _stack_position(int(np.argmin(finite)), stack_shape)
-        raise ValueError(f"matrix entries must be finite{where}")
     with np.errstate(over="ignore"):  # an overflowing column sum is caught below
         norms = np.linalg.norm(M, 1, axis=(1, 2))
     too_big = norms > _MAX_EXP_NORM
@@ -169,58 +161,32 @@ def spectral_norm(M: np.ndarray) -> float | np.ndarray:
     return float(norms) if norms.ndim == 0 else norms
 
 
-def _checked_state(
-    sys: LinearSplitSystem, X: np.ndarray, h: float | np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """(X, h) as float64 arrays: X's length matches the system, and h is a
-    scalar or 1-D array of finite step sizes >= 0."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim > 2:
-        raise ValueError(f"state must be a vector or a matrix, got shape {X.shape}")
-    if X.ndim == 0 or X.shape[0] != sys.A.shape[0]:
-        raise ValueError(
-            f"dimension mismatch: state has shape {X.shape}, "
-            f"system is {sys.A.shape[0]}-dimensional"
-        )
-    return X, _checked_times(h, "time step")
-
-
-def _apply(flows: Tuple[np.ndarray, ...], X: np.ndarray) -> np.ndarray:
-    """flows[0] @ ... @ flows[-1] @ X, for each step size of stacked flows.
-
-    A state vector is carried as a column, so that a stack of flows maps it
-    to one state per step size, shape (k, n).
-    """
-    Y = X[:, None] if X.ndim == 1 else X
-    for F in reversed(flows):
-        Y = F @ Y
-    return Y[..., 0] if X.ndim == 1 else Y
-
-
 def _flow(M: np.ndarray, h: np.ndarray) -> np.ndarray:
     """e^{Mh}, or the stack of e^{M h_i} for a 1-D array of h."""
     return matrix_exp(M * h[..., None, None])
 
 
-def lie_split_step(sys: LinearSplitSystem, X: np.ndarray, h: float | np.ndarray) -> np.ndarray:
-    """One sequential-splitting step: solve the A flow, then the B flow.
+def lie_split_step(sys: LinearSplitSystem, h: float | np.ndarray) -> np.ndarray:
+    """The propagator e^{Bh} e^{Ah} of one sequential-splitting step: solve
+    the A flow, then the B flow.
 
-    Returns e^{Bh} e^{Ah} X; for a 1-D array of h, one result per h,
-    stacked along a new first axis.
+    A scalar h gives one n x n matrix, so lie_split_step(sys, h) @ x steps a
+    state x; a 1-D array of k step sizes gives the (k, n, n) stack of their
+    propagators.
     """
-    X, h = _checked_state(sys, X, h)
-    return _apply((_flow(sys.B, h), _flow(sys.A, h)), X)
+    h = _checked_times(h, "time step")
+    return _flow(sys.B, h) @ _flow(sys.A, h)
 
 
-def strang_split_step(sys: LinearSplitSystem, X: np.ndarray, h: float | np.ndarray) -> np.ndarray:
-    """One symmetric-splitting step e^{Ah/2} e^{Bh} e^{Ah/2} X.
+def strang_split_step(sys: LinearSplitSystem, h: float | np.ndarray) -> np.ndarray:
+    """The propagator e^{Ah/2} e^{Bh} e^{Ah/2} of one symmetric-splitting step.
 
-    Takes a 1-D array of h as lie_split_step does.  Supplementary:
-    second-order reference for defect comparisons only.
+    Takes h as lie_split_step does.  Supplementary: second-order reference
+    for defect comparisons only.
     """
-    X, h = _checked_state(sys, X, h)
+    h = _checked_times(h, "time step")
     half = _flow(sys.A, h / 2.0)
-    return _apply((half, _flow(sys.B, h), half), X)
+    return half @ (_flow(sys.B, h) @ half)
 
 
 def splitting_defect(
@@ -228,8 +194,8 @@ def splitting_defect(
 ) -> float | np.ndarray:
     """Spectral norm of e^{(A+B)h} minus a one-step propagator S(h).
 
-    For a splitting, S(h) is its step applied to the identity, such as
-    lie_split_step(sys, np.eye(n), h) for e^{Bh} e^{Ah}.  A scalar h takes
+    For a splitting, S(h) is what its step returns, such as
+    lie_split_step(sys, h) for e^{Bh} e^{Ah}.  A scalar h takes
     one n x n propagator and gives a float; a 1-D array of k step sizes
     takes the (k, n, n) stack of their propagators and gives an array of
     defects from one exponential call.  A propagator of another shape, or
@@ -243,13 +209,7 @@ def splitting_defect(
     shape = h.shape + sys.A.shape
     if S.shape != shape:
         raise ValueError(f"propagator must have shape {shape}, got {S.shape}")
-    bad = np.argwhere(~np.isfinite(S))
-    if len(bad):
-        *stack, i, j = bad[0]
-        where = f" at stack index {stack[0]}" if stack else ""
-        raise ValueError(
-            f"propagator entries must be finite, got {S[tuple(bad[0])]} at ({i}, {j}){where}"
-        )
+    _check_finite("propagator", S)
     gap = _flow(sys.A + sys.B, h) - S
     if gap.ndim == 2:
         return spectral_norm(gap)
@@ -294,30 +254,3 @@ def integrate_second_order(
                 raise DivergenceError(float(ts[i + 1]))
             us[i + 1], vs[i + 1] = u, v
     return ts, us, vs
-
-
-def damping_delta(t: float, schedule: DampingSchedule) -> Tuple[float, float]:
-    """Value and derivative of the damping function at time t.
-
-    delta(t) = (t - d) / (t + 2d),  delta'(t) = 3d / (t + 2d)^2.
-    """
-    if not 0 <= t < np.inf:  # negated so that NaN fails it
-        raise ValueError(f"time must be nonnegative and finite, got {t}")
-    d = schedule.offset
-    value = (t - d) / (t + 2.0 * d)
-    slope = 3.0 * d / (t + 2.0 * d) ** 2
-    return value, slope
-
-
-def ssa1_damping_coefficient(t: float, schedule: DampingSchedule) -> float:
-    """Damping coefficient delta(t) - 2 delta'(t) / delta(t).
-
-    The coefficient has a pole where delta vanishes (t = offset); times
-    within 1e-9 of it are rejected.
-    """
-    if abs(t - schedule.offset) < 1e-9:
-        raise ValueError(
-            f"t = {t} is within 1e-9 of the singularity at {schedule.offset}"
-        )
-    value, slope = damping_delta(t, schedule)
-    return value - 2.0 * slope / value

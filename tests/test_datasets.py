@@ -190,6 +190,18 @@ class TestBatch:
         below = Batch(np.zeros((2, 2)), np.array([2**63 - 1, 0], dtype=np.uint64))
         assert below.labels.dtype == np.int64 and below.labels.tolist() == [2**63 - 1, 0]
 
+    @pytest.mark.parametrize("labels, shown", [
+        # numpy holds this list as float64, which would report 9.223372036854776e+18
+        ([1, 2**63 + 5], "labels must be below 2**63, got 9223372036854775813"),
+        # and these as objects, whose int64 cast raises OverflowError
+        ([2**64], "labels must be below 2**63, got 18446744073709551616"),
+        ([-(2**63) - 5], "labels must be nonnegative, got -9223372036854775813"),
+    ])
+    def test_names_a_python_int_label_outside_int64(self, labels, shown):
+        with pytest.raises(ValueError) as exc:
+            Batch(np.zeros((len(labels), 2)), labels)
+        assert str(exc.value) == shown
+
     def test_rejects_count_mismatch(self):
         with pytest.raises(ValueError, match="2 images vs 3 labels"):
             Batch(np.zeros((2, 2)), np.zeros(3, dtype=int))

@@ -44,3 +44,23 @@ def test_every_source_file_parses_as_python_3_10():
     assert len(sources) > 20
     for path in sources:
         ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
+
+
+def test_every_module_level_import_is_used():
+    # no linter runs in tier-1, so a deletion could leave an import such as
+    # Tuple behind; __init__.py is skipped, as its imports are the exports
+    unused = {}
+    for path in sorted((ROOT / "src" / "splitopt").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = set()
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                imported.update((a.asname or a.name).split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update(a.asname or a.name for a in node.names)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        if imported - used:
+            unused[path.name] = sorted(imported - used)
+    assert unused == {}

@@ -10,17 +10,14 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from splitopt.splitting import (
-    DampingSchedule,
     DivergenceError,
     LinearSplitSystem,
     SecondOrderSystem,
-    damping_delta,
     integrate_second_order,
     lie_split_step,
     matrix_exp,
     spectral_norm,
     splitting_defect,
-    ssa1_damping_coefficient,
     strang_split_step,
 )
 
@@ -30,7 +27,7 @@ NILPOTENT_B = np.array([[0.0, 0.0], [1.0, 0.0]])
 
 def lie_defect(sys_, h):
     """The defect of the Lie step, from its own propagator."""
-    return splitting_defect(sys_, h, lie_split_step(sys_, np.eye(len(sys_.A)), h))
+    return splitting_defect(sys_, h, lie_split_step(sys_, h))
 
 
 class TestMatrixExp:
@@ -103,41 +100,32 @@ class TestLinearSplitSystem:
     def test_caller_changes_after_construction_do_not_reach_the_system(self):
         A, B = NILPOTENT_A.copy(), NILPOTENT_B.copy()
         sys_ = LinearSplitSystem(A, B)
-        x = np.array([1.0, 0.5])
-        before = lie_split_step(sys_, x, 0.2)
+        before = lie_split_step(sys_, 0.2)
         A[0, 1], B[1, 0] = 5.0, -3.0
-        assert lie_split_step(sys_, x, 0.2).tobytes() == before.tobytes()
-        assert lie_split_step(sys_, x, 0.1).tobytes() == lie_split_step(
-            LinearSplitSystem(NILPOTENT_A, NILPOTENT_B), x, 0.1
+        assert lie_split_step(sys_, 0.2).tobytes() == before.tobytes()
+        assert lie_split_step(sys_, 0.1).tobytes() == lie_split_step(
+            LinearSplitSystem(NILPOTENT_A, NILPOTENT_B), 0.1
         ).tobytes()
 
 
 class TestLieSplit:
     def test_zero_step_is_identity(self):
         sys_ = LinearSplitSystem(NILPOTENT_A, NILPOTENT_B)
-        x = np.array([1.0, -2.0])
-        np.testing.assert_allclose(lie_split_step(sys_, x, 0.0), x)
+        np.testing.assert_array_equal(lie_split_step(sys_, 0.0), np.eye(2))
 
     def test_commuting_diagonal_pair_is_exact(self):
         sys_ = LinearSplitSystem(np.diag([1.0, -0.5]), np.diag([0.3, 2.0]))
-        x = np.array([1.0, 1.0])
         for h in (0.1, 0.5, 1.0):
-            exact = matrix_exp((sys_.A + sys_.B) * h) @ x
-            np.testing.assert_allclose(lie_split_step(sys_, x, h), exact, rtol=1e-13)
+            exact = matrix_exp((sys_.A + sys_.B) * h)
+            np.testing.assert_allclose(lie_split_step(sys_, h), exact, rtol=1e-13)
 
     def test_noncommuting_pair_matches_dense_product(self):
         sys_ = LinearSplitSystem(NILPOTENT_A, NILPOTENT_B)
-        x = np.array([1.0, 0.0])
         h = 0.1
-        expected = scipy.linalg.expm(NILPOTENT_B * h) @ scipy.linalg.expm(
-            NILPOTENT_A * h
-        ) @ x
-        np.testing.assert_allclose(lie_split_step(sys_, x, h), expected, rtol=1e-13)
+        expected = scipy.linalg.expm(NILPOTENT_B * h) @ scipy.linalg.expm(NILPOTENT_A * h)
+        np.testing.assert_allclose(lie_split_step(sys_, h), expected, rtol=1e-13)
 
     def test_shape_checks(self):
-        sys_ = LinearSplitSystem(NILPOTENT_A, NILPOTENT_B)
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            lie_split_step(sys_, np.zeros(3), 0.1)
         with pytest.raises(ValueError):
             LinearSplitSystem(np.zeros((2, 2)), np.zeros((3, 3)))
         with pytest.raises(ValueError):
@@ -146,17 +134,54 @@ class TestLieSplit:
             LinearSplitSystem(np.zeros((0, 0)), np.zeros((0, 0)))
 
     @pytest.mark.parametrize("step", [lie_split_step, strang_split_step])
-    def test_steps_reject_bad_state_and_negative_step(self, step):
+    def test_steps_reject_a_negative_step(self, step):
         sys_ = LinearSplitSystem(NILPOTENT_A, NILPOTENT_B)
-        for state in (np.zeros(3), 1.0):
-            with pytest.raises(ValueError, match="dimension mismatch"):
-                step(sys_, state, 0.1)
-        # matmul would read a third axis as a stack of matrices
-        with pytest.raises(ValueError, match=r"vector or a matrix, got shape \(2, 2, 2\)"):
-            step(sys_, np.zeros((2, 2, 2)), 0.1)
         for h in (-0.1, float("nan")):
             with pytest.raises(ValueError, match="time step must be nonnegative"):
-                step(sys_, np.zeros(2), h)
+                step(sys_, h)
+
+
+class TestPropagators:
+    @pytest.mark.parametrize("step", [lie_split_step, strang_split_step])
+    @pytest.mark.parametrize("h, shape", [
+        (0.3, (2, 2)),
+        ([0.3], (1, 2, 2)),
+        ([0.1, 0.2, 0.4], (3, 2, 2)),
+        (np.array([]), (0, 2, 2)),
+    ])
+    def test_scalar_h_gives_one_matrix_and_an_array_its_stack(self, step, h, shape):
+        sys_ = LinearSplitSystem(NILPOTENT_A, NILPOTENT_B)
+        S = step(sys_, h)
+        assert S.shape == shape and S.dtype == np.float64
+        for h_i, S_i in zip(np.atleast_1d(h), S.reshape((-1, 2, 2))):
+            assert S_i.tobytes() == step(sys_, float(h_i)).tobytes()
+
+    def test_lie_runs_the_a_flow_first(self):
+        # e^{Bh} e^{Ah}, not e^{Ah} e^{Bh}: the nilpotent pair does not commute
+        sys_ = LinearSplitSystem(NILPOTENT_A, NILPOTENT_B)
+        h = 0.5
+        FA, FB = matrix_exp(NILPOTENT_A * h), matrix_exp(NILPOTENT_B * h)
+        S = lie_split_step(sys_, h)
+        assert S.tobytes() == (FB @ FA).tobytes()
+        assert not np.allclose(S, FA @ FB)
+        np.testing.assert_array_equal(S, [[1.0, h], [h, 1.0 + h * h]])
+
+    @pytest.mark.parametrize("step", [lie_split_step, strang_split_step])
+    @pytest.mark.parametrize("h", [-0.1, float("nan"), float("inf")])
+    def test_steps_check_h_before_any_exponential(self, monkeypatch, step, h):
+        calls = []
+
+        def counting(M):
+            calls.append(M)
+            return matrix_exp(M)
+
+        monkeypatch.setattr("splitopt.splitting.matrix_exp", counting)
+        sys_ = LinearSplitSystem(NILPOTENT_A, NILPOTENT_B)
+        with pytest.raises(ValueError, match="time step must be nonnegative and finite"):
+            step(sys_, h)
+        assert calls == []
+        step(sys_, 0.1)
+        assert len(calls) == 2  # the counter sees the steps' own flows
 
 
 class TestSplittingDefect:
@@ -189,7 +214,7 @@ class TestSplittingDefect:
         for n_steps in (10, 20, 40, 80):
             x = x0.copy()
             for _ in range(n_steps):
-                x = lie_split_step(sys_, x, 1.0 / n_steps)
+                x = lie_split_step(sys_, 1.0 / n_steps) @ x
             errors.append(np.linalg.norm(x - exact))
         orders = [np.log2(a / b) for a, b in zip(errors, errors[1:])]
         assert all(0.8 <= p <= 1.2 for p in orders)
@@ -203,7 +228,7 @@ class TestSplittingDefect:
         for n_steps in (10, 20, 40, 80):
             x = x0.copy()
             for _ in range(n_steps):
-                x = strang_split_step(sys_, x, 1.0 / n_steps)
+                x = strang_split_step(sys_, 1.0 / n_steps) @ x
             errors.append(np.linalg.norm(x - exact))
         orders = [np.log2(a / b) for a, b in zip(errors, errors[1:])]
         assert all(1.8 <= p <= 2.2 for p in orders)
@@ -245,7 +270,7 @@ class TestNonFiniteInputs:
     ])
     def test_steps_and_defect_name_the_bad_step(self, step, h, shown):
         sys_ = LinearSplitSystem(NILPOTENT_A, NILPOTENT_B)
-        for call in (lambda: step(sys_, np.eye(2), h),
+        for call in (lambda: step(sys_, h),
                      lambda: splitting_defect(sys_, h, np.eye(2))):
             with pytest.raises(ValueError, match="time step must be nonnegative") as exc:
                 call()
@@ -254,7 +279,7 @@ class TestNonFiniteInputs:
     def test_times_must_be_scalar_or_one_dimensional(self):
         sys_ = LinearSplitSystem(NILPOTENT_A, NILPOTENT_B)
         with pytest.raises(ValueError, match=r"got shape \(1, 1\)"):
-            lie_split_step(sys_, np.eye(2), [[0.1]])
+            lie_split_step(sys_, [[0.1]])
         with pytest.raises(ValueError, match=r"got shape \(1, 1\)"):
             splitting_defect(sys_, [[0.1]], np.eye(2)[None, None])
 
@@ -291,8 +316,27 @@ class TestMatrixExpRange:
         assert matrix_exp([[-800.0]]) == 0.0  # e^-800 underflows to zero, in range
 
     def test_stack_index_of_a_non_finite_entry(self):
-        with pytest.raises(ValueError, match="finite at stack index 2"):
+        with pytest.raises(ValueError) as exc:
             matrix_exp(np.array([np.eye(2), np.eye(2), [[0.0, np.nan], [0.0, 0.0]]]))
+        assert str(exc.value) == "matrix entries must be finite, got nan at (0, 1) at stack index 2"
+
+    @pytest.mark.parametrize("bad, shown", [
+        ((1, 0), "matrix entries must be finite, got inf at (1, 0)"),
+        ((1, 1), "matrix entries must be finite, got inf at (1, 1)"),
+        ((0, 1), "matrix entries must be finite, got inf at (0, 1)"),
+    ])
+    def test_non_finite_entry_of_one_matrix_and_of_a_nested_stack(self, bad, shown):
+        M = np.zeros((2, 2))
+        M[bad] = np.inf
+        with pytest.raises(ValueError) as exc:
+            matrix_exp(M)
+        assert str(exc.value) == shown
+        # in a (2, 3) stack the same entry of matrix (1, 1) is named by its stack index
+        stack = np.zeros((2, 3, 2, 2))
+        stack[1, 1] = M
+        with pytest.raises(ValueError) as exc:
+            matrix_exp(stack)
+        assert str(exc.value) == f"{shown} at stack index (1, 1)"
 
 
 @st.composite
@@ -316,6 +360,17 @@ def matrix_stacks(draw, n, min_k=1):
     return stack
 
 
+def lie_factors(sys_, h):
+    """e^{Bh} e^{Ah}, multiplied out from its matrix_exp flows."""
+    return matrix_exp(sys_.B * h) @ matrix_exp(sys_.A * h)
+
+
+def strang_factors(sys_, h):
+    """e^{Ah/2} e^{Bh} e^{Ah/2}, multiplied out from its matrix_exp flows."""
+    half = matrix_exp(sys_.A * (h / 2.0))
+    return half @ (matrix_exp(sys_.B * h) @ half)
+
+
 STACKED = settings(derandomize=True, deadline=None, database=None, max_examples=60)
 
 
@@ -336,16 +391,14 @@ class TestStackedCalls:
         A, B = data.draw(matrix_stacks(n, min_k=2))[:2]
         hs = np.array(data.draw(st.lists(
             st.one_of(st.just(0.0), st.floats(0.0, 2.0)), min_size=1, max_size=8)))
-        X = data.draw(st.sampled_from([np.ones(n), np.eye(n), np.arange(2.0 * n).reshape(n, 2)]))
         sys_ = LinearSplitSystem(A, B)
-        for step in (lie_split_step, strang_split_step):
-            states, propagators = step(sys_, X, hs), step(sys_, np.eye(n), hs)
+        for step, factors in ((lie_split_step, lie_factors), (strang_split_step, strang_factors)):
+            propagators = step(sys_, hs)
             defects = splitting_defect(sys_, hs, propagators)
-            assert states.shape == (len(hs),) + X.shape and defects.shape == hs.shape
-            for h, x, S, d in zip(hs, states, propagators, defects):
-                assert x.tobytes() == step(sys_, X, float(h)).tobytes()
-                own = step(sys_, np.eye(n), float(h))
-                assert S.tobytes() == own.tobytes()
+            assert propagators.shape == hs.shape + (n, n) and defects.shape == hs.shape
+            for h, S, d in zip(hs, propagators, defects):
+                own = step(sys_, float(h))
+                assert S.tobytes() == own.tobytes() == factors(sys_, float(h)).tobytes()
                 scalar = splitting_defect(sys_, float(h), own)
                 assert type(scalar) is float and d.tobytes() == np.float64(scalar).tobytes()
 
@@ -417,81 +470,3 @@ class TestIntegrateSecondOrder:
         )
         with pytest.raises(ValueError, match="must exceed start time"):
             integrate_second_order(sys_, T, 10)
-
-
-class TestDamping:
-    @pytest.mark.parametrize("offset", [-1.0, float("nan"), float("inf")])
-    def test_offset_must_be_positive(self, offset):
-        shown = f"offset must be positive and finite, got {offset}"
-        with pytest.raises(ValueError, match=re.escape(shown)):
-            DampingSchedule(offset=offset)
-
-    @pytest.mark.parametrize("t", [-1.0, float("nan"), float("inf")])
-    def test_time_must_be_nonnegative(self, t):
-        schedule = DampingSchedule(offset=1.0)
-        shown = re.escape(f"time must be nonnegative and finite, got {t}")
-        with pytest.raises(ValueError, match=shown):
-            damping_delta(t, schedule)
-        with pytest.raises(ValueError, match=shown):
-            ssa1_damping_coefficient(t, schedule)
-
-    def test_zero_at_offset(self):
-        value, _ = damping_delta(1.0, DampingSchedule(offset=1.0))
-        assert value == 0.0
-
-    def test_matches_momentum_schedule_on_grid(self):
-        from splitopt.optimizers import RATIO_NM1_OVER_N2, MomentumSchedule, momentum_coefficient
-
-        sch = MomentumSchedule(RATIO_NM1_OVER_N2)
-        # dyadic step: the grid values are bit-exact
-        h = 0.5
-        for n in range(1, 200):
-            value, _ = damping_delta(n * h, DampingSchedule(offset=h))
-            assert value == momentum_coefficient(n, sch)
-        # non-dyadic step: exact up to roundoff
-        h = 0.1
-        for n in range(1, 200):
-            value, _ = damping_delta(n * h, DampingSchedule(offset=h))
-            assert value == pytest.approx(momentum_coefficient(n, sch), abs=1e-14)
-
-    def test_point_values(self):
-        value, slope = damping_delta(4.0, DampingSchedule(offset=1.0))
-        assert value == pytest.approx(0.5)
-        assert slope == pytest.approx(1.0 / 12.0)
-
-    def test_slope_positive_and_limit_one(self):
-        # delta(0) = -1/2 exactly; the open lower bound holds for t > 0
-        schedule = DampingSchedule(offset=0.25)
-        assert damping_delta(0.0, schedule)[0] == -0.5
-        for t in (0.1, 1.0, 10.0, 1e6):
-            value, slope = damping_delta(t, schedule)
-            assert slope > 0.0
-            assert -0.5 < value < 1.0
-        value, _ = damping_delta(1e9, schedule)
-        assert value == pytest.approx(1.0, abs=1e-8)
-
-
-class TestSsa1DampingCoefficient:
-    def test_point_value(self):
-        got = ssa1_damping_coefficient(4.0, DampingSchedule(offset=1.0))
-        assert got == pytest.approx(1.0 / 6.0)
-
-    def test_asymptotic_limit(self):
-        # both dynamical systems' damping coefficients approach 1
-        schedule = DampingSchedule(offset=1.0)
-        assert ssa1_damping_coefficient(1e6, schedule) == pytest.approx(1.0, abs=1e-5)
-        value, _ = damping_delta(1e6, schedule)
-        assert value == pytest.approx(1.0, abs=1e-5)
-
-    def test_pole_blowup_just_past_offset(self):
-        got = ssa1_damping_coefficient(1.0 + 1e-3, DampingSchedule(offset=1.0))
-        assert abs(got) > 1e3
-        # dominant term of the pole expansion: -6 d / ((t + 2d)(t - d))
-        assert got == pytest.approx(-6.0 / (3.001 * 1e-3), rel=1e-2)
-
-    def test_singularity_guard(self):
-        schedule = DampingSchedule(offset=1.0)
-        with pytest.raises(ValueError, match="singular"):
-            ssa1_damping_coefficient(1.0 + 1e-10, schedule)
-        with pytest.raises(ValueError):
-            DampingSchedule(offset=0.0)
