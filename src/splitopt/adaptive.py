@@ -5,7 +5,8 @@ Adagrad, Adadelta, RMSProp, Adam, and the adaptive splitting optimizer
 running averages.  Accumulators are componentwise.  Every rule keeps the
 optimizers module's contract, its field tuple checked before the oracle is
 called: it calls the gradient oracle itself (at state.u, or ssa1_ada_step
-at its own points) and is pure, returning a new state or filling out=.
+at its own points) and returns a fresh state, or fills out=, which may be
+the input state itself.
 Each rule takes the base learning rate h and, as keywords, exactly the
 hyper-parameters it reads: the running-average decay rate gamma (rho), the
 division guard eps, Adam's moment decays beta1 and beta2, and ssa1_ada_step's
@@ -32,15 +33,15 @@ SSA1_ADA_VARIANTS = ("as-written", "z-first")
 
 
 def _running_average(acc, x, gamma: float, out, scratch) -> None:
-    """Writes gamma * acc + (1 - gamma) * x^2 into out; x may be scratch's
-    buffer, which is written after x is read."""
-    np.multiply(x, x, out=out)
-    out *= 1.0 - gamma
-    np.multiply(acc, gamma, out=scratch)
+    """Writes gamma * acc + (1 - gamma) * x^2 into out.  (1 - gamma) * x^2 is
+    built first in scratch, which may be x's buffer; out may be acc's."""
+    np.multiply(x, x, out=scratch)
+    scratch *= 1.0 - gamma
+    np.multiply(acc, gamma, out=out)
     out += scratch
 
 
-ADAGRAD_FIELDS = ("u", "acc_grad_sq", "work")
+ADAGRAD_FIELDS = ("u", "acc_grad_sq", "work", "work2")
 
 
 def adagrad_step(
@@ -59,18 +60,17 @@ def adagrad_step(
     _check_hyper(h, eps=eps)
     out = _output("adagrad_step", state, out, ADAGRAD_FIELDS)
     grad = _checked_grad(grad_fn(state.u), state.u)
-    acc, u = out.acc_grad_sq, out.u
-    np.multiply(grad, grad, out=acc)
-    np.add(state.acc_grad_sq, acc, out=acc)
-    denom = np.sqrt(acc, out=out.work)
+    np.multiply(grad, grad, out=out.work)
+    np.add(state.acc_grad_sq, out.work, out=out.acc_grad_sq)
+    denom = np.sqrt(out.acc_grad_sq, out=out.work)
     denom += eps
-    np.multiply(grad, h, out=u)
-    u /= denom
-    np.subtract(state.u, u, out=u)
+    np.multiply(grad, h, out=out.work2)
+    out.work2 /= denom
+    np.subtract(state.u, out.work2, out=out.u)
     return out
 
 
-ADADELTA_FIELDS = ("u", "acc_grad_sq", "acc_update_sq", "work")
+ADADELTA_FIELDS = ("u", "acc_grad_sq", "acc_update_sq", "work", "work2")
 
 
 def adadelta_step(
@@ -90,27 +90,26 @@ def adadelta_step(
         u      += h * delta
 
     The numerator uses E[d^2] from the previous step; h defaults to 1.0
-    in benchmark configurations.
+    in benchmark configurations.  -delta is built in work: its sign enters
+    E[d^2] only squared, and u - h * (-delta) has the bits of u + h * delta.
     """
     _check_hyper(h, gamma=gamma, eps=eps)
     out = _output("adadelta_step", state, out, ADADELTA_FIELDS)
     grad = _checked_grad(grad_fn(state.u), state.u)
-    acc_g, acc_d, u = out.acc_grad_sq, out.acc_update_sq, out.u
-    _running_average(state.acc_grad_sq, grad, gamma, acc_g, u)
-    np.add(state.acc_update_sq, eps, out=acc_d)
-    np.sqrt(acc_d, out=acc_d)
-    np.add(acc_g, eps, out=u)
-    np.sqrt(u, out=u)
-    delta = np.divide(acc_d, u, out=out.work)
-    np.negative(delta, out=delta)
-    delta *= grad
-    _running_average(state.acc_update_sq, delta, gamma, acc_d, u)
-    np.multiply(delta, h, out=u)
-    np.add(state.u, u, out=u)
+    _running_average(state.acc_grad_sq, grad, gamma, out.acc_grad_sq, out.work)
+    ratio = np.add(state.acc_update_sq, eps, out=out.work)
+    np.sqrt(ratio, out=ratio)
+    denom = np.add(out.acc_grad_sq, eps, out=out.work2)
+    np.sqrt(denom, out=denom)
+    ratio /= denom
+    ratio *= grad  # -delta
+    _running_average(state.acc_update_sq, ratio, gamma, out.acc_update_sq, out.work2)
+    ratio *= h
+    np.subtract(state.u, ratio, out=out.u)
     return out
 
 
-RMSPROP_FIELDS = ("u", "acc_grad_sq", "work")
+RMSPROP_FIELDS = ("u", "acc_grad_sq", "work", "work2")
 
 
 def rmsprop_step(
@@ -130,17 +129,16 @@ def rmsprop_step(
     _check_hyper(h, gamma=gamma, eps=eps)
     out = _output("rmsprop_step", state, out, RMSPROP_FIELDS)
     grad = _checked_grad(grad_fn(state.u), state.u)
-    acc_g, u = out.acc_grad_sq, out.u
-    _running_average(state.acc_grad_sq, grad, gamma, acc_g, u)
-    denom = np.add(acc_g, eps, out=out.work)
+    _running_average(state.acc_grad_sq, grad, gamma, out.acc_grad_sq, out.work)
+    denom = np.add(out.acc_grad_sq, eps, out=out.work)
     np.sqrt(denom, out=denom)
-    np.multiply(grad, h, out=u)
-    u /= denom
-    np.subtract(state.u, u, out=u)
+    np.multiply(grad, h, out=out.work2)
+    out.work2 /= denom
+    np.subtract(state.u, out.work2, out=out.u)
     return out
 
 
-ADAM_FIELDS = ("u", "mom", "acc_grad_sq", "work")
+ADAM_FIELDS = ("u", "mom", "acc_grad_sq", "work", "work2")
 
 
 def adam_step(
@@ -167,22 +165,21 @@ def adam_step(
     out = _output("adam_step", state, out, ADAM_FIELDS)
     grad = _checked_grad(grad_fn(state.u), state.u)
     t = out.n
-    mom, acc, u = out.mom, out.acc_grad_sq, out.u
-    np.multiply(grad, 1.0 - beta1, out=mom)
-    np.multiply(state.mom, beta1, out=u)
-    np.add(u, mom, out=mom)
-    _running_average(state.acc_grad_sq, grad, beta2, acc, u)
-    denom = np.divide(acc, 1.0 - beta2**t, out=out.work)
+    np.multiply(grad, 1.0 - beta1, out=out.work)
+    np.multiply(state.mom, beta1, out=out.mom)
+    out.mom += out.work
+    _running_average(state.acc_grad_sq, grad, beta2, out.acc_grad_sq, out.work)
+    denom = np.divide(out.acc_grad_sq, 1.0 - beta2**t, out=out.work)
     np.sqrt(denom, out=denom)
     denom += eps
-    np.divide(mom, 1.0 - beta1**t, out=u)
-    u *= h
-    u /= denom
-    np.subtract(state.u, u, out=u)
+    step = np.divide(out.mom, 1.0 - beta1**t, out=out.work2)
+    step *= h
+    step /= denom
+    np.subtract(state.u, step, out=out.u)
     return out
 
 
-SSA1_ADA_FIELDS = ("u", "acc_grad_sq", "acc_update_sq", "v", "z", "work")
+SSA1_ADA_FIELDS = ("u", "acc_grad_sq", "acc_update_sq", "v", "z", "work", "work2", "work3")
 
 
 def ssa1_ada_step(
@@ -214,7 +211,7 @@ def ssa1_ada_step(
     variant="as-written" accumulates E[g^2] and E[dz^2] at the carried
     auxiliary point z (two gradient evaluations per step); variant
     "z-first" computes z_next first and uses grad(z_next) everywhere
-    (one evaluation).  Writes SSA1_ADA_FIELDS, h_n in work.
+    (one evaluation).  Writes SSA1_ADA_FIELDS, h_n in work2.
     """
     _check_hyper(h, gamma=gamma, eps=eps, k=k)
     if variant not in SSA1_ADA_VARIANTS:
@@ -225,30 +222,30 @@ def ssa1_ada_step(
 
     if variant == "as-written":
         grad_acc = _checked_grad(grad_fn(state.z), state.u)
-    # grad_upd may be out.z itself, which is not written again
-    grad_upd = _look_ahead(state.u, state.v, grad_fn, h, beta, out.z)
-    if variant == "z-first":
-        grad_acc = grad_upd
+    else:
+        grad_acc = _look_ahead(state.u, state.v, grad_fn, h, beta, out.z)
 
-    u, acc_g, acc_d, v = out.u, out.acc_grad_sq, out.acc_update_sq, out.v
-    _running_average(state.acc_grad_sq, grad_acc, gamma, acc_g, u)
-    h_n = np.add(state.acc_update_sq, eps, out=out.work)
+    work = out.work
+    _running_average(state.acc_grad_sq, grad_acc, gamma, out.acc_grad_sq, work)
+    h_n = np.add(state.acc_update_sq, eps, out=out.work2)
     np.sqrt(h_n, out=h_n)
     h_n *= h
-    np.add(acc_g, eps, out=u)
-    np.sqrt(u, out=u)
-    h_n /= u
-    np.negative(h_n, out=u)
-    u *= grad_acc  # dz
-    _running_average(state.acc_update_sq, u, gamma, acc_d, v)
+    np.add(out.acc_grad_sq, eps, out=work)
+    np.sqrt(work, out=work)
+    h_n /= work
+    # -dz: its sign enters E[dz^2] only squared
+    np.multiply(h_n, grad_acc, out=work)
+    _running_average(state.acc_update_sq, work, gamma, out.acc_update_sq, work)
 
-    # beta*(1 - h_n*beta), h_n^2 (in _split_position) and then 1 - h_n*beta
-    # are built in v's buffer; the velocity update consumes h_n last
-    np.multiply(h_n, beta, out=v)
-    np.subtract(1.0, v, out=v)
-    v *= beta
-    _split_position(state.u, out.z, grad_upd, h_n, v, u, v)
-    np.multiply(h_n, beta, out=v)
-    np.subtract(1.0, v, out=v)
-    _split_velocity(state.v, grad_upd, h_n, v, beta**k, v, h_n)
+    # as-written is done with grad_acc, which may be z's buffer or the
+    # oracle's gradient kept for it, before z_next is written there
+    if variant == "as-written":
+        grad_upd = _look_ahead(state.u, state.v, grad_fn, h, beta, out.z)
+    else:
+        grad_upd = grad_acc
+    damp = np.multiply(h_n, beta, out=work)
+    np.subtract(1.0, damp, out=damp)
+    _split_velocity(state.v, grad_upd, h_n, damp, beta**k, out.v, out.work3)
+    damp *= beta  # drift
+    _split_position(state.u, out.z, grad_upd, h_n, damp, out.u, out.work3, h_n)
     return out

@@ -26,10 +26,11 @@ HIDDEN_UNITS = 32  # fixed desk-scale architecture: input -> 32 rectified -> cla
 
 
 class TrainingDivergedError(RuntimeError):
-    """Non-finite loss during training; carries the records completed so far."""
+    """Non-finite iterate or loss at an epoch's end; carries the records
+    completed so far."""
 
-    def __init__(self, epoch: int, records: List["MetricsRecord"]):
-        super().__init__(f"non-finite loss at epoch {epoch}")
+    def __init__(self, epoch: int, records: List["MetricsRecord"], what: str = "loss"):
+        super().__init__(f"non-finite {what} at epoch {epoch}")
         self.epoch = epoch
         self.records = records
 
@@ -161,8 +162,8 @@ def make_stepper(config: ExperimentConfig, theta0: np.ndarray) -> Stepper:
     The returned callable takes a gradient oracle for the current batch,
     which the rule evaluates where it needs, and returns the updated
     parameter vector: the stepper's own buffer, valid until the next call,
-    since the stepper keeps two states and has each step write the next
-    into the other's buffers (the rules' out=).  The rule is looked up by
+    since the stepper keeps one state and has each step advance it in place
+    (the rules' out=state).  The rule is looked up by
     name in its module here, when the stepper is built, and called as
     rule(state, grad_fn, h, [schedule], [variant], **hyper), hyper
     holding the k, gamma and eps options the rule reads.
@@ -175,12 +176,10 @@ def make_stepper(config: ExperimentConfig, theta0: np.ndarray) -> Stepper:
     if "variant" in options:
         params.append(config.variant)
     hyper = {key: getattr(config, key) for key in ("k", "gamma", "eps") if key in options}
-    state, spare = opt.State.start(theta0, fields), opt.State.start(theta0, fields)
+    state = opt.State.start(theta0, fields)
 
     def step(grad_fn: opt.GradFn) -> np.ndarray:
-        nonlocal state, spare
-        state, spare = advance(state, grad_fn, *params, out=spare, **hyper), state
-        return state.u
+        return advance(state, grad_fn, *params, out=state, **hyper).u
 
     return step
 
@@ -254,12 +253,12 @@ def run_experiment(config: ExperimentConfig) -> List[MetricsRecord]:
     through that buffer's layer views, into a gradient buffer kept for it,
     so a gradient stays valid until the next evaluation at the same
     buffer.  Both are built on a buffer's first use: the rules evaluate at
-    a few fixed buffers of the stepper's two states.  The model's own
+    one or two fixed buffers of the stepper's state.  The model's own
     parameters are set only for each epoch's evaluation.
 
     Deterministic for a fixed config and seed in every field except the
     wall-time column.  Raises TrainingDivergedError (partial records
-    attached) when a non-finite loss appears.
+    attached) when an epoch ends with a non-finite iterate or loss.
     """
     train, test = load_dataset_spec(config.dataset, config.seed)
     if config.normalize:  # in the sets' own buffers: nothing reads [0, 1] after this
@@ -291,6 +290,10 @@ def run_experiment(config: ExperimentConfig) -> List[MetricsRecord]:
                 theta = stepper(grad_fn)
             elapsed = time.perf_counter() - tic
 
+            # checked first: a non-finite first-layer weight can hide from
+            # both losses, since the rectifier maps its unit's NaN to 0
+            if not np.isfinite(theta).all():
+                raise TrainingDivergedError(epoch, records, "iterate")
             model.set_param_vector(theta)
             train_loss, train_acc = _evaluate(model, train)
             test_loss, test_acc = _evaluate(model, test)

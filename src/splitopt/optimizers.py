@@ -6,12 +6,15 @@ velocity forms, and the two sequential-splitting optimizers (SSA1, SSA2)
 derived from the constant-damping dynamical system  u'' + u' = -grad f(u).
 
 Every rule is rule(state, grad_fn, h, [schedule, [form | variant]], *,
-<the hyper-parameters it reads>, out=None) and pure: it returns a new state,
-calling the gradient oracle itself exactly once.  Given out=, it writes the
-new state into out's buffers instead of fresh ones; out must not be, or
-share arrays with, the input state.  Before the oracle is called, each rule
-checks the values it reads and _output holds it to its *_FIELDS tuple.
-All arithmetic is 64-bit.
+<the hyper-parameters it reads>, out=None): it returns the next state,
+calling the gradient oracle itself exactly once.  Without out= the next
+state is fresh and the input is left as it was.  Given out=, the rule writes
+the next state into out's arrays instead: out may be the input state itself,
+which then advances in place, or a state that shares no memory with it.
+Each rule reads every input value before it overwrites it, and may hand
+out's arrays between fields instead of copying.  Before the oracle is
+called, each rule checks the values it reads and _output holds it to its
+*_FIELDS tuple.  All arithmetic is 64-bit.
 """
 
 from __future__ import annotations
@@ -89,8 +92,8 @@ class State:
 
     v is a velocity, u_prev the previous iterate, acc_grad_sq E[g^2],
     acc_update_sq E[delta^2], mom Adam's first moment and z ssa1-ada's
-    auxiliary point.  work is a scratch buffer whose contents mean nothing
-    between steps.
+    auxiliary point.  work, work2 and work3 are scratch buffers whose
+    contents mean nothing between steps.
     """
 
     u: np.ndarray
@@ -102,6 +105,8 @@ class State:
     mom: Optional[np.ndarray] = None
     z: Optional[np.ndarray] = None
     work: Optional[np.ndarray] = None
+    work2: Optional[np.ndarray] = None
+    work3: Optional[np.ndarray] = None
 
     def __post_init__(self):
         shape = np.shape(self.u)
@@ -131,19 +136,20 @@ def _checked_grad(grad: np.ndarray, like: np.ndarray) -> np.ndarray:
 
 
 _FLOAT64 = np.dtype(np.float64)
+SCRATCH_FIELDS = ("work", "work2", "work3")
 
 
 def _output(rule: str, state: State, out: Optional[State], fields: Tuple[str, ...],
             unread: Tuple[str, ...] = ()) -> State:
-    """out (not state), or with out None fresh float64 buffers for exactly fields,
-    with n = state.n + 1.  A ValueError naming rule and the field rejects a state
-    lacking any of fields but work and unread, or an out lacking any or holding
-    one that is not a float64 ndarray of the iterate's shape."""
-    if out is state:
-        raise ValueError("out must not be the input state")
+    """out, or with out None fresh float64 buffers for exactly fields, with
+    n = state.n + 1.  A ValueError naming rule and the field rejects a state
+    lacking any of fields but the scratch ones and unread, or an out lacking
+    any or holding one that is not a float64 ndarray of the iterate's shape.
+    An out other than state itself must share no memory with state's arrays;
+    a ValueError names the field of each that do."""
     shape = np.shape(state.u)
     for name in fields:
-        if name != "work" and name not in unread and getattr(state, name) is None:
+        if getattr(state, name) is None and name not in SCRATCH_FIELDS and name not in unread:
             raise ValueError(f"{rule} reads {name}, which the input state lacks")
         if out is not None:
             array = getattr(out, name)
@@ -152,6 +158,12 @@ def _output(rule: str, state: State, out: Optional[State], fields: Tuple[str, ..
             if not isinstance(array, np.ndarray) or array.dtype != _FLOAT64 or array.shape != shape:
                 found = f"{getattr(array, 'dtype', type(array).__name__)} {np.shape(array)}"
                 raise ValueError(f"{rule} writes {name} as float64 {shape}, but out's is {found}")
+            if out is not state:
+                for held, value in vars(state).items():
+                    if isinstance(value, np.ndarray) and np.shares_memory(array, value):
+                        raise ValueError(
+                            f"{rule} writes {name} into memory of the input state's {held}"
+                        )
     if out is None:
         out = State(**{name: np.empty(shape) for name in fields})
     out.n = state.n + 1
@@ -159,39 +171,49 @@ def _output(rule: str, state: State, out: Optional[State], fields: Tuple[str, ..
 
 
 def _look_ahead(u: np.ndarray, v: np.ndarray, grad_fn: GradFn, h: float, beta: float, out):
-    """Writes the look-ahead point y = u + h*beta*v into out and returns the
-    checked gradient there, which may be out itself."""
+    """Writes the look-ahead point y = u + h*beta*v into out, which must be
+    neither u nor v, and returns the checked gradient there, which may be
+    out itself."""
     np.multiply(v, h * beta, out=out)
     out += u
     return _checked_grad(grad_fn(out), u)
 
 
+def _shift(state: State, out: State) -> None:
+    """Makes the new iterate, which the caller wrote into out.u_prev, out's u
+    and the input iterate out's u_prev, by swapping out's two arrays; the
+    input iterate is copied only when out.u does not hold it already."""
+    if out.u is not state.u:
+        np.copyto(out.u, state.u)
+    out.u, out.u_prev = out.u_prev, out.u
+
+
 def _split_velocity(v, grad_y, h, damp, boost: float, out, scratch):
     """Velocity update of the splitting schemes, written into out:
     beta^k * ((1 - h*beta) * v - h * grad(y)), given damp = 1 - h*beta and
-    boost = beta^k.  h and damp may be per-component; damp may be out's
-    buffer and h scratch's."""
+    boost = beta^k.  h and damp may be per-component.  out may be v's
+    buffer; scratch, which is written first, must hold none of the inputs."""
     np.multiply(grad_y, h, out=scratch)
     np.multiply(v, damp, out=out)
     out -= scratch
     out *= boost
 
 
-def _split_position(u, y, grad_y, h, drift, out, scratch):
+def _split_position(u, y, grad_y, h, drift, out, t, s2):
     """Scaled-drift position update of the first splitting scheme, written
     into out: u + beta*(1 - h*beta)*(y - u) - h^2 * grad(y), given
-    drift = beta*(1 - h*beta).  h and drift may be per-component.  drift may
-    be scratch's buffer, which is written after its last read, and so may y
-    and grad_y when h is a scalar; a per-component h is squared in scratch."""
-    np.subtract(y, u, out=out)
-    out *= drift
-    out += u
-    h_sq = np.multiply(h, h, out=scratch) if np.ndim(h) else h * h
-    np.multiply(grad_y, h_sq, out=scratch)
-    out -= scratch
+    drift = beta*(1 - h*beta).  h and drift may be per-component.  h^2 *
+    grad(y) is built first in s2, which may be h's buffer; y - u is then
+    built in t, which may be y's buffer, and out may be u's."""
+    h_sq = np.multiply(h, h, out=s2) if np.ndim(h) else h * h
+    np.multiply(grad_y, h_sq, out=s2)
+    np.subtract(y, u, out=t)
+    t *= drift
+    np.add(u, t, out=out)
+    out -= s2
 
 
-SGD_FIELDS = ("u",)
+SGD_FIELDS = ("u", "work")
 
 
 def minibatch_sgd_step(
@@ -201,7 +223,7 @@ def minibatch_sgd_step(
     *,
     out: Optional[State] = None,
 ) -> State:
-    """SGD step u - h * grad(u); writes SGD_FIELDS.
+    """SGD step u - h * grad(u); writes SGD_FIELDS, h * grad(u) in work.
 
     With the full gradient as the oracle this is plain gradient descent.
     h = 0 is permitted (a frozen run is a valid experiment).
@@ -210,12 +232,12 @@ def minibatch_sgd_step(
         raise ValueError(f"step size must be nonnegative, got {h}")
     out = _output("minibatch_sgd_step", state, out, SGD_FIELDS)
     grad = _checked_grad(grad_fn(state.u), state.u)
-    np.multiply(grad, h, out=out.u)
-    np.subtract(state.u, out.u, out=out.u)
+    np.multiply(grad, h, out=out.work)
+    np.subtract(state.u, out.work, out=out.u)
     return out
 
 
-POLYAK_FIELDS = ("u", "u_prev")
+POLYAK_FIELDS = ("u", "u_prev", "work")
 
 
 def polyak_step(
@@ -232,7 +254,8 @@ def polyak_step(
         u_next = y - h * grad(u)
 
     The gradient is evaluated at u, not at y, and alpha_n must lie in
-    [0, 1).  Writes POLYAK_FIELDS.
+    [0, 1).  Writes POLYAK_FIELDS, h * grad(u) in work; u and u_prev
+    swap arrays each step.
     """
     alpha = momentum_coefficient(state.n, schedule)
     if not 0.0 <= alpha < 1.0:
@@ -240,12 +263,13 @@ def polyak_step(
     _check_hyper(h)
     out = _output("polyak_step", state, out, POLYAK_FIELDS)
     grad = _checked_grad(grad_fn(state.u), state.u)
-    np.subtract(state.u, state.u_prev, out=out.u)
-    out.u *= alpha
-    out.u += state.u
-    np.multiply(grad, h, out=out.u_prev)
-    out.u -= out.u_prev
-    np.copyto(out.u_prev, state.u)
+    np.multiply(grad, h, out=out.work)
+    u_next = out.u_prev
+    np.subtract(state.u, state.u_prev, out=u_next)
+    u_next *= alpha
+    u_next += state.u
+    u_next -= out.work
+    _shift(state, out)
     return out
 
 
@@ -273,7 +297,8 @@ def nesterov_step(
         u_next = y - h^2 * grad(y)
 
     With v_0 = (u_0 - u_{-1}) / h the two produce identical iterates.
-    Both forms write NESTEROV_FIELDS and keep h * v = u - u_prev (to rounding).
+    Both forms write NESTEROV_FIELDS and keep h * v = u - u_prev (to rounding);
+    u and u_prev swap arrays each step.
     """
     _check_hyper(h)
     if form not in NESTEROV_FORMS:
@@ -281,30 +306,31 @@ def nesterov_step(
     beta = momentum_coefficient(state.n, schedule)
     unread = ("u_prev",) if form == "velocity" else ("v",)
     out = _output("nesterov_step", state, out, NESTEROV_FIELDS, unread)
-    # y lives in out.u_prev, which takes its own value after the last read
-    # of grad(y): the gradient may be y's buffer itself
+    # y and then u_next live in out.u_prev, which the form does not read or
+    # reads before y is written; y is overwritten only after the last read
+    # of grad(y), which may be y's buffer itself
+    u_next = out.u_prev
     if form == "velocity":
-        grad_y = _look_ahead(state.u, state.v, grad_fn, h, beta, out.u_prev)
+        grad_y = _look_ahead(state.u, state.v, grad_fn, h, beta, u_next)
         np.multiply(state.v, beta, out=out.v)
-        np.multiply(grad_y, h, out=out.u)
-        out.v -= out.u
-        np.multiply(out.v, h, out=out.u)
-        out.u += state.u
+        np.multiply(grad_y, h, out=u_next)
+        out.v -= u_next
+        np.multiply(out.v, h, out=u_next)
+        u_next += state.u
     else:
-        y = out.u_prev
-        np.subtract(state.u, state.u_prev, out=y)
-        y *= beta
-        y += state.u
-        grad_y = _checked_grad(grad_fn(y), state.u)
-        np.multiply(grad_y, h * h, out=out.u)
-        np.subtract(y, out.u, out=out.u)
-        np.subtract(out.u, state.u, out=out.v)
+        np.subtract(state.u, state.u_prev, out=u_next)
+        u_next *= beta
+        u_next += state.u
+        grad_y = _checked_grad(grad_fn(u_next), state.u)
+        np.multiply(grad_y, h * h, out=out.v)
+        np.subtract(u_next, out.v, out=u_next)
+        np.subtract(u_next, state.u, out=out.v)
         out.v /= h
-    np.copyto(out.u_prev, state.u)
+    _shift(state, out)
     return out
 
 
-SPLIT_FIELDS = ("u", "v", "work")
+SPLIT_FIELDS = ("u", "v", "work", "work2")
 
 
 def ssa1_step(
@@ -327,8 +353,8 @@ def ssa1_step(
     out = _output("ssa1_step", state, out, SPLIT_FIELDS)
     grad_y = _look_ahead(state.u, state.v, grad_fn, h, beta, out.work)
     damp = 1.0 - h * beta
-    _split_velocity(state.v, grad_y, h, damp, beta**k, out.v, out.u)
-    _split_position(state.u, out.work, grad_y, h, beta * damp, out.u, out.work)
+    _split_velocity(state.v, grad_y, h, damp, beta**k, out.v, out.work2)
+    _split_position(state.u, out.work, grad_y, h, beta * damp, out.u, out.work, out.work2)
     return out
 
 
@@ -348,16 +374,17 @@ def ssa2_step(
         u_next = u + ((1 - h*beta) / beta) * (y - u)
 
     The parameter update is computed in the equivalent division-free form
-    u + h * (1 - h*beta) * v, which is well defined at beta = 0.
+    u + h * (1 - h*beta) * v, which is well defined at beta = 0; it reads v
+    before the velocity update writes it.
     """
     _check_hyper(h, k=k)
     beta = momentum_coefficient(state.n, schedule)
     out = _output("ssa2_step", state, out, SPLIT_FIELDS)
     grad_y = _look_ahead(state.u, state.v, grad_fn, h, beta, out.work)
     damp = 1.0 - h * beta
-    _split_velocity(state.v, grad_y, h, damp, beta**k, out.v, out.u)
-    np.multiply(state.v, h * damp, out=out.u)
-    out.u += state.u
+    np.multiply(state.v, h * damp, out=out.work2)
+    np.add(state.u, out.work2, out=out.u)
+    _split_velocity(state.v, grad_y, h, damp, beta**k, out.v, out.work2)
     return out
 
 

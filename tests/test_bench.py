@@ -37,7 +37,7 @@ from splitopt import splitting
 from splitopt.cli import _build_parser, _load_config_file, main
 from splitopt import datasets
 from splitopt.datasets import Batch, synth_blobs
-from splitopt.nn import MlpModel, forward_backward, mean_target_nll
+from splitopt.nn import MlpModel, epoch_batches, forward_backward, mean_target_nll, normalize
 
 from idx_fixtures import dataset_to_idx
 
@@ -200,7 +200,7 @@ class TestRegistry:
 @pytest.mark.parametrize("name", sorted(OPTIMIZERS))
 def test_steps_allocate_no_state(name):
     # with a gradient oracle that allocates nothing, every rule writes into
-    # the stepper's two states, work buffers included, so 5 steps hold less
+    # the stepper's one state, work buffers included, so 5 steps hold less
     # than half a parameter vector of traced memory above their start
     n_params = 1000
     grad = np.linspace(-1.0, 1.0, n_params)
@@ -280,6 +280,51 @@ def test_table_defaults_match_direct_rule_calls():
         for _ in range(5):
             state = advance(state, grad)
             assert stepper(grad).tobytes() == state.u.tobytes(), name
+
+
+def reference_run(name, epochs):
+    """The records, less epoch_time_s, and final iterate of a TINY run of
+    name, from a plain loop: each step a pure call of the rule (DIRECT),
+    whose oracle sets the point into the model and returns a fresh gradient."""
+    seed = ExperimentConfig().seed
+    train, test = load_dataset_spec(TINY, seed)
+    for data in (train, test):
+        normalize(data.images, out=data.images)
+    sizes = (train.images.shape[1], bench.HIDDEN_UNITS, max(train.n_classes, test.n_classes))
+    model = MlpModel.init(sizes, seed)
+    fields, advance = DIRECT[name]
+    state = opt.State.start(model.param_vector(), fields)
+
+    def grad_fn(point):
+        model.set_param_vector(point)
+        return forward_backward(model, batch)
+
+    records = []
+    for epoch in range(epochs):
+        for idx in epoch_batches(len(train), ExperimentConfig().batch_size, seed + epoch):
+            batch = train.rows(idx)
+            state = advance(state, grad_fn)
+        model.set_param_vector(state.u)
+        records.append((epoch, *_evaluate(model, train), *_evaluate(model, test)))
+    return records, state.u
+
+
+@pytest.mark.parametrize("name", sorted(OPTIMIZERS))
+def test_a_run_equals_a_plain_loop_of_pure_steps_bit_for_bit(monkeypatch, name):
+    # the stepper's one state advanced in place and the oracle's kept
+    # buffers give the bits of fresh states and fresh gradients
+    epochs, iterates, set_param_vector = 2, [], MlpModel.set_param_vector
+
+    def keeping(model, theta):
+        iterates.append(theta.copy())
+        set_param_vector(model, theta)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(MlpModel, "set_param_vector", keeping)
+        records = run_experiment(ExperimentConfig(optimizer=name, epochs=epochs, dataset=TINY))
+    expected, theta = reference_run(name, epochs)
+    assert [tuple(vars(r).values())[:-1] for r in records] == expected
+    assert iterates[-1].tobytes() == theta.tobytes()
 
 
 # each rule's defaults of the hyper-parameters it reads, the values that
@@ -581,6 +626,16 @@ class TestRunExperiment:
         assert len(seen) == steps * (2 if name == "ssa1-ada" else 1)
         assert all(type(m) is MlpModel and type(b) is Batch for m, b in seen)
 
+    # buffers each optimizer's rule evaluates at: u (sgd and the plain
+    # adaptive rules), the look-ahead in work (ssa1, ssa2) or z, which
+    # ssa1-ada's look-ahead overwrites only after its last read of the
+    # gradient at z; polyak evaluates at u and nesterov at a look-ahead in
+    # u_prev, and each swaps u and u_prev every step
+    EVALUATION_BUFFERS = {
+        "sgd": 1, "polyak": 2, "nesterov": 2, "ssa1": 1, "ssa2": 1, "ssa1-const": 1,
+        "ssa2-const": 1, "adagrad": 1, "adadelta": 1, "rmsprop": 1, "adam": 1, "ssa1-ada": 1,
+    }
+
     def test_oracle_keeps_one_gradient_per_evaluation_buffer(self, monkeypatch):
         # the oracle takes the gradient at the buffer a rule hands it, into
         # a gradient buffer kept for it; the model's own parameters are set
@@ -603,13 +658,13 @@ class TestRunExperiment:
                 patch.setattr(bench, "forward_backward", keeping)
                 run_experiment(ExperimentConfig(optimizer=name, epochs=epochs))  # desk scale
             assert len(set_calls) <= epochs, name
-            # the two states' evaluation buffers, each with its own gradient
-            assert len(grads) == 2, name
+            # the state's evaluation buffers, each with its own gradient
+            assert len(grads) == self.EVALUATION_BUFFERS[name], name
             kept = [returned[0] for _, returned in grads.values()]
             for point, returned in grads.values():
                 assert len(returned) >= 32 and all(g is returned[0] for g in returned), name
                 assert not any(np.shares_memory(point, g) for g in kept), name
-            assert not np.shares_memory(kept[0], kept[1]), name
+            assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(kept, 2))
 
     @pytest.mark.parametrize("normalize", [True, False])
     def test_run_normalizes_the_loaded_sets_in_place(self, monkeypatch, normalize):
@@ -636,6 +691,23 @@ class TestRunExperiment:
         y[7] = 3  # at the class count: the pick fails
         with pytest.raises(ValueError, match="class count"):
             _evaluate(model, Batch(X, y))
+
+    @pytest.mark.parametrize("name", ["sgd", "ssa1", "adam"])
+    def test_a_nan_weight_the_rectifier_hides_exits_3(self, monkeypatch, capsys, name):
+        # fmax rectifies the NaN pre-activation of the weight's unit to 0, so
+        # the losses stay finite and the weight gets a zero gradient
+        init = MlpModel.init.__func__
+
+        def nan_init(cls, sizes, seed):
+            model = init(cls, sizes, seed)
+            model.weights[0][0, 0] = np.nan
+            return model
+
+        monkeypatch.setattr(MlpModel, "init", classmethod(nan_init))
+        assert main(["run", "--optimizer", name, "--epochs", "2", "--dataset", TINY]) == 3
+        captured = capsys.readouterr()
+        assert captured.out.splitlines() == [",".join(METRICS_HEADER)]
+        assert "non-finite iterate at epoch 0 (0 epochs flushed)" in captured.err
 
     def test_divergence_aborts_with_partial_records(self):
         config = ExperimentConfig(optimizer="sgd", lr=1e160, epochs=4, dataset=TINY)

@@ -5,6 +5,7 @@ the out= buffer contract of every step rule."""
 import collections
 import copy
 import dataclasses
+import itertools
 import re
 from dataclasses import replace
 
@@ -548,8 +549,8 @@ RuleCase = collections.namedtuple("RuleCase", "rule fields reads step")
 
 
 def case(rule, fields, step, unread=()):
-    """A RuleCase whose call reads fields but work and unread."""
-    reads = tuple(f for f in fields if f != "work" and f not in unread)
+    """A RuleCase whose call reads fields but the scratch ones and unread."""
+    reads = tuple(f for f in fields if f not in opt.SCRATCH_FIELDS and f not in unread)
     return RuleCase(rule.__name__, fields, reads, step)
 
 
@@ -617,20 +618,39 @@ class TestOutBuffers:
     @given(dim=st.integers(1, 6), data=st.data(), h=STEP_SIZES, schedule=SCHEDULES,
            k=st.floats(0.0, 4.0), steps=st.integers(1, 8))
     def test_alternating_chain_equals_pure_chain(self, name, dim, data, h, schedule, k, steps):
+        # the pure chain against a chain that advances one state in place
+        # and one that alternates between two states
         _, fields, _, step = rule_steps(h, schedule, k)[name]
         grad_fn = data.draw(affine_gradients(dim))
         pure = draw_state(data, fields, dim)
-        state, spare = copy.deepcopy(pure), poisoned(pure)
+        in_place, state, spare = copy.deepcopy(pure), copy.deepcopy(pure), poisoned(pure)
+        held = {id(array) for array in arrays(in_place).values()}
         for _ in range(steps):
+            for scratch in set(opt.SCRATCH_FIELDS) & set(fields):
+                getattr(in_place, scratch)[...] = np.nan
+            assert step(in_place, grad_fn, out=in_place) is in_place
             before = snapshot(state)
-            with pytest.raises(ValueError, match="out must not be the input"):
-                step(state, grad_fn, out=state)
             pure = step(pure, grad_fn)
             state, spare = step(state, grad_fn, out=spare), state
             assert snapshot(spare) == before
             assert snapshot(state) == snapshot(pure)
+            assert snapshot(in_place) == snapshot(pure)
+            assert {id(array) for array in arrays(in_place).values()} == held
             for acc in set(ACCUMULATORS) & set(fields):
                 assert np.all(getattr(state, acc) >= 0.0)
+
+    @pytest.mark.parametrize("name", RULE_NAMES)
+    def test_an_out_sharing_memory_with_the_input_is_named_before_the_oracle_runs(self, name):
+        rule, fields, _, step = rule_steps(0.1, HALF, 2.0)[name]
+        state = opt.State.start(np.ones(4), fields, n=3)
+        for written, shared in itertools.product(fields, arrays(state)):
+            out = opt.State.start(np.zeros(4), fields)
+            held = getattr(state, shared)
+            # the input's own array, or a view of it that is not itself
+            setattr(out, written, held if written != shared else held[::-1])
+            message = rf"^{rule} writes {written} into memory of the input state's {shared}$"
+            with pytest.raises(ValueError, match=message):
+                step(state, forbidden_oracle, out=out)
 
 
 class TestDeclaredFields:
@@ -644,8 +664,9 @@ class TestDeclaredFields:
         _, fields, _, step = rule_steps(h, schedule, k)[name]
         grad_fn = data.draw(affine_gradients(dim))
         start = opt.State.start(data.draw(vectors(dim)), fields)
-        if "work" in fields:
-            start.work[...] = np.nan  # its contents mean nothing between steps
+        for scratch in set(opt.SCRATCH_FIELDS) & set(fields):
+            # its contents mean nothing between steps
+            getattr(start, scratch)[...] = np.nan
         fresh = step(start, grad_fn)
         assert set(arrays(fresh)) == set(fields)
         assert not any(np.shares_memory(a, b) for a in arrays(fresh).values()
@@ -727,4 +748,4 @@ class TestState:
         for name, value in arrays(state).items():
             expected = u0 if name in ("u", "u_prev", "z") else np.zeros(2)
             assert same_bytes(value, expected) and not np.shares_memory(value, u0), name
-        assert set(arrays(opt.State.start(u0, opt.SPLIT_FIELDS))) == {"u", "v", "work"}
+        assert set(arrays(opt.State.start(u0, opt.SPLIT_FIELDS))) == {"u", "v", "work", "work2"}
