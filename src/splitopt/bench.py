@@ -162,11 +162,10 @@ def make_stepper(config: ExperimentConfig, theta0: np.ndarray) -> Stepper:
     The returned callable takes a gradient oracle for the current batch,
     which the rule evaluates where it needs, and returns the updated
     parameter vector: the stepper's own buffer, valid until the next call,
-    since the stepper keeps one state and has each step advance it in place
-    (the rules' out=state).  The rule is looked up by
-    name in its module here, when the stepper is built, and called as
-    rule(state, grad_fn, h, [schedule], [variant], **hyper), hyper
-    holding the k, gamma and eps options the rule reads.
+    since the stepper keeps one state that each step advances in place.
+    The rule is looked up by name in its module here, when the stepper is
+    built, and called as rule(state, grad_fn, h, [schedule], [variant],
+    **hyper), hyper holding the k, gamma and eps options the rule reads.
     """
     _, options, module, rule, fields = OPTIMIZERS[config.optimizer]
     advance = getattr(module, rule)
@@ -179,7 +178,8 @@ def make_stepper(config: ExperimentConfig, theta0: np.ndarray) -> Stepper:
     state = opt.State.start(theta0, fields)
 
     def step(grad_fn: opt.GradFn) -> np.ndarray:
-        return advance(state, grad_fn, *params, out=state, **hyper).u
+        advance(state, grad_fn, *params, **hyper)
+        return state.u
 
     return step
 

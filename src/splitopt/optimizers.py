@@ -6,19 +6,18 @@ velocity forms, and the two sequential-splitting optimizers (SSA1, SSA2)
 derived from the constant-damping dynamical system  u'' + u' = -grad f(u).
 
 Every rule is rule(state, grad_fn, h, [schedule, [form | variant]], *,
-<the hyper-parameters it reads>, out=None): it returns the next state,
-calling the gradient oracle itself exactly once.  Without out= the next
-state is fresh and the input is left as it was.  Given out=, the rule writes
-the next state into out's arrays instead: out may be the input state itself,
-which then advances in place, or a state that shares no memory with it.
-Each rule reads every input value before it overwrites it, and may hand
-out's arrays between fields instead of copying.  Before the oracle is
-called, each rule checks the values it reads and _output holds it to its
-*_FIELDS tuple.  All arithmetic is 64-bit.
+<the hyper-parameters it reads>): it advances state in place by one step,
+calling the gradient oracle itself exactly once, and returns None.  The
+state must hold every field of the rule's *_FIELDS tuple, scratch fields
+included; each rule checks that, and the values it reads, before the
+oracle is called.  Each rule reads every input value before it overwrites
+it, and may hand the state's arrays between fields instead of copying.
+All arithmetic is 64-bit.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
@@ -93,7 +92,9 @@ class State:
     v is a velocity, u_prev the previous iterate, acc_grad_sq E[g^2],
     acc_update_sq E[delta^2], mom Adam's first moment and z ssa1-ada's
     auxiliary point.  work, work2 and work3 are scratch buffers whose
-    contents mean nothing between steps.
+    contents mean nothing between steps.  Each array must be a float64
+    ndarray of u's shape sharing no memory with another, which the
+    constructor checks once; a rule writes the arrays in place.
     """
 
     u: np.ndarray
@@ -110,9 +111,17 @@ class State:
 
     def __post_init__(self):
         shape = np.shape(self.u)
-        for name, value in vars(self).items():
-            if name != "n" and value is not None and np.shape(value) != shape:
-                raise ValueError(f"{name} shape {np.shape(value)} != iterate shape {shape}")
+        held = {name: value for name, value in vars(self).items()
+                if name != "n" and value is not None}
+        for name, value in held.items():
+            if not isinstance(value, np.ndarray) or value.dtype != np.float64:
+                found = getattr(value, "dtype", type(value).__name__)
+                raise ValueError(f"{name} must be a float64 ndarray, got {found}")
+            if value.shape != shape:
+                raise ValueError(f"{name} shape {value.shape} != iterate shape {shape}")
+        for (name, value), (other, array) in itertools.combinations(held.items(), 2):
+            if np.shares_memory(value, array):
+                raise ValueError(f"{name} and {other} share memory")
         if self.n < 0:
             raise ValueError(f"iteration counter must be nonnegative, got {self.n}")
 
@@ -135,39 +144,11 @@ def _checked_grad(grad: np.ndarray, like: np.ndarray) -> np.ndarray:
     return grad
 
 
-_FLOAT64 = np.dtype(np.float64)
-SCRATCH_FIELDS = ("work", "work2", "work3")
-
-
-def _output(rule: str, state: State, out: Optional[State], fields: Tuple[str, ...],
-            unread: Tuple[str, ...] = ()) -> State:
-    """out, or with out None fresh float64 buffers for exactly fields, with
-    n = state.n + 1.  A ValueError naming rule and the field rejects a state
-    lacking any of fields but the scratch ones and unread, or an out lacking
-    any or holding one that is not a float64 ndarray of the iterate's shape.
-    An out other than state itself must share no memory with state's arrays;
-    a ValueError names the field of each that do."""
-    shape = np.shape(state.u)
+def _check_fields(rule: str, state: State, fields: Tuple[str, ...]) -> None:
+    """Raises a ValueError naming rule and the first of fields that state lacks."""
     for name in fields:
-        if getattr(state, name) is None and name not in SCRATCH_FIELDS and name not in unread:
-            raise ValueError(f"{rule} reads {name}, which the input state lacks")
-        if out is not None:
-            array = getattr(out, name)
-            if array is None:
-                raise ValueError(f"{rule} writes {name}, which out lacks")
-            if not isinstance(array, np.ndarray) or array.dtype != _FLOAT64 or array.shape != shape:
-                found = f"{getattr(array, 'dtype', type(array).__name__)} {np.shape(array)}"
-                raise ValueError(f"{rule} writes {name} as float64 {shape}, but out's is {found}")
-            if out is not state:
-                for held, value in vars(state).items():
-                    if isinstance(value, np.ndarray) and np.shares_memory(array, value):
-                        raise ValueError(
-                            f"{rule} writes {name} into memory of the input state's {held}"
-                        )
-    if out is None:
-        out = State(**{name: np.empty(shape) for name in fields})
-    out.n = state.n + 1
-    return out
+        if getattr(state, name) is None:
+            raise ValueError(f"{rule} advances {name}, which the state lacks")
 
 
 def _look_ahead(u: np.ndarray, v: np.ndarray, grad_fn: GradFn, h: float, beta: float, out):
@@ -179,98 +160,76 @@ def _look_ahead(u: np.ndarray, v: np.ndarray, grad_fn: GradFn, h: float, beta: f
     return _checked_grad(grad_fn(out), u)
 
 
-def _shift(state: State, out: State) -> None:
-    """Makes the new iterate, which the caller wrote into out.u_prev, out's u
-    and the input iterate out's u_prev, by swapping out's two arrays; the
-    input iterate is copied only when out.u does not hold it already."""
-    if out.u is not state.u:
-        np.copyto(out.u, state.u)
-    out.u, out.u_prev = out.u_prev, out.u
-
-
-def _split_velocity(v, grad_y, h, damp, boost: float, out, scratch):
-    """Velocity update of the splitting schemes, written into out:
+def _split_velocity(v, grad_y, h, damp, boost: float, scratch):
+    """Velocity update of the splitting schemes, in place in v:
     beta^k * ((1 - h*beta) * v - h * grad(y)), given damp = 1 - h*beta and
-    boost = beta^k.  h and damp may be per-component.  out may be v's
-    buffer; scratch, which is written first, must hold none of the inputs."""
+    boost = beta^k.  h and damp may be per-component.  scratch, which is
+    written first, must hold none of the inputs."""
     np.multiply(grad_y, h, out=scratch)
-    np.multiply(v, damp, out=out)
-    out -= scratch
-    out *= boost
+    v *= damp
+    v -= scratch
+    v *= boost
 
 
-def _split_position(u, y, grad_y, h, drift, out, t, s2):
-    """Scaled-drift position update of the first splitting scheme, written
-    into out: u + beta*(1 - h*beta)*(y - u) - h^2 * grad(y), given
+def _split_position(u, y, grad_y, h, drift, t, s2):
+    """Scaled-drift position update of the first splitting scheme, in place
+    in u: u + beta*(1 - h*beta)*(y - u) - h^2 * grad(y), given
     drift = beta*(1 - h*beta).  h and drift may be per-component.  h^2 *
     grad(y) is built first in s2, which may be h's buffer; y - u is then
-    built in t, which may be y's buffer, and out may be u's."""
+    built in t, which may be y's buffer."""
     h_sq = np.multiply(h, h, out=s2) if np.ndim(h) else h * h
     np.multiply(grad_y, h_sq, out=s2)
     np.subtract(y, u, out=t)
     t *= drift
-    np.add(u, t, out=out)
-    out -= s2
+    u += t
+    u -= s2
 
 
 SGD_FIELDS = ("u", "work")
 
 
-def minibatch_sgd_step(
-    state: State,
-    grad_fn: GradFn,
-    h: float,
-    *,
-    out: Optional[State] = None,
-) -> State:
-    """SGD step u - h * grad(u); writes SGD_FIELDS, h * grad(u) in work.
+def minibatch_sgd_step(state: State, grad_fn: GradFn, h: float) -> None:
+    """SGD step u - h * grad(u) on SGD_FIELDS, h * grad(u) in work.
 
     With the full gradient as the oracle this is plain gradient descent.
     h = 0 is permitted (a frozen run is a valid experiment).
     """
     if not h >= 0:
         raise ValueError(f"step size must be nonnegative, got {h}")
-    out = _output("minibatch_sgd_step", state, out, SGD_FIELDS)
+    _check_fields("minibatch_sgd_step", state, SGD_FIELDS)
     grad = _checked_grad(grad_fn(state.u), state.u)
-    np.multiply(grad, h, out=out.work)
-    np.subtract(state.u, out.work, out=out.u)
-    return out
+    np.multiply(grad, h, out=state.work)
+    state.u -= state.work
+    state.n += 1
 
 
 POLYAK_FIELDS = ("u", "u_prev", "work")
 
 
-def polyak_step(
-    state: State,
-    grad_fn: GradFn,
-    h: float,
-    schedule: MomentumSchedule,
-    *,
-    out: Optional[State] = None,
-) -> State:
+def polyak_step(state: State, grad_fn: GradFn, h: float, schedule: MomentumSchedule) -> None:
     """Heavy-ball step with extrapolation alpha_n, the schedule's coefficient.
 
         y = u + alpha_n * (u - u_prev)
         u_next = y - h * grad(u)
 
     The gradient is evaluated at u, not at y, and alpha_n must lie in
-    [0, 1).  Writes POLYAK_FIELDS, h * grad(u) in work; u and u_prev
+    [0, 1).  Advances POLYAK_FIELDS, h * grad(u) in work; u and u_prev
     swap arrays each step.
     """
     alpha = momentum_coefficient(state.n, schedule)
     if not 0.0 <= alpha < 1.0:
         raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
     _check_hyper(h)
-    out = _output("polyak_step", state, out, POLYAK_FIELDS)
+    _check_fields("polyak_step", state, POLYAK_FIELDS)
     grad = _checked_grad(grad_fn(state.u), state.u)
-    np.multiply(grad, h, out=out.work)
-    u_next = out.u_prev
+    np.multiply(grad, h, out=state.work)
+    u_next = state.u_prev
     np.subtract(state.u, state.u_prev, out=u_next)
     u_next *= alpha
     u_next += state.u
-    u_next -= out.work
-    _shift(state, out)
-    return out
+    u_next -= state.work
+    state.u, state.u_prev = u_next, state.u
+    state.n += 1
 
 
 NESTEROV_FIELDS = ("u", "v", "u_prev")
@@ -282,9 +241,7 @@ def nesterov_step(
     h: float,
     schedule: MomentumSchedule,
     form: str = "velocity",
-    *,
-    out: Optional[State] = None,
-) -> State:
+) -> None:
     """Accelerated-gradient step in the requested representation.
 
     velocity form:
@@ -297,37 +254,37 @@ def nesterov_step(
         u_next = y - h^2 * grad(y)
 
     With v_0 = (u_0 - u_{-1}) / h the two produce identical iterates.
-    Both forms write NESTEROV_FIELDS and keep h * v = u - u_prev (to rounding);
-    u and u_prev swap arrays each step.
+    Both forms advance NESTEROV_FIELDS and keep h * v = u - u_prev (to
+    rounding); u and u_prev swap arrays each step.
     """
     _check_hyper(h)
     if form not in NESTEROV_FORMS:
         raise ValueError(f"unknown nesterov form {form!r}; choose from {NESTEROV_FORMS}")
     beta = momentum_coefficient(state.n, schedule)
-    unread = ("u_prev",) if form == "velocity" else ("v",)
-    out = _output("nesterov_step", state, out, NESTEROV_FIELDS, unread)
-    # y and then u_next live in out.u_prev, which the form does not read or
-    # reads before y is written; y is overwritten only after the last read
-    # of grad(y), which may be y's buffer itself
-    u_next = out.u_prev
+    _check_fields("nesterov_step", state, NESTEROV_FIELDS)
+    u, v = state.u, state.v
+    # y and then u_next live in u_prev's array, which the form does not read
+    # or reads before y is written; y is overwritten only after the last
+    # read of grad(y), which may be y's buffer itself
+    u_next = state.u_prev
     if form == "velocity":
-        grad_y = _look_ahead(state.u, state.v, grad_fn, h, beta, u_next)
-        np.multiply(state.v, beta, out=out.v)
+        grad_y = _look_ahead(u, v, grad_fn, h, beta, u_next)
+        v *= beta
         np.multiply(grad_y, h, out=u_next)
-        out.v -= u_next
-        np.multiply(out.v, h, out=u_next)
-        u_next += state.u
+        v -= u_next
+        np.multiply(v, h, out=u_next)
+        u_next += u
     else:
-        np.subtract(state.u, state.u_prev, out=u_next)
+        np.subtract(u, u_next, out=u_next)
         u_next *= beta
-        u_next += state.u
-        grad_y = _checked_grad(grad_fn(u_next), state.u)
-        np.multiply(grad_y, h * h, out=out.v)
-        np.subtract(u_next, out.v, out=u_next)
-        np.subtract(u_next, state.u, out=out.v)
-        out.v /= h
-    _shift(state, out)
-    return out
+        u_next += u
+        grad_y = _checked_grad(grad_fn(u_next), u)
+        np.multiply(grad_y, h * h, out=v)
+        np.subtract(u_next, v, out=u_next)
+        np.subtract(u_next, u, out=v)
+        v /= h
+    state.u, state.u_prev = u_next, u
+    state.n += 1
 
 
 SPLIT_FIELDS = ("u", "v", "work", "work2")
@@ -340,9 +297,8 @@ def ssa1_step(
     schedule: MomentumSchedule,
     *,
     k: float = 2.0,
-    out: Optional[State] = None,
-) -> State:
-    """First sequential-splitting step; writes SPLIT_FIELDS, the look-ahead y in work.
+) -> None:
+    """First sequential-splitting step; advances SPLIT_FIELDS, the look-ahead y in work.
 
         y = u + h * beta * v
         v_next = beta^k * ((1 - h*beta) * v - h * grad(y))
@@ -350,12 +306,12 @@ def ssa1_step(
     """
     _check_hyper(h, k=k)
     beta = momentum_coefficient(state.n, schedule)
-    out = _output("ssa1_step", state, out, SPLIT_FIELDS)
-    grad_y = _look_ahead(state.u, state.v, grad_fn, h, beta, out.work)
+    _check_fields("ssa1_step", state, SPLIT_FIELDS)
+    grad_y = _look_ahead(state.u, state.v, grad_fn, h, beta, state.work)
     damp = 1.0 - h * beta
-    _split_velocity(state.v, grad_y, h, damp, beta**k, out.v, out.work2)
-    _split_position(state.u, out.work, grad_y, h, beta * damp, out.u, out.work, out.work2)
-    return out
+    _split_velocity(state.v, grad_y, h, damp, beta**k, state.work2)
+    _split_position(state.u, state.work, grad_y, h, beta * damp, state.work, state.work2)
+    state.n += 1
 
 
 def ssa2_step(
@@ -365,9 +321,8 @@ def ssa2_step(
     schedule: MomentumSchedule,
     *,
     k: float = 2.0,
-    out: Optional[State] = None,
-) -> State:
-    """Second sequential-splitting step; writes SPLIT_FIELDS, y in work.
+) -> None:
+    """Second sequential-splitting step; advances SPLIT_FIELDS, y in work.
 
         y = u + h * beta * v
         v_next = beta^k * ((1 - h*beta) * v - h * grad(y))
@@ -379,13 +334,13 @@ def ssa2_step(
     """
     _check_hyper(h, k=k)
     beta = momentum_coefficient(state.n, schedule)
-    out = _output("ssa2_step", state, out, SPLIT_FIELDS)
-    grad_y = _look_ahead(state.u, state.v, grad_fn, h, beta, out.work)
+    _check_fields("ssa2_step", state, SPLIT_FIELDS)
+    grad_y = _look_ahead(state.u, state.v, grad_fn, h, beta, state.work)
     damp = 1.0 - h * beta
-    np.multiply(state.v, h * damp, out=out.work2)
-    np.add(state.u, out.work2, out=out.u)
-    _split_velocity(state.v, grad_y, h, damp, beta**k, out.v, out.work2)
-    return out
+    np.multiply(state.v, h * damp, out=state.work2)
+    state.u += state.work2
+    _split_velocity(state.v, grad_y, h, damp, beta**k, state.work2)
+    state.n += 1
 
 
 # --- splitting sub-steps ----------------------------------------------------

@@ -228,7 +228,9 @@ def integrate_second_order(
         raise ValueError(f"steps must be at least 1, got {steps}")
     if not T > sys.t0:  # negated so that NaN fails it
         raise ValueError(f"horizon {T} must exceed start time {sys.t0}")
-    u = np.atleast_1d(np.asarray(sys.u0, dtype=float)).copy()
+    if not np.isfinite([T, sys.t0]).all():
+        raise ValueError(f"horizon {T} and start time {sys.t0} must be finite")
+    u =np.atleast_1d(np.asarray(sys.u0, dtype=float)).copy()
     v = np.atleast_1d(np.asarray(sys.v0, dtype=float)).copy()
     h = (T - sys.t0) / steps
 

@@ -118,8 +118,8 @@ def test_criterion_02_nesterov_form_equivalence():
     two_seq = opt.State.start(u0, opt.NESTEROV_FIELDS)
     worst = 0.0
     for _ in range(100):
-        velocity = opt.nesterov_step(velocity, objective.gradient, 0.1, SCH_NM1, "velocity")
-        two_seq = opt.nesterov_step(two_seq, objective.gradient, 0.1, SCH_NM1, "two-sequence")
+        opt.nesterov_step(velocity, objective.gradient, 0.1, SCH_NM1, "velocity")
+        opt.nesterov_step(two_seq, objective.gradient, 0.1, SCH_NM1, "two-sequence")
         worst = max(worst, float(np.max(np.abs(velocity.u - two_seq.u))))
     elapsed = time.perf_counter() - tic
     report(2, f"nesterov form equivalence (max divergence {worst:.2e})",
@@ -141,7 +141,7 @@ def test_criterion_03_multistep_identities():
                 beta = opt.momentum_coefficient(state.n, SCH_N3)
                 y = state.u + h * beta * state.v
                 hist.append((beta, state.u.copy(), y, objective.gradient(y)))
-                state = step_fn(state, objective.gradient, h, SCH_N3, k=k)
+                step_fn(state, objective.gradient, h, SCH_N3, k=k)
             for (bp, u_prev, y_prev, g_prev), (bn, u_cur, y_cur, _) in zip(hist, hist[1:]):
                 if which == "ssa1":
                     rhs = (
@@ -163,7 +163,8 @@ def test_criterion_04_splitting_composition():
     h = 0.1
     u = np.random.default_rng(12).standard_normal(3)
     v = np.random.default_rng(13).standard_normal(3)
-    direct = opt.State(u=u.copy(), v=v.copy(), n=1)
+    direct = opt.State.start(u, opt.SPLIT_FIELDS, n=1)
+    direct.v[...] = v
     n = 1
     worst = 0.0
     for _ in range(20):
@@ -172,7 +173,7 @@ def test_criterion_04_splitting_composition():
         u_half, v_half = opt.damping_substep(u, v, h, beta)
         u, v = opt.gradient_substep_perturbed(u_half, v_half, grad_y, h, beta)
         n += 1
-        direct = opt.ssa1_step(direct, objective.gradient, h, SCH_N3, k=0.0)
+        opt.ssa1_step(direct, objective.gradient, h, SCH_N3, k=0.0)
         worst = max(
             worst,
             float(np.max(np.abs(u - direct.u))),
@@ -264,20 +265,20 @@ def test_criterion_07_convex_convergence():
     state = opt.State.start(np.zeros(10), opt.SGD_FIELDS)
     values = [objective.value(state.u)]
     for _ in range(5000):
-        state = opt.minibatch_sgd_step(state, objective.gradient, 1.0 / objective.L)
+        opt.minibatch_sgd_step(state, objective.gradient, 1.0 / objective.L)
         values.append(objective.value(state.u))
     monotone = all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
     gaps["gd"] = values[-1] - f_star
 
     state = opt.State.start(np.zeros(10), opt.NESTEROV_FIELDS)
     for _ in range(5000):
-        state = opt.nesterov_step(state, objective.gradient, h, SCH_NM1)
+        opt.nesterov_step(state, objective.gradient, h, SCH_NM1)
     gaps["nesterov"] = objective.value(state.u) - f_star
 
     for name, step_fn in (("ssa1", opt.ssa1_step), ("ssa2", opt.ssa2_step)):
         state = opt.State.start(np.zeros(10), opt.SPLIT_FIELDS)
         for _ in range(5000):
-            state = step_fn(state, objective.gradient, h, SCH_N3, k=2.0)
+            step_fn(state, objective.gradient, h, SCH_N3, k=2.0)
         gaps[name] = objective.value(state.u) - f_star
 
     elapsed = time.perf_counter() - tic
@@ -313,8 +314,9 @@ def test_criterion_09_hand_oracle_single_steps():
     checks = []
 
     # ssa1: u=1, v=0, h=0.1, n=1 (beta 0.25), k=2, f=u^2/2
-    out = opt.ssa1_step(
-        opt.State(u=np.array([1.0]), v=np.array([0.0]), n=1),
+    out = opt.State.start(np.array([1.0]), opt.SPLIT_FIELDS, n=1)
+    opt.ssa1_step(
+        out,
         lambda u: u,
         0.1,
         SCH_N3,
@@ -324,8 +326,10 @@ def test_criterion_09_hand_oracle_single_steps():
     checks.append(abs(out.u[0] - (1.0 - 0.01)) <= 1e-9)              # 0.99
 
     # ssa2: u=1, v=1, h=0.1, beta=0.25, k=2, f=u^2/2
-    out = opt.ssa2_step(
-        opt.State(u=np.array([1.0]), v=np.array([1.0]), n=0),
+    out = opt.State.start(np.array([1.0]), opt.SPLIT_FIELDS)
+    out.v[...] = 1.0
+    opt.ssa2_step(
+        out,
         lambda u: u,
         0.1,
         opt.MomentumSchedule.constant(0.25),
@@ -336,8 +340,9 @@ def test_criterion_09_hand_oracle_single_steps():
     checks.append(abs(out.u[0] - 1.0975) <= 1e-9)
 
     # adam: zero state, g=1, h=0.001, eps=1e-8; bias correction cancels
-    out = ada.adam_step(
-        opt.State.start(np.zeros(1), ada.ADAM_FIELDS),
+    out = opt.State.start(np.zeros(1), ada.ADAM_FIELDS)
+    ada.adam_step(
+        out,
         lambda _: np.array([1.0]),
         0.001,
         eps=1e-8,
@@ -345,8 +350,9 @@ def test_criterion_09_hand_oracle_single_steps():
     checks.append(abs(out.u[0] - (-0.001 / (1.0 + 1e-8))) <= 1e-9)
 
     # adadelta: zero accumulators, gamma=0.9, eps=1e-6, g=1, h=1
-    out = ada.adadelta_step(
-        opt.State.start(np.zeros(1), ada.ADADELTA_FIELDS),
+    out = opt.State.start(np.zeros(1), ada.ADADELTA_FIELDS)
+    ada.adadelta_step(
+        out,
         lambda _: np.array([1.0]),
         1.0,
         gamma=0.9,
@@ -357,8 +363,9 @@ def test_criterion_09_hand_oracle_single_steps():
     checks.append(abs(out.acc_update_sq[0] - 0.1 * delta**2) <= 1e-9)
 
     # rmsprop: zero accumulator, gamma=0.9, g=1, h=0.001, eps=1e-8
-    out = ada.rmsprop_step(
-        opt.State.start(np.zeros(1), ada.RMSPROP_FIELDS),
+    out = opt.State.start(np.zeros(1), ada.RMSPROP_FIELDS)
+    ada.rmsprop_step(
+        out,
         lambda _: np.array([1.0]),
         0.001,
         gamma=0.9,
@@ -369,19 +376,19 @@ def test_criterion_09_hand_oracle_single_steps():
     # adagrad: two steps with g=1, h=0.1, eps=1e-8
     state = opt.State.start(np.zeros(1), ada.ADAGRAD_FIELDS)
     hp = dict(h=0.1, eps=1e-8)
-    state = ada.adagrad_step(state, lambda _: np.array([1.0]), **hp)
+    ada.adagrad_step(state, lambda _: np.array([1.0]), **hp)
     checks.append(abs(state.u[0] - (-0.1 / (1.0 + 1e-8))) <= 1e-9)
     first_u = state.u[0]
-    state = ada.adagrad_step(state, lambda _: np.array([1.0]), **hp)
+    ada.adagrad_step(state, lambda _: np.array([1.0]), **hp)
     checks.append(
         abs((state.u[0] - first_u) - (-0.1 / (math.sqrt(2.0) + 1e-8))) <= 1e-9
     )
 
     # ssa1-ada as written: u=1, v=0, z=1, n=1, beta=0.25, k=2, h=1,
     # rho=0.9, eps=1e-6, f=u^2/2
-    st = opt.State.start(np.array([1.0]), ada.SSA1_ADA_FIELDS, n=1)
-    out = ada.ssa1_ada_step(
-        st,
+    out = opt.State.start(np.array([1.0]), ada.SSA1_ADA_FIELDS, n=1)
+    ada.ssa1_ada_step(
+        out,
         lambda u: u,
         1.0,
         SCH_N3,
@@ -441,11 +448,11 @@ def test_criterion_11_ode_tracking():
     schedule = opt.MomentumSchedule.constant(1.0)
     errors = []
     for h in (0.05, 0.025, 0.0125):
-        state = opt.State(u=np.array([1.0]), v=np.array([0.0]), n=0)
+        state = opt.State.start(np.array([1.0]), opt.SPLIT_FIELDS)
         stride = round(h / h_ref)
         sup = 0.0
         for n in range(1, round(5.0 / h) + 1):
-            state = opt.ssa2_step(state, lambda u: u, h, schedule, k=0.0)
+            opt.ssa2_step(state, lambda u: u, h, schedule, k=0.0)
             sup = max(sup, abs(state.u[0] - us_ref[n * stride, 0]))
         errors.append(sup)
     orders = [math.log2(a / b) for a, b in zip(errors, errors[1:])]

@@ -48,23 +48,23 @@ BAD_VALUES = {
 class TestAdagrad:
     def test_first_step(self):
         hp = dict(h=0.1, eps=1e-8)
-        start = State.start(np.zeros(1), ADAGRAD_FIELDS)
-        state = adagrad_step(start, lambda _: np.array([1.0]), **hp)
+        state = State.start(np.zeros(1), ADAGRAD_FIELDS)
+        adagrad_step(state, lambda _: np.array([1.0]), **hp)
         assert state.u[0] == pytest.approx(-0.1 / (1.0 + 1e-8), rel=1e-12)
 
     def test_zero_gradient(self):
         hp = dict(h=0.1, eps=1e-8)
-        start = State.start(np.array([2.0, -3.0]), ADAGRAD_FIELDS)
-        state = adagrad_step(start, lambda _: np.zeros(2), **hp)
-        np.testing.assert_array_equal(state.u, start.u)
+        state = State.start(np.array([2.0, -3.0]), ADAGRAD_FIELDS)
+        adagrad_step(state, lambda _: np.zeros(2), **hp)
+        np.testing.assert_array_equal(state.u, [2.0, -3.0])
         np.testing.assert_array_equal(state.acc_grad_sq, np.zeros(2))
 
     def test_second_step_accumulates(self):
         hp = dict(h=0.1, eps=1e-8)
         state = State.start(np.zeros(1), ADAGRAD_FIELDS)
-        state = adagrad_step(state, lambda _: np.array([1.0]), **hp)
+        adagrad_step(state, lambda _: np.array([1.0]), **hp)
         before = state.u.copy()
-        state = adagrad_step(state, lambda _: np.array([1.0]), **hp)
+        adagrad_step(state, lambda _: np.array([1.0]), **hp)
         assert state.acc_grad_sq[0] == pytest.approx(2.0)
         delta = state.u[0] - before[0]
         assert delta == pytest.approx(-0.1 / (math.sqrt(2.0) + 1e-8), rel=1e-12)
@@ -73,8 +73,8 @@ class TestAdagrad:
 class TestAdadelta:
     def test_first_step_trace(self):
         hp = dict(h=1.0, gamma=0.9, eps=1e-6)
-        start = State.start(np.zeros(1), ADADELTA_FIELDS)
-        state = adadelta_step(start, lambda _: np.array([1.0]), **hp)
+        state = State.start(np.zeros(1), ADADELTA_FIELDS)
+        adadelta_step(state, lambda _: np.array([1.0]), **hp)
         acc_g = 0.1
         delta = -math.sqrt(1e-6) / math.sqrt(acc_g + 1e-6)
         assert state.acc_grad_sq[0] == pytest.approx(acc_g, rel=1e-15)
@@ -86,10 +86,10 @@ class TestAdadelta:
         state = State.start(np.array([1.0]), ADADELTA_FIELDS)
         state.acc_grad_sq[:] = 0.4
         state.acc_update_sq[:] = 0.2
-        out = adadelta_step(state, lambda _: np.zeros(1), **hp)
-        assert out.u[0] == pytest.approx(1.0)
-        assert out.acc_grad_sq[0] == pytest.approx(0.36)
-        assert out.acc_update_sq[0] == pytest.approx(0.18)
+        adadelta_step(state, lambda _: np.zeros(1), **hp)
+        assert state.u[0] == pytest.approx(1.0)
+        assert state.acc_grad_sq[0] == pytest.approx(0.36)
+        assert state.acc_update_sq[0] == pytest.approx(0.18)
 
     def test_step_scale_free_at_fixed_point(self):
         # after many identical gradients the step magnitude is nearly
@@ -101,7 +101,7 @@ class TestAdadelta:
             prev = state.u.copy()
             for _ in range(10_000):
                 prev = state.u.copy()
-                state = adadelta_step(state, lambda _: np.array([c]), **hp)
+                adadelta_step(state, lambda _: np.array([c]), **hp)
             return abs(state.u[0] - prev[0])
 
         ratio = final_step(1.0) / final_step(100.0)
@@ -111,24 +111,25 @@ class TestAdadelta:
 class TestRmsprop:
     def test_first_step(self):
         hp = dict(h=0.001, gamma=0.9, eps=1e-8)
-        start = State.start(np.zeros(1), RMSPROP_FIELDS)
-        state = rmsprop_step(start, lambda _: np.array([1.0]), **hp)
+        state = State.start(np.zeros(1), RMSPROP_FIELDS)
+        rmsprop_step(state, lambda _: np.array([1.0]), **hp)
         assert state.u[0] == pytest.approx(-0.001 / math.sqrt(0.1 + 1e-8), rel=1e-12)
 
     def test_zero_gradient(self):
         hp = dict(h=0.001)
-        start = State.start(np.array([5.0]), RMSPROP_FIELDS)
-        out = rmsprop_step(start, lambda _: np.zeros(1), **hp)
-        assert out.u[0] == pytest.approx(5.0)
+        state = State.start(np.array([5.0]), RMSPROP_FIELDS)
+        rmsprop_step(state, lambda _: np.zeros(1), **hp)
+        assert state.u[0] == pytest.approx(5.0)
 
     def test_memoryless_limit(self):
         # gamma -> 0 reduces to -h*g/sqrt(g^2 + eps), about -h*sign(g)
         hp = dict(h=0.01, gamma=1e-12, eps=1e-8)
         g = np.array([3.0, -0.5])
-        out = rmsprop_step(State.start(np.zeros(2), RMSPROP_FIELDS), lambda _: g, **hp)
+        state = State.start(np.zeros(2), RMSPROP_FIELDS)
+        rmsprop_step(state, lambda _: g, **hp)
         expected = -0.01 * g / np.sqrt(g**2 + 1e-8)
-        np.testing.assert_allclose(out.u, expected, rtol=1e-9)
-        np.testing.assert_allclose(out.u, -0.01 * np.sign(g), rtol=1e-6)
+        np.testing.assert_allclose(state.u, expected, rtol=1e-9)
+        np.testing.assert_allclose(state.u, -0.01 * np.sign(g), rtol=1e-6)
 
     def test_matches_adadelta_recursion_with_fixed_numerator(self):
         # same E[g^2] recursion; replacing the adadelta numerator by h
@@ -140,8 +141,8 @@ class TestRmsprop:
         for _ in range(50):
             g = rng.standard_normal(4)
             theta_before = rms_state.u.copy()
-            rms_state = rmsprop_step(rms_state, lambda _: g, **hp)
-            dd_state = adadelta_step(dd_state, lambda _: g, **hp)
+            rmsprop_step(rms_state, lambda _: g, **hp)
+            adadelta_step(dd_state, lambda _: g, **hp)
             np.testing.assert_allclose(
                 rms_state.acc_grad_sq, dd_state.acc_grad_sq, rtol=0, atol=1e-17
             )
@@ -152,8 +153,8 @@ class TestRmsprop:
 class TestAdam:
     def test_first_step(self):
         hp = dict(h=0.001, eps=1e-8)
-        start = State.start(np.zeros(1), ADAM_FIELDS)
-        state = adam_step(start, lambda _: np.array([1.0]), **hp)
+        state = State.start(np.zeros(1), ADAM_FIELDS)
+        adam_step(state, lambda _: np.array([1.0]), **hp)
         assert state.n == 1
         assert state.u[0] == pytest.approx(-0.001 / (1.0 + 1e-8), rel=1e-12)
 
@@ -161,7 +162,8 @@ class TestAdam:
         for beta1 in (0.5, 0.9, 0.99):
             hp = dict(h=0.001, beta1=beta1)
             g = np.array([0.37])
-            state = adam_step(State.start(np.zeros(1), ADAM_FIELDS), lambda _: g, **hp)
+            state = State.start(np.zeros(1), ADAM_FIELDS)
+            adam_step(state, lambda _: g, **hp)
             m_hat = state.mom / (1 - beta1)
             assert m_hat[0] == pytest.approx(g[0], rel=1e-15)
 
@@ -170,14 +172,15 @@ class TestAdam:
         g = np.array([0.3, -1.7, 0.123456789])
         state = State.start(np.zeros(3), ADAM_FIELDS)
         for _ in range(100):
-            state = adam_step(state, lambda _: g, **hp)
+            adam_step(state, lambda _: g, **hp)
             m_hat = state.mom / (1 - 0.9**state.n)  # beta1 at its default
             np.testing.assert_allclose(m_hat, g, rtol=1e-14)
 
     def test_zero_gradient_from_zero_state(self):
         hp = dict(h=0.001)
-        out = adam_step(State.start(np.array([4.0]), ADAM_FIELDS), lambda _: np.zeros(1), **hp)
-        assert out.u[0] == pytest.approx(4.0)
+        state = State.start(np.array([4.0]), ADAM_FIELDS)
+        adam_step(state, lambda _: np.zeros(1), **hp)
+        assert state.u[0] == pytest.approx(4.0)
 
 
 class TestSsa1Ada:
@@ -185,37 +188,35 @@ class TestSsa1Ada:
         hp = dict(h=0.5, gamma=0.9, eps=1e-6, k=2.0)
         rng = np.random.default_rng(2)
         theta, v = rng.standard_normal(3), rng.standard_normal(3)
-        state = State.start(theta, SSA1_ADA_FIELDS)
-        state.v = v.copy()
-        state.n = 4
+        state = State.start(theta, SSA1_ADA_FIELDS, n=4)
+        state.v[...] = v
         beta = 4 / 7
-        out = ssa1_ada_step(state, lambda _: np.zeros(3), schedule=SCH_N3, **hp)
+        ssa1_ada_step(state, lambda _: np.zeros(3), schedule=SCH_N3, **hp)
         # zero accumulators keep h_n = h * sqrt(eps)/sqrt(eps) = h
-        np.testing.assert_allclose(out.v, beta**2 * (1 - 0.5 * beta) * v)
+        np.testing.assert_allclose(state.v, beta**2 * (1 - 0.5 * beta) * v)
         np.testing.assert_allclose(
-            out.u, theta + 0.5 * beta**2 * (1 - 0.5 * beta) * v
+            state.u, theta + 0.5 * beta**2 * (1 - 0.5 * beta) * v
         )
 
     def test_hand_trace_as_written(self):
         hp = dict(h=1.0, gamma=0.9, eps=1e-6, k=2.0)
-        state = State.start(np.array([1.0]), SSA1_ADA_FIELDS)
-        state.n = 1  # beta = 0.25
-        out = ssa1_ada_step(state, lambda u: u, schedule=SCH_N3, variant="as-written", **hp)
+        state = State.start(np.array([1.0]), SSA1_ADA_FIELDS, n=1)  # beta = 0.25
+        ssa1_ada_step(state, lambda u: u, schedule=SCH_N3, variant="as-written", **hp)
         acc_g = 0.1
         h_n = 1.0 * math.sqrt(1e-6) / math.sqrt(acc_g + 1e-6)
-        assert out.z[0] == pytest.approx(1.0)
-        assert out.v[0] == pytest.approx(0.25**2 * (-h_n), rel=1e-12)
-        assert out.u[0] == pytest.approx(1.0 - h_n**2, rel=1e-12)
-        assert out.acc_update_sq[0] == pytest.approx(0.1 * h_n**2, rel=1e-12)
+        assert state.z[0] == pytest.approx(1.0)
+        assert state.v[0] == pytest.approx(0.25**2 * (-h_n), rel=1e-12)
+        assert state.u[0] == pytest.approx(1.0 - h_n**2, rel=1e-12)
+        assert state.acc_update_sq[0] == pytest.approx(0.1 * h_n**2, rel=1e-12)
 
     def test_variants_coincide_when_velocity_zero(self):
         hp = dict(h=1.0, gamma=0.9, eps=1e-6, k=2.0)
         grad = lambda u: 2.0 * u
         outs = []
         for variant in ("as-written", "z-first"):
-            state = State.start(np.array([0.7, -0.2]), SSA1_ADA_FIELDS)
-            state.n = 3
-            outs.append(ssa1_ada_step(state, grad, schedule=SCH_N3, variant=variant, **hp))
+            state = State.start(np.array([0.7, -0.2]), SSA1_ADA_FIELDS, n=3)
+            ssa1_ada_step(state, grad, schedule=SCH_N3, variant=variant, **hp)
+            outs.append(state)
         np.testing.assert_array_equal(outs[0].u, outs[1].u)
         np.testing.assert_array_equal(outs[0].v, outs[1].v)
         np.testing.assert_array_equal(outs[0].z, outs[1].z)
@@ -249,20 +250,15 @@ class TestSsa1Ada:
         z_next = theta + h * opt.momentum_coefficient(n, SCH_N3) * v
         acc_after = gamma * acc_g + (1 - gamma) * grad(z_next) ** 2
 
-        state = State.start(theta, SSA1_ADA_FIELDS)
-        state.v = v.copy()
-        state.n = n
-        state.acc_grad_sq = acc_g.copy()
-        state.acc_update_sq = acc_after.copy()  # matches the post-update E[g^2]
-        adaptive = ssa1_ada_step(state, grad, schedule=SCH_N3, variant="z-first", **hp)
+        adaptive = State.start(theta, SSA1_ADA_FIELDS, n=n)
+        adaptive.v[...] = v
+        adaptive.acc_grad_sq[...] = acc_g
+        adaptive.acc_update_sq[...] = acc_after  # matches the post-update E[g^2]
+        ssa1_ada_step(adaptive, grad, schedule=SCH_N3, variant="z-first", **hp)
 
-        plain = opt.ssa1_step(
-            opt.State(u=theta.copy(), v=v.copy(), n=n),
-            grad,
-            h,
-            SCH_N3,
-            k=2.0,
-        )
+        plain = State.start(theta, opt.SPLIT_FIELDS, n=n)
+        plain.v[...] = v
+        opt.ssa1_step(plain, grad, h, SCH_N3, k=2.0)
         assert np.max(np.abs(adaptive.u - plain.u)) <= 1e-12
         assert np.max(np.abs(adaptive.v - plain.v)) <= 1e-12
 
@@ -291,11 +287,13 @@ class TestSsa1Ada:
         s = np.sqrt(acc_d + eps)
         h_n = s * h / s
 
-        state = State.start(u, SSA1_ADA_FIELDS)
-        state.v, state.n, state.acc_grad_sq, state.acc_update_sq = v.copy(), n, acc_g, acc_d
+        adaptive = State.start(u, SSA1_ADA_FIELDS, n=n)
+        adaptive.v[...], adaptive.acc_grad_sq[...], adaptive.acc_update_sq[...] = v, acc_g, acc_d
         hp = dict(h=h, gamma=gamma, eps=eps, k=k)
-        adaptive = ssa1_ada_step(state, grad, schedule=SCH_N3, variant="z-first", **hp)
-        plain = opt.ssa1_step(opt.State(u=u.copy(), v=v.copy(), n=n), grad, h, SCH_N3, k=k)
+        ssa1_ada_step(adaptive, grad, schedule=SCH_N3, variant="z-first", **hp)
+        plain = State.start(u, opt.SPLIT_FIELDS, n=n)
+        plain.v[...] = v
+        opt.ssa1_step(plain, grad, h, SCH_N3, k=k)
         assert adaptive.acc_grad_sq.tobytes() == acc_d.tobytes()
 
         # Where h_n == h, the two rules run the same operations on the same
@@ -334,7 +332,7 @@ class TestStateDiscipline:
             accumulators = [acc for acc in ("acc_grad_sq", "acc_update_sq") if acc in fields]
             state = State.start(np.zeros(3), fields)
             for _ in range(10_000):
-                state = step(state, rng.standard_normal(3) * 10.0)
+                step(state, rng.standard_normal(3) * 10.0)
                 for acc in accumulators:
                     assert np.all(getattr(state, acc) >= 0.0), (name, acc)
 

@@ -278,14 +278,15 @@ def test_table_defaults_match_direct_rule_calls():
         stepper = make_stepper(ExperimentConfig(optimizer=name), theta0)
         state = opt.State.start(theta0, fields)
         for _ in range(5):
-            state = advance(state, grad)
+            advance(state, grad)
             assert stepper(grad).tobytes() == state.u.tobytes(), name
 
 
 def reference_run(name, epochs):
     """The records, less epoch_time_s, and final iterate of a TINY run of
-    name, from a plain loop: each step a pure call of the rule (DIRECT),
-    whose oracle sets the point into the model and returns a fresh gradient."""
+    name, from a plain loop: each step a direct call of the rule (DIRECT) on
+    the loop's own state, whose oracle sets the point into the model and
+    returns a fresh gradient."""
     seed = ExperimentConfig().seed
     train, test = load_dataset_spec(TINY, seed)
     for data in (train, test):
@@ -303,16 +304,16 @@ def reference_run(name, epochs):
     for epoch in range(epochs):
         for idx in epoch_batches(len(train), ExperimentConfig().batch_size, seed + epoch):
             batch = train.rows(idx)
-            state = advance(state, grad_fn)
+            advance(state, grad_fn)
         model.set_param_vector(state.u)
         records.append((epoch, *_evaluate(model, train), *_evaluate(model, test)))
     return records, state.u
 
 
 @pytest.mark.parametrize("name", sorted(OPTIMIZERS))
-def test_a_run_equals_a_plain_loop_of_pure_steps_bit_for_bit(monkeypatch, name):
-    # the stepper's one state advanced in place and the oracle's kept
-    # buffers give the bits of fresh states and fresh gradients
+def test_a_run_equals_a_plain_loop_of_direct_steps_bit_for_bit(monkeypatch, name):
+    # the stepper built from the OPTIMIZERS row and the oracle's kept
+    # buffers give the bits of direct rule calls and fresh gradients
     epochs, iterates, set_param_vector = 2, [], MlpModel.set_param_vector
 
     def keeping(model, theta):

@@ -137,7 +137,7 @@ class TestDescentSanity:
         state = State.start(rng.standard_normal(6) * 3, SGD_FIELDS)
         previous = obj.value(state.u)
         for _ in range(1000):
-            state = minibatch_sgd_step(state, obj.gradient, 1.0 / obj.L)
+            minibatch_sgd_step(state, obj.gradient, 1.0 / obj.L)
             current = obj.value(state.u)
             assert current <= previous + 1e-12
             previous = current

@@ -1,13 +1,18 @@
-"""The README's Python examples run, and every source file parses as the
-oldest Python that pyproject.toml supports."""
+"""The README's Python examples run, every source file parses as the
+oldest Python that pyproject.toml supports, and every step rule keeps the
+one calling convention."""
 
 import ast
+import inspect
 import pathlib
 import re
 import warnings
 
 import numpy as np
 import pytest
+
+from splitopt.bench import OPTIMIZERS, parse_momentum
+from splitopt.optimizers import State
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PYTHON_BLOCKS = re.findall(r"^```python\n(.*?)^```$", (ROOT / "README.md").read_text(),
@@ -64,3 +69,16 @@ def test_every_module_level_import_is_used():
         if imported - used:
             unused[path.name] = sorted(imported - used)
     assert unused == {}
+
+
+@pytest.mark.parametrize("name", sorted(OPTIMIZERS))
+def test_every_rule_advances_the_given_state_and_takes_no_out(name):
+    # one calling convention: no rule writes into a second state or
+    # returns a fresh one
+    _, options, module, rule, fields = OPTIMIZERS[name]
+    advance = getattr(module, rule)
+    assert "out" not in inspect.signature(advance).parameters
+    state = State.start(np.ones(3), fields)
+    positional = [parse_momentum(options["momentum"])] if "momentum" in options else []
+    assert advance(state, lambda u: 2.0 * u, 0.1, *positional) is None
+    assert state.n == 1

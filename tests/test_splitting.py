@@ -1,6 +1,7 @@
 """Unit tests for the operator-splitting and ODE machinery."""
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -470,3 +471,17 @@ class TestIntegrateSecondOrder:
         )
         with pytest.raises(ValueError, match="must exceed start time"):
             integrate_second_order(sys_, T, 10)
+
+    @pytest.mark.parametrize("T, t0", [(np.inf, 0.0), (1.0, -np.inf), (np.inf, -np.inf)])
+    def test_rejects_an_infinite_horizon_or_start_before_any_step(self, T, t0):
+        # a system with zero force and zero damping never diverges: an
+        # infinite interval is a usage error, not a DivergenceError
+        sys_ = SecondOrderSystem(
+            damping=lambda t: 0.0, grad=np.zeros_like, u0=np.array([1.0]), v0=np.array([0.0]),
+            t0=t0,
+        )
+        message = f"horizon {T} and start time {t0} must be finite"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                integrate_second_order(sys_, T, 10)
