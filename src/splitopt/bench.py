@@ -346,9 +346,10 @@ def format_csv(header: Sequence[str], rows: Iterable[Iterable]) -> str:
 
 def emit_metrics(header: Sequence[str], rows: Iterable[Iterable], path: Optional[str]) -> None:
     """Write format_csv(header, rows) to the file at path, or to stdout when
-    there is no path: the one writer of every bench subcommand's CSV."""
+    there is no path: the one writer of every bench subcommand's CSV.  An
+    empty path is a path, which cannot be opened."""
     text = format_csv(header, rows)
-    if path:
+    if path is not None:
         with open(path, "w", newline="") as f:
             f.write(text)
     else:

@@ -10,7 +10,7 @@ splitting-study` sweeps the splitting defect and observed order.  A
 key=value config file can seed any `run` option via --config; explicit
 flags win.  Exit codes: 0 success, 2 usage, 3 diverged run, 4 I/O or
 dataset failure; `run` opens its --out path before any data loads, so an
-unwritable one exits 4 at once.
+unwritable one, the empty path included, exits 4 at once.
 """
 
 from __future__ import annotations
@@ -134,12 +134,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _run_command(args: argparse.Namespace) -> int:
-    values = _load_config_file(args.config) if args.config else {}
+    values = _load_config_file(args.config) if args.config is not None else {}
     for name in _RUN_OPTIONS:
         if getattr(args, name) is not None:
             values[name] = getattr(args, name)
     config = ExperimentConfig(**values)
-    if config.out:  # an unwritable path exits 4 before any data loads
+    # an unwritable path, "" included, exits 4 before any data loads
+    if config.out is not None:
         existed = os.path.lexists(config.out)
         open(config.out, "a").close()
         if not existed:  # the probe leaves no file behind

@@ -1,11 +1,11 @@
 """Non-adaptive optimizer step rules.
 
 Mini-batch SGD (gradient descent given the full gradient), Polyak's
-heavy-ball method, Nesterov's accelerated gradient in its two-sequence and
-velocity forms, and the two sequential-splitting optimizers (SSA1, SSA2)
-derived from the constant-damping dynamical system  u'' + u' = -grad f(u).
+heavy-ball method, Nesterov's accelerated gradient in velocity form, and
+the two sequential-splitting optimizers (SSA1, SSA2) derived from the
+constant-damping dynamical system  u'' + u' = -grad f(u).
 
-Every rule is rule(state, grad_fn, h, [schedule, [form | variant]], *,
+Every rule is rule(state, grad_fn, h, [schedule, [variant]], *,
 <the hyper-parameters it reads>): it advances state in place by one step,
 calling the gradient oracle itself exactly once, and returns None.  The
 state must hold every field of the rule's *_FIELDS tuple, scratch fields
@@ -30,8 +30,6 @@ RATIO_NM1_OVER_N2 = "ratio-n-minus-1-over-n-plus-2"
 CONSTANT = "constant"
 
 _SCHEDULE_KINDS = (RATIO_N_OVER_N3, RATIO_NM1_OVER_N2, CONSTANT)
-
-NESTEROV_FORMS = ("velocity", "two-sequence")
 
 
 @dataclass(frozen=True)
@@ -232,58 +230,32 @@ def polyak_step(state: State, grad_fn: GradFn, h: float, schedule: MomentumSched
     state.n += 1
 
 
-NESTEROV_FIELDS = ("u", "v", "u_prev")
+NESTEROV_FIELDS = ("u", "v", "work")
 
 
-def nesterov_step(
-    state: State,
-    grad_fn: GradFn,
-    h: float,
-    schedule: MomentumSchedule,
-    form: str = "velocity",
-) -> None:
-    """Accelerated-gradient step in the requested representation.
+def nesterov_step(state: State, grad_fn: GradFn, h: float, schedule: MomentumSchedule) -> None:
+    """Accelerated-gradient step in velocity form; advances NESTEROV_FIELDS,
+    the look-ahead y in work.
 
-    velocity form:
         y = u + h * beta_n * v
         v_next = beta_n * v - h * grad(y)
         u_next = u + h * v_next
 
-    two-sequence form (s = h^2):
-        y = u + beta_n * (u - u_prev)
-        u_next = y - h^2 * grad(y)
-
-    With v_0 = (u_0 - u_{-1}) / h the two produce identical iterates.
-    Both forms advance NESTEROV_FIELDS and keep h * v = u - u_prev (to
-    rounding); u and u_prev swap arrays each step.
+    With v_0 = (u_0 - u_{-1}) / h its iterates are those of the two-sequence
+    form y = u + beta_n * (u - u_prev), u_next = y - h^2 * grad(y).
     """
     _check_hyper(h)
-    if form not in NESTEROV_FORMS:
-        raise ValueError(f"unknown nesterov form {form!r}; choose from {NESTEROV_FORMS}")
     beta = momentum_coefficient(state.n, schedule)
     _check_fields("nesterov_step", state, NESTEROV_FIELDS)
-    u, v = state.u, state.v
-    # y and then u_next live in u_prev's array, which the form does not read
-    # or reads before y is written; y is overwritten only after the last
-    # read of grad(y), which may be y's buffer itself
-    u_next = state.u_prev
-    if form == "velocity":
-        grad_y = _look_ahead(u, v, grad_fn, h, beta, u_next)
-        v *= beta
-        np.multiply(grad_y, h, out=u_next)
-        v -= u_next
-        np.multiply(v, h, out=u_next)
-        u_next += u
-    else:
-        np.subtract(u, u_next, out=u_next)
-        u_next *= beta
-        u_next += u
-        grad_y = _checked_grad(grad_fn(u_next), u)
-        np.multiply(grad_y, h * h, out=v)
-        np.subtract(u_next, v, out=u_next)
-        np.subtract(u_next, u, out=v)
-        v /= h
-    state.u, state.u_prev = u_next, u
+    u, v, work = state.u, state.v, state.work
+    # work is overwritten only after the last read of grad(y), which may be
+    # y's buffer itself
+    grad_y = _look_ahead(u, v, grad_fn, h, beta, work)
+    v *= beta
+    np.multiply(grad_y, h, out=work)
+    v -= work
+    np.multiply(v, h, out=work)
+    u += work
     state.n += 1
 
 

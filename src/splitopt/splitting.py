@@ -17,6 +17,8 @@ from typing import Callable, Tuple
 
 import numpy as np
 
+from .optimizers import _checked_grad
+
 
 class DivergenceError(RuntimeError):
     """Raised when an integration produces a non-finite state."""
@@ -222,7 +224,9 @@ def integrate_second_order(
     """Classical fourth-order integration of the pair (u, v) over [t0, T].
 
     Returns (ts, us, vs) with steps+1 rows; global error O(((T-t0)/steps)^4)
-    for smooth fields.  Raises DivergenceError at the first non-finite state.
+    for smooth fields.  Raises DivergenceError at the first non-finite state,
+    and ValueError if u0 and v0 differ in shape or a gradient is not shaped
+    like u.
     """
     if steps < 1:
         raise ValueError(f"steps must be at least 1, got {steps}")
@@ -230,12 +234,14 @@ def integrate_second_order(
         raise ValueError(f"horizon {T} must exceed start time {sys.t0}")
     if not np.isfinite([T, sys.t0]).all():
         raise ValueError(f"horizon {T} and start time {sys.t0} must be finite")
-    u =np.atleast_1d(np.asarray(sys.u0, dtype=float)).copy()
+    u = np.atleast_1d(np.asarray(sys.u0, dtype=float)).copy()
     v = np.atleast_1d(np.asarray(sys.v0, dtype=float)).copy()
+    if u.shape != v.shape:
+        raise ValueError(f"u0 shape {u.shape} != v0 shape {v.shape}")
     h = (T - sys.t0) / steps
 
     def rhs(t, u, v):
-        return v, -sys.damping(t) * v - np.asarray(sys.grad(u), dtype=float)
+        return v, -sys.damping(t) * v - _checked_grad(sys.grad(u), u)
 
     ts = sys.t0 + h * np.arange(steps + 1)
     us = np.empty((steps + 1, u.size))

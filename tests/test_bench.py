@@ -246,9 +246,7 @@ RATIO = opt.MomentumSchedule(opt.RATIO_N_OVER_N3)
 DIRECT = {
     "sgd": (opt.SGD_FIELDS, lambda s, g: opt.minibatch_sgd_step(s, g, 1e-3)),
     "polyak": (opt.POLYAK_FIELDS, lambda s, g: opt.polyak_step(s, g, 1e-2, HALF)),
-    "nesterov": (
-        opt.NESTEROV_FIELDS, lambda s, g: opt.nesterov_step(s, g, 1e-3, HALF, form="velocity")
-    ),
+    "nesterov": (opt.NESTEROV_FIELDS, lambda s, g: opt.nesterov_step(s, g, 1e-3, HALF)),
     "ssa1": (opt.SPLIT_FIELDS, lambda s, g: opt.ssa1_step(s, g, 1e-3, RATIO, k=2.0)),
     "ssa2": (opt.SPLIT_FIELDS, lambda s, g: opt.ssa2_step(s, g, 1e-3, RATIO, k=2.0)),
     "ssa1-const": (opt.SPLIT_FIELDS, lambda s, g: opt.ssa1_step(s, g, 1e-3, HALF, k=2.0)),
@@ -628,12 +626,11 @@ class TestRunExperiment:
         assert all(type(m) is MlpModel and type(b) is Batch for m, b in seen)
 
     # buffers each optimizer's rule evaluates at: u (sgd and the plain
-    # adaptive rules), the look-ahead in work (ssa1, ssa2) or z, which
-    # ssa1-ada's look-ahead overwrites only after its last read of the
-    # gradient at z; polyak evaluates at u and nesterov at a look-ahead in
-    # u_prev, and each swaps u and u_prev every step
+    # adaptive rules), the look-ahead in work (nesterov, ssa1, ssa2) or z,
+    # which ssa1-ada's look-ahead overwrites only after its last read of the
+    # gradient at z; polyak evaluates at u and swaps u and u_prev every step
     EVALUATION_BUFFERS = {
-        "sgd": 1, "polyak": 2, "nesterov": 2, "ssa1": 1, "ssa2": 1, "ssa1-const": 1,
+        "sgd": 1, "polyak": 2, "nesterov": 1, "ssa1": 1, "ssa2": 1, "ssa1-const": 1,
         "ssa2-const": 1, "adagrad": 1, "adadelta": 1, "rmsprop": 1, "adam": 1, "ssa1-ada": 1,
     }
 
@@ -1077,6 +1074,27 @@ class TestCli:
         assert "nodir" in capsys.readouterr().err
         assert main([*argv, "--out", str(tmp_path)]) == 4  # a directory
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--out", ""], ["run", "--config", "CONFIG"], ["run", "--config", ""],
+        ["timing", "--in", "METRICS", "--out", ""], ["splitting-study", "--out", ""],
+    ], ids=["run", "run-config-out", "run-config", "timing", "study"])
+    def test_an_empty_path_exits_4_and_is_not_taken_as_none(
+        self, tmp_path, capsys, monkeypatch, argv
+    ):
+        # an empty --out would send the CSV to stdout, an empty --config
+        # would read no file; a run fails before any data loads
+        def no_data(*args, **kwargs):
+            raise AssertionError("data was loaded for an empty path")
+
+        monkeypatch.setattr("splitopt.bench.load_dataset_spec", no_data)
+        metrics, config = tmp_path / "metrics.csv", tmp_path / "run.conf"
+        write_metrics([MetricsRecord(0, 0.5, 0.9, 0.5, 0.9, 0.5)], metrics)
+        config.write_text("out =\n")
+        argv = [{"METRICS": str(metrics), "CONFIG": str(config)}.get(arg, arg) for arg in argv]
+        assert main(argv) == 4
+        captured = capsys.readouterr()
+        assert captured.out == "" and "No such file or directory: ''" in captured.err
 
     def test_diverged_run_with_a_writable_out_exits_3_and_writes_its_epochs(
         self, tmp_path, capsys

@@ -180,51 +180,34 @@ class TestNesterov:
 
     def test_two_sequence_matches_velocity_from_rest(self):
         # u = u_prev corresponds to v = 0; single steps coincide
-        state_a = opt.State.start(np.array([1.0]), opt.NESTEROV_FIELDS)
-        state_b = opt.State.start(np.array([1.0]), opt.NESTEROV_FIELDS)
+        state = opt.State.start(np.array([1.0]), opt.NESTEROV_FIELDS)
         sch = opt.MomentumSchedule.constant(0.5)
-        opt.nesterov_step(state_a, lambda u: u, 0.1, sch, form="velocity")
-        opt.nesterov_step(state_b, lambda u: u, 0.1, sch, form="two-sequence")
-        assert state_a.u == pytest.approx(0.99)
-        assert state_b.u == pytest.approx(0.99)
+        opt.nesterov_step(state, lambda u: u, 0.1, sch)
+        (u_two_sequence,) = two_sequence_nesterov(np.array([1.0]), lambda u: u, 0.1, sch, 1)
+        assert state.u == pytest.approx(0.99)
+        assert u_two_sequence == pytest.approx(0.99)
 
     def test_form_equivalence_over_100_steps(self):
         objective = make_quadratic(10, 1.0, 10.0, seed=42)
         u0 = np.random.default_rng(7).standard_normal(10)
-        sv = opt.State.start(u0, opt.NESTEROV_FIELDS)
-        st = opt.State.start(u0, opt.NESTEROV_FIELDS)
+        state = opt.State.start(u0, opt.NESTEROV_FIELDS)
         worst = 0.0
-        for _ in range(100):
-            opt.nesterov_step(sv, objective.gradient, 0.1, SCH_NM1, "velocity")
-            opt.nesterov_step(st, objective.gradient, 0.1, SCH_NM1, "two-sequence")
-            worst = max(worst, np.max(np.abs(sv.u - st.u)))
+        for u_two_sequence in two_sequence_nesterov(u0, objective.gradient, 0.1, SCH_NM1, 100):
+            opt.nesterov_step(state, objective.gradient, 0.1, SCH_NM1)
+            worst = max(worst, np.max(np.abs(state.u - u_two_sequence)))
         assert worst <= 1e-12
 
     def test_errors(self):
-        # either form writes its new iterate into u_prev's array, so a state
-        # without one is rejected in the velocity form too
+        # the look-ahead point is built in work, so a state without it is
+        # rejected before the oracle runs
         state = opt.State(u=np.zeros(2), v=np.zeros(2))
-        for form in opt.NESTEROV_FORMS:
-            with pytest.raises(ValueError, match="^nesterov_step advances u_prev, "):
-                opt.nesterov_step(state, forbidden_oracle, 0.1, SCH_N3, form=form)
-        with pytest.raises(ValueError, match="form"):
-            opt.nesterov_step(state, lambda u: u, 0.1, SCH_N3, form="magic")
+        with pytest.raises(ValueError, match="^nesterov_step advances work, "):
+            opt.nesterov_step(state, forbidden_oracle, 0.1, SCH_N3)
         with pytest.raises(ValueError, match="dimension mismatch"):
             opt.nesterov_step(opt.State.start(np.zeros(2), opt.NESTEROV_FIELDS),
                               lambda u: np.zeros(3), 0.1, SCH_N3)
         with pytest.raises(ValueError, match="step size must be positive"):
             opt.nesterov_step(state, lambda u: u, NAN, SCH_N3)
-
-    def test_unknown_form_is_checked_before_the_oracle(self):
-        # the rule is the one check of a form: it names the choices and
-        # raises before it calls the oracle
-        def oracle(u):
-            raise AssertionError("the oracle was called for an unknown form")
-
-        state = opt.State.start(np.zeros(2), opt.NESTEROV_FIELDS)
-        message = "unknown nesterov form 'bogus'; choose from ('velocity', 'two-sequence')"
-        with pytest.raises(ValueError, match=re.escape(message)):
-            opt.nesterov_step(state, oracle, 0.1, SCH_N3, form="bogus")
 
 
 class TestSsa1:
@@ -474,17 +457,26 @@ def polyak_formula(s, grad_fn, h, schedule):
     return {"u": y - h * grad_at(grad_fn, s.u), "u_prev": s.u.copy()}
 
 
-def nesterov_formula(s, grad_fn, h, schedule, form):
+def nesterov_formula(s, grad_fn, h, schedule):
     beta = opt.momentum_coefficient(s.n, schedule)
-    if form == "velocity":
-        y = s.u + h * beta * s.v
-        v_next = beta * s.v - h * grad_at(grad_fn, y)
-        u_next = s.u + h * v_next
-    else:
-        y = s.u + beta * (s.u - s.u_prev)
-        u_next = y - h * h * grad_at(grad_fn, y)
-        v_next = (u_next - s.u) / h
-    return {"u": u_next, "v": v_next, "u_prev": s.u.copy()}
+    y = s.u + h * beta * s.v
+    v_next = beta * s.v - h * grad_at(grad_fn, y)
+    return {"u": s.u + h * v_next, "v": v_next}
+
+
+def two_sequence_nesterov(u0, grad_fn, h, schedule, steps):
+    """Yields the iterates u_1 .. u_steps of Nesterov's two-sequence form
+
+        y = u + beta_n * (u - u_prev)
+        u_next = y - h^2 * grad(y)
+
+    started from u_prev = u0, which is the velocity form's start at rest."""
+    u_prev, u = u0.copy(), u0.copy()
+    for n in range(steps):
+        beta = opt.momentum_coefficient(n, schedule)
+        y = u + beta * (u - u_prev)
+        u_prev, u = u, y - h * h * grad_at(grad_fn, y)
+        yield u
 
 
 def splitting_formula(s, grad_fn, h, schedule, kind, k):
@@ -582,12 +574,12 @@ class TestPinnedFormulas:
         )
 
     @PROPERTY
-    @given(case=inertial_cases(), form=st.sampled_from(opt.NESTEROV_FORMS))
-    def test_nesterov_step(self, case, form):
+    @given(case=inertial_cases())
+    def test_nesterov_step(self, case):
         state, grad_fn, h, schedule = case
         assert_step_is_formula(
-            lambda s, g: opt.nesterov_step(s, g, h, schedule, form), state, grad_fn,
-            lambda s, g: nesterov_formula(s, g, h, schedule, form),
+            lambda s, g: opt.nesterov_step(s, g, h, schedule), state, grad_fn,
+            lambda s, g: nesterov_formula(s, g, h, schedule),
         )
 
     @PROPERTY
@@ -647,18 +639,17 @@ class TestNesterovProperties:
     def test_forms_keep_h_v_equal_to_step_and_agree(self, dim, data, h, schedule, steps):
         u0 = data.draw(vectors(dim))
         grad_fn = data.draw(affine_gradients(dim))
-        states = {form: opt.State.start(u0, opt.NESTEROV_FIELDS) for form in opt.NESTEROV_FORMS}
-        for _ in range(steps):
-            for form, s in states.items():
-                opt.nesterov_step(s, grad_fn, h, schedule, form)
-                # a few roundings of numbers no larger than the iterates
-                scale = max(1.0, np.max(np.abs(s.u)), np.max(np.abs(s.u_prev)))
-                np.testing.assert_allclose(
-                    h * s.v, s.u - s.u_prev, rtol=0, atol=8 * np.finfo(float).eps * scale
-                )
-        velocity, two_sequence = (states[form] for form in opt.NESTEROV_FORMS)
-        scale = max(1.0, np.max(np.abs(velocity.u)))
-        np.testing.assert_allclose(velocity.u, two_sequence.u, rtol=0, atol=1e-9 * scale)
+        state = opt.State.start(u0, opt.NESTEROV_FIELDS)
+        for u_two_sequence in two_sequence_nesterov(u0, grad_fn, h, schedule, steps):
+            u = state.u.copy()
+            opt.nesterov_step(state, grad_fn, h, schedule)
+            # a few roundings of numbers no larger than the iterates
+            scale = max(1.0, np.max(np.abs(state.u)), np.max(np.abs(u)))
+            np.testing.assert_allclose(
+                state.u - u, h * state.v, rtol=0, atol=8 * np.finfo(float).eps * scale
+            )
+        scale = max(1.0, np.max(np.abs(state.u)))
+        np.testing.assert_allclose(state.u, u_two_sequence, rtol=0, atol=1e-9 * scale)
 
 
 # --- the in-place state contract ---------------------------------------------------
@@ -668,9 +659,10 @@ RuleCase = collections.namedtuple("RuleCase", "rule fields step formula")
 
 
 def rule_steps(h, schedule, k):
-    """Every step rule and form, as name -> RuleCase: the rule's name, its
-    declared fields, step(state, grad_fn) and its pinned formula(state,
-    grad_fn), both with the rule's own defaults of the hyper-parameters."""
+    """Every step rule and ssa1-ada variant, as name -> RuleCase: the
+    rule's name, its declared fields, step(state, grad_fn) and its pinned
+    formula(state, grad_fn), both with the rule's own defaults of the
+    hyper-parameters."""
     steps = {
         "sgd": RuleCase("minibatch_sgd_step", opt.SGD_FIELDS,
                         lambda s, g: opt.minibatch_sgd_step(s, g, h),
@@ -684,12 +676,9 @@ def rule_steps(h, schedule, k):
         steps[kind] = RuleCase(rule.__name__, opt.SPLIT_FIELDS,
                                lambda s, g, rule=rule: rule(s, g, h, schedule, k=k),
                                lambda s, g, kind=kind: splitting_formula(s, g, h, schedule, kind, k))
-    for form in opt.NESTEROV_FORMS:
-        steps[f"nesterov-{form}"] = RuleCase(
-            "nesterov_step", opt.NESTEROV_FIELDS,
-            lambda s, g, form=form: opt.nesterov_step(s, g, h, schedule, form),
-            lambda s, g, form=form: nesterov_formula(s, g, h, schedule, form),
-        )
+    steps["nesterov"] = RuleCase("nesterov_step", opt.NESTEROV_FIELDS,
+                                 lambda s, g: opt.nesterov_step(s, g, h, schedule),
+                                 lambda s, g: nesterov_formula(s, g, h, schedule))
     for name, formula in ADAPTIVE_RULES.items():
         rule = getattr(ad, name + "_step")
         steps[name] = RuleCase(rule.__name__, getattr(ad, name.upper() + "_FIELDS"),
@@ -741,8 +730,8 @@ class TestInPlaceChain:
             for scratch in set(SCRATCH) & set(fields):
                 getattr(state, scratch)[...] = np.nan
             assert_step_is_formula(step, state, grad_fn, formula)
-            # polyak and nesterov swap u and u_prev; no rule trades an
-            # array for a new one
+            # polyak swaps u and u_prev; no rule trades an array for a
+            # new one
             assert {id(array) for array in arrays(state).values()} == held
             for acc in set(ACCUMULATORS) & set(fields):
                 assert np.all(getattr(state, acc) >= 0.0)
@@ -762,8 +751,8 @@ class TestStateContract:
 
     @pytest.mark.parametrize("name, field", CONTRACT_CASES)
     def test_a_missing_field_is_named_before_the_oracle_runs(self, name, field):
-        # every declared field, scratch ones and those a form or variant
-        # does not read included
+        # every declared field, scratch ones and those a variant does not
+        # read included
         rule, fields, step, _ = rule_steps(0.1, HALF, 2.0)[name]
         lacking = opt.State.start(np.ones(3), fields, n=3)
         # set after construction: State would reject a None u by the others' shapes

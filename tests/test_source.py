@@ -53,9 +53,11 @@ def test_every_source_file_parses_as_python_3_10():
 
 def test_every_module_level_import_is_used():
     # no linter runs in tier-1, so a deletion could leave an import such as
-    # Tuple behind; __init__.py is skipped, as its imports are the exports
+    # Tuple behind, in the library or its tests; __init__.py is skipped, as
+    # its imports are the exports
+    sources = [*(ROOT / "src" / "splitopt").glob("*.py"), *(ROOT / "tests").glob("*.py")]
     unused = {}
-    for path in sorted((ROOT / "src" / "splitopt").glob("*.py")):
+    for path in sorted(sources):
         if path.name == "__init__.py":
             continue
         tree = ast.parse(path.read_text())
@@ -67,7 +69,7 @@ def test_every_module_level_import_is_used():
                 imported.update(a.asname or a.name for a in node.names)
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         if imported - used:
-            unused[path.name] = sorted(imported - used)
+            unused[str(path.relative_to(ROOT))] = sorted(imported - used)
     assert unused == {}
 
 

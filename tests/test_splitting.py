@@ -485,3 +485,29 @@ class TestIntegrateSecondOrder:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 integrate_second_order(sys_, T, 10)
+
+    def test_rejects_a_velocity_shaped_unlike_the_position_before_any_step(self):
+        # numpy would fail partway through, storing a broadcast step
+        def grad(u):
+            raise AssertionError("a step was taken")
+
+        sys_ = SecondOrderSystem(
+            damping=lambda t: 0.0, grad=grad, u0=np.array([1.0, 2.0]), v0=np.array([0.0]),
+        )
+        message = "u0 shape (2,) != v0 shape (1,)"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                integrate_second_order(sys_, 1.0, 4)
+
+    def test_rejects_a_gradient_shaped_unlike_the_position(self):
+        # numpy would broadcast it over u and return a trajectory
+        sys_ = SecondOrderSystem(
+            damping=lambda t: 0.0, grad=lambda u: u[:1], u0=np.array([1.0, 2.0]),
+            v0=np.array([0.0, 1.0]),
+        )
+        message = "dimension mismatch: gradient has shape (1,), expected (2,)"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                integrate_second_order(sys_, 1.0, 4)
